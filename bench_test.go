@@ -20,6 +20,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/confidence"
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/eval"
+	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/graph"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -99,6 +100,61 @@ func BenchmarkProbe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Net.Probe(dst, 7, uint16(i&0xf), uint32(i))
+	}
+}
+
+// BenchmarkFaultQueries sweeps the fault-plan queries netsim makes per
+// probe — Blackholed, RateBoost, LossBoost, FlapKey — over one
+// destination in each /24 of a 20k-/24 world at four epochs, one leg per
+// built-in plan.
+// Plan size grows with the universe, so a return to scanning every event
+// per query shows here as a many-fold ns/op jump, and any allocation
+// trips the zero-baseline allocs/op gate.
+func BenchmarkFaultQueries(b *testing.B) {
+	cfg := netsim.DefaultConfig(20000)
+	cfg.BigBlockScale = 0.05
+	w, err := netsim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks := w.Blocks()
+	dsts := make([]iputil.Addr, len(blocks))
+	pops := make([]int32, len(blocks))
+	for i, blk := range blocks {
+		dsts[i] = blk.Addr(1)
+		pops[i] = -1 // no pop: RateBoost still searches
+		if id, ok := w.PopOfAddr(dsts[i]); ok {
+			pops[i] = id
+		}
+	}
+	for _, name := range []string{"rate-storm", "churn", "blackhole", "flap"} {
+		s, err := faultplan.CompileBuiltin(name, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				// Epochs 0-2 sit inside the built-in windows, 3 after them.
+				for epoch := 0; epoch < 4; epoch++ {
+					for j, dst := range dsts {
+						if s.Blackholed(epoch, dst) {
+							hits++
+						}
+						if s.RateBoost(epoch, pops[j])+s.LossBoost(epoch, 0) > 0 {
+							hits++
+						}
+						if _, ok := s.FlapKey(epoch, blocks[j]); ok {
+							hits++
+						}
+					}
+				}
+			}
+			if hits == 0 {
+				b.Fatalf("%s: no query hit a fault", name)
+			}
+		})
 	}
 }
 

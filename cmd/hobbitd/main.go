@@ -31,6 +31,25 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client that stalls mid-headers or parks an idle
+// keep-alive connection is cut off. There is deliberately no
+// WriteTimeout (nor ReadTimeout, which would bound the whole request):
+// SSE progress streams and wait:true submissions hold their response
+// open for as long as a campaign runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run is the testable entry point: parse flags, bind the listener,
 // serve until the context (signals, or the test's cancel) ends, then
 // shut down gracefully — drain in-flight requests, cancel campaigns,
@@ -86,7 +105,7 @@ func run(args []string, logw *os.File) error {
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", *addr, err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 1)

@@ -231,16 +231,26 @@ func (s *server) timeout(req api.SubmitRequestV1) time.Duration {
 	return d
 }
 
+// maxSubmitBytes caps a submission body. A valid request is a few
+// hundred bytes; the cap stops a client from making the decoder buffer
+// an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 // handleSubmit is POST /v1/campaigns: validate, consult the result
 // cache, and either finish the session instantly (hit), run it inline
 // (wait: true, tied to the request context), or hand it to a runner
 // goroutine (async, tied to the server context).
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req api.SubmitRequestV1
 	if err := dec.Decode(&req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding request: "+err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		api.WriteError(w, status, api.CodeBadRequest, "decoding request: "+err.Error())
 		return
 	}
 	if err := s.normalize(&req); err != nil {

@@ -24,7 +24,9 @@ import (
 //
 // The result is a conservative superset of the blocks whose
 // measurements actually change; netsim.World.EpochDelta expands it
-// against the block universe.
+// against the block universe. Scopes come out in scope-index order
+// (by key, then event), not plan order; the expansion sorts and
+// deduplicates, so only the set matters.
 func (s *Schedule) EpochDelta(e1, e2 int) netsim.RouteDelta {
 	var d netsim.RouteDelta
 	if e1 == e2 {
@@ -37,21 +39,21 @@ func (s *Schedule) EpochDelta(e1, e2 int) netsim.RouteDelta {
 			return d
 		}
 	}
-	for _, i := range s.flaps {
-		e := &s.events[i]
-		if e.active(e1) || e.active(e2) {
+	for _, p := range s.flaps {
+		if e := &s.events[p.ev]; e.active(e1) || e.active(e2) {
 			d.Blocks = append(d.Blocks, e.Block)
 		}
 	}
-	for _, i := range s.blackholes {
-		e := &s.events[i]
-		if e.active(e1) != e.active(e2) {
-			d.Prefixes = append(d.Prefixes, e.Prefix)
+	for _, b := range s.holes {
+		for _, p := range b.ps {
+			if e := &s.events[p.ev]; e.active(e1) != e.active(e2) {
+				d.Prefixes = append(d.Prefixes, e.Prefix)
+			}
 		}
 	}
-	for _, i := range s.storms {
-		e := &s.events[i]
-		if s.stormFiring(i, e, e1) != s.stormFiring(i, e, e2) {
+	for _, p := range s.storms {
+		i := int(p.ev)
+		if e := &s.events[i]; s.stormFiring(i, e, e1) != s.stormFiring(i, e, e2) {
 			d.Pops = append(d.Pops, e.Pop)
 		}
 	}

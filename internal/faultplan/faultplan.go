@@ -12,10 +12,23 @@
 package faultplan
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/rng"
+)
+
+// Validation errors callers can match with errors.Is; Validate wraps
+// them with the offending event's index and kind.
+var (
+	// ErrMagnitude rejects a Severity or Duty outside [0, 1], NaN and
+	// ±Inf included.
+	ErrMagnitude = errors.New("magnitude outside [0, 1]")
+	// ErrPrefixHostBits rejects a blackhole prefix whose Base has bits
+	// set below its length: no address would ever match it.
+	ErrPrefixHostBits = errors.New("prefix base has host bits set")
 )
 
 // Kind enumerates the event taxonomy.
@@ -98,16 +111,21 @@ func (p *Plan) Validate() error {
 		if e.From < 0 || e.To < e.From {
 			return fmt.Errorf("faultplan: event %d (%s): bad epoch window [%d, %d]", i, e.Kind, e.From, e.To)
 		}
-		if e.Severity < 0 || e.Severity > 1 {
-			return fmt.Errorf("faultplan: event %d (%s): severity %v outside [0, 1]", i, e.Kind, e.Severity)
+		// Written as !(in range) so NaN, which fails every comparison,
+		// is rejected too.
+		if !(e.Severity >= 0 && e.Severity <= 1) {
+			return fmt.Errorf("faultplan: event %d (%s): severity %v: %w", i, e.Kind, e.Severity, ErrMagnitude)
 		}
-		if e.Duty < 0 || e.Duty > 1 {
-			return fmt.Errorf("faultplan: event %d (%s): duty %v outside [0, 1]", i, e.Kind, e.Duty)
+		if !(e.Duty >= 0 && e.Duty <= 1) {
+			return fmt.Errorf("faultplan: event %d (%s): duty %v: %w", i, e.Kind, e.Duty, ErrMagnitude)
 		}
 		switch e.Kind {
 		case Blackhole:
 			if e.Prefix.Len < 0 || e.Prefix.Len > 32 {
 				return fmt.Errorf("faultplan: event %d (blackhole): prefix length %d outside [0, 32]", i, e.Prefix.Len)
+			}
+			if e.Prefix.Base&^e.Prefix.Mask() != 0 {
+				return fmt.Errorf("faultplan: event %d (blackhole): %v: %w", i, e.Prefix, ErrPrefixHostBits)
 			}
 		case RateStorm:
 			if e.Pop < 0 {
@@ -129,26 +147,37 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Compile validates the plan and freezes it into a Schedule.
+// Compile validates the plan and freezes it into a Schedule, building
+// its scope indexes.
 func (p *Plan) Compile() (*Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Schedule{name: p.Name, salt: p.Salt}
 	s.events = append(s.events, p.Events...)
+	var holesByLen [33]postings
 	for i := range s.events {
 		e := &s.events[i]
+		ev := int32(i)
 		switch e.Kind {
 		case Blackhole:
-			s.blackholes = append(s.blackholes, i)
+			n := e.Prefix.Len
+			holesByLen[n] = append(holesByLen[n], posting{key: uint32(e.Prefix.Base), ev: ev})
 		case RateStorm:
-			s.storms = append(s.storms, i)
+			s.storms = append(s.storms, posting{key: uint32(e.Pop), ev: ev})
 		case RouteFlap:
-			s.flaps = append(s.flaps, i)
+			s.flaps = append(s.flaps, posting{key: uint32(e.Block), ev: ev})
 		case Congestion:
 			s.congestion = append(s.congestion, i)
 		}
 	}
+	for n, ps := range holesByLen {
+		if len(ps) > 0 {
+			s.holes = append(s.holes, holeBucket{mask: iputil.Prefix{Len: n}.Mask(), ps: ps.sorted()})
+		}
+	}
+	s.storms = s.storms.sorted()
+	s.flaps = s.flaps.sorted()
 	return s, nil
 }
 
@@ -168,18 +197,71 @@ const saltBurst = 0xfb01
 // saltFlap keys the per-epoch last-hop remap of a RouteFlap.
 const saltFlap = 0xfb02
 
+// posting is one entry of a scope index: an event's scope key and its
+// position in Schedule.events.
+type posting struct {
+	key uint32
+	ev  int32
+}
+
+// postings is a scope index ordered by (key, ev): the events sharing a
+// key form one contiguous run, in ascending event order.
+type postings []posting
+
+// sorted orders the postings by (key, ev) in place and returns them.
+func (ps postings) sorted() postings {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].key != ps[j].key {
+			return ps[i].key < ps[j].key
+		}
+		return ps[i].ev < ps[j].ev
+	})
+	return ps
+}
+
+// first returns the position of the first posting whose key is at
+// least k; the run for k starts there. The search is hand-rolled
+// because sort.Search would cost a closure call per step.
+//
+//hobbit:hotpath
+func (ps postings) first(k uint32) int {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ps[m].key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// holeBucket indexes the blackholes of one prefix length by Base.
+type holeBucket struct {
+	mask iputil.Addr
+	ps   postings
+}
+
 // Schedule is a compiled, immutable Plan implementing netsim.FaultView.
 // All query methods are pure, allocation-free, and safe for concurrent
-// use; they scan per-kind index lists, which stay short in practice
-// (plans describe scenarios, not packet traces).
+// use. Built-in plans scale with the universe (one event per faulted
+// /24 or pop), so the hot queries never scan the event list: Compile
+// builds sorted scope indexes and each query binary-searches the run of
+// events sharing its key, in O(log n) per query.
 type Schedule struct {
 	name   string
 	salt   uint64
 	events []Event
-	// Per-kind indexes into events.
-	blackholes []int
-	storms     []int
-	flaps      []int
+	// Scope indexes into events: storms keyed by Pop, flaps by Block,
+	// and blackholes bucketed by prefix length (ascending) and keyed by
+	// Base.
+	storms postings
+	flaps  postings
+	holes  []holeBucket
+	// congestion lists the Congestion events in event order. They are
+	// vantage-scoped with a wildcard, and a plan holds a handful at
+	// most, so LossBoost scans them.
 	congestion []int
 }
 
@@ -193,14 +275,17 @@ func (s *Schedule) Events() []Event {
 	return out
 }
 
-// Blackholed implements netsim.FaultView.
+// Blackholed implements netsim.FaultView: one index search per prefix
+// length present in the plan.
 //
 //hobbit:hotpath
 func (s *Schedule) Blackholed(epoch int, dst iputil.Addr) bool {
-	for _, i := range s.blackholes {
-		e := &s.events[i]
-		if e.active(epoch) && e.Prefix.Contains(dst) {
-			return true
+	for _, b := range s.holes {
+		k := uint32(dst & b.mask)
+		for j := b.ps.first(k); j < len(b.ps) && b.ps[j].key == k; j++ {
+			if s.events[b.ps[j].ev].active(epoch) {
+				return true
+			}
 		}
 	}
 	return false
@@ -220,14 +305,16 @@ func (s *Schedule) stormFiring(i int, e *Event, epoch int) bool {
 }
 
 // RateBoost implements netsim.FaultView. Overlapping storms on one pop
-// stack additively; netsim caps the combined probability at 1.
+// stack additively, summed in event order; netsim caps the combined
+// probability at 1.
 //
 //hobbit:hotpath
 func (s *Schedule) RateBoost(epoch int, popID int32) float64 {
 	var boost float64
-	for _, i := range s.storms {
-		e := &s.events[i]
-		if e.Pop == popID && s.stormFiring(i, e, epoch) {
+	k := uint32(popID) // negative ids map above every valid pop
+	for j := s.storms.first(k); j < len(s.storms) && s.storms[j].key == k; j++ {
+		i := int(s.storms[j].ev)
+		if e := &s.events[i]; s.stormFiring(i, e, epoch) {
 			boost += e.Severity
 		}
 	}
@@ -255,9 +342,10 @@ func (s *Schedule) LossBoost(epoch int, vantage int) float64 {
 //
 //hobbit:hotpath
 func (s *Schedule) FlapKey(epoch int, b iputil.Block24) (uint64, bool) {
-	for _, i := range s.flaps {
-		e := &s.events[i]
-		if e.active(epoch) && e.Block == b {
+	k := uint32(b)
+	for j := s.flaps.first(k); j < len(s.flaps) && s.flaps[j].key == k; j++ {
+		i := int(s.flaps[j].ev)
+		if s.events[i].active(epoch) {
 			return rng.Mix(s.salt, uint64(i), uint64(epoch), saltFlap), true
 		}
 	}

@@ -1,6 +1,8 @@
 package faultplan
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -26,26 +28,38 @@ func TestValidate(t *testing.T) {
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		ev   Event
+		want error // a named error the rejection must wrap, if any
 	}{
-		{"negative from", Event{Kind: RouteFlap, From: -1, To: 2}},
-		{"inverted window", Event{Kind: RouteFlap, From: 3, To: 1}},
-		{"severity above one", Event{Kind: Congestion, Severity: 1.5}},
-		{"negative severity", Event{Kind: Congestion, Severity: -0.1}},
-		{"duty above one", Event{Kind: RateStorm, Severity: 0.5, Duty: 2}},
-		{"bad prefix length", Event{Kind: Blackhole, Prefix: iputil.Prefix{Len: 40}}},
-		{"negative pop", Event{Kind: RateStorm, Pop: -1, Severity: 0.5}},
-		{"zero-severity storm", Event{Kind: RateStorm, Pop: 1}},
-		{"zero-severity congestion", Event{Kind: Congestion}},
-		{"unknown kind", Event{Kind: Kind(42)}},
+		{"negative from", Event{Kind: RouteFlap, From: -1, To: 2}, nil},
+		{"inverted window", Event{Kind: RouteFlap, From: 3, To: 1}, nil},
+		{"severity above one", Event{Kind: Congestion, Severity: 1.5}, ErrMagnitude},
+		{"negative severity", Event{Kind: Congestion, Severity: -0.1}, ErrMagnitude},
+		{"NaN severity", Event{Kind: RateStorm, Pop: 1, Severity: nan}, ErrMagnitude},
+		{"+Inf severity", Event{Kind: Congestion, Severity: inf}, ErrMagnitude},
+		{"-Inf severity", Event{Kind: Congestion, Severity: -inf}, ErrMagnitude},
+		{"duty above one", Event{Kind: RateStorm, Severity: 0.5, Duty: 2}, ErrMagnitude},
+		{"NaN duty", Event{Kind: RateStorm, Pop: 1, Severity: 0.5, Duty: nan}, ErrMagnitude},
+		{"+Inf duty", Event{Kind: RateStorm, Pop: 1, Severity: 0.5, Duty: inf}, ErrMagnitude},
+		{"bad prefix length", Event{Kind: Blackhole, Prefix: iputil.Prefix{Len: 40}}, nil},
+		{"prefix host bits", Event{Kind: Blackhole, Prefix: iputil.Prefix{Base: 0x01020304, Len: 24}}, ErrPrefixHostBits},
+		{"/0 with host bits", Event{Kind: Blackhole, Prefix: iputil.Prefix{Base: 1, Len: 0}}, ErrPrefixHostBits},
+		{"negative pop", Event{Kind: RateStorm, Pop: -1, Severity: 0.5}, nil},
+		{"zero-severity storm", Event{Kind: RateStorm, Pop: 1}, nil},
+		{"zero-severity congestion", Event{Kind: Congestion}, nil},
+		{"unknown kind", Event{Kind: Kind(42)}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Plan{Events: []Event{tc.ev}}
-			if err := p.Validate(); err == nil {
+			err := p.Validate()
+			if err == nil {
 				t.Errorf("event %+v accepted", tc.ev)
+			} else if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Errorf("error %q does not wrap %q", err, tc.want)
 			}
 			if _, err := p.Compile(); err == nil {
 				t.Errorf("event %+v compiled", tc.ev)

@@ -35,8 +35,8 @@ func decodeEvents(data []byte) []Event {
 			},
 			Block: iputil.Addr(binary.LittleEndian.Uint32(c[12:16])).Block24(),
 		}
-		// Prefix bases must be aligned for Contains to mean anything;
-		// leave some unaligned on purpose (Compile must still not panic).
+		// Align most prefix bases; the unaligned rest exercise Validate's
+		// host-bits rejection (Compile must still not panic).
 		if c[11]%2 == 0 && e.Prefix.Len >= 0 && e.Prefix.Len <= 32 {
 			e.Prefix.Base &= e.Prefix.Mask()
 		}
@@ -45,10 +45,36 @@ func decodeEvents(data []byte) []Event {
 	return events
 }
 
+// fuzzEvent spells out one decodeEvents record for seed-corpus entries.
+type fuzzEvent struct {
+	kind               Kind
+	from, span, pop    int8
+	vantage, sev, duty byte
+	base, block        uint32
+	lenCode            byte
+}
+
+// fuzzEvents encodes events in decodeEvents' 16-byte record format.
+func fuzzEvents(evs ...fuzzEvent) []byte {
+	var data []byte
+	for _, e := range evs {
+		c := make([]byte, 16)
+		c[0] = byte(e.kind + 1)
+		c[1], c[2], c[3] = byte(e.from), byte(e.span), byte(e.pop)
+		c[4], c[5], c[6] = e.vantage, e.sev, e.duty
+		binary.LittleEndian.PutUint32(c[7:11], e.base)
+		c[11] = e.lenCode
+		binary.LittleEndian.PutUint32(c[12:16], e.block)
+		data = append(data, c...)
+	}
+	return data
+}
+
 // FuzzPlanSchedule checks the schedule's safety contract over arbitrary
 // event sequences: compiling never panics; compiled schedules never let
-// an event fire outside its epoch window; and every answer replays
-// identically for a fixed plan.
+// an event fire outside its epoch window; every answer replays
+// identically for a fixed plan; and every query, EpochDelta included,
+// matches the linear-scan oracle.
 func FuzzPlanSchedule(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add(make([]byte, 16), uint64(1))
@@ -56,6 +82,43 @@ func FuzzPlanSchedule(f *testing.F) {
 		1, 0, 3, 5, 0, 60, 100, 0, 1, 2, 3, 24, 9, 8, 7, 6,
 		3, 2, 2, 1, 1, 30, 50, 4, 4, 4, 4, 26, 1, 2, 3, 4,
 	}, uint64(0x40bb17))
+	const blk, other = 0x0a010200, 0x0a010300
+	// Duplicate pops and duplicate blocks with overlapping windows.
+	f.Add(fuzzEvents(
+		fuzzEvent{kind: RateStorm, from: 0, span: 4, pop: 5, sev: 13, duty: 200},
+		fuzzEvent{kind: RouteFlap, from: 3, span: 5, block: blk},
+		fuzzEvent{kind: RateStorm, from: 2, span: 4, pop: 5, sev: 26},
+		fuzzEvent{kind: RateStorm, from: 3, span: 0, pop: 7, sev: 100, duty: 200},
+		fuzzEvent{kind: RouteFlap, from: 0, span: 8, block: blk},
+		fuzzEvent{kind: RateStorm, from: 1, span: 6, pop: 5, sev: 39, duty: 200},
+		fuzzEvent{kind: RouteFlap, from: 2, span: 2, block: other},
+		fuzzEvent{kind: RouteFlap, from: 1, span: 1, block: blk},
+	), uint64(11))
+	// Duty-cycled storms, with congestion toggling the delta to All.
+	f.Add(fuzzEvents(
+		fuzzEvent{kind: RateStorm, from: 0, span: 100, pop: 3, sev: 64, duty: 100},
+		fuzzEvent{kind: RateStorm, from: 10, span: 50, pop: 3, sev: 32, duty: 30},
+		fuzzEvent{kind: RateStorm, from: 0, span: 127, pop: 4, sev: 128, duty: 190},
+		fuzzEvent{kind: Congestion, from: 20, span: 3, vantage: 255, sev: 20},
+	), uint64(12))
+	// /0, /24, and /32 prefixes (length code = length + 2, even so the
+	// base is masked to alignment).
+	f.Add(fuzzEvents(
+		fuzzEvent{kind: Blackhole, from: 0, span: 1, base: 0xdeadbeef, lenCode: 2},
+		fuzzEvent{kind: Blackhole, from: 1, span: 2, base: blk + 77, lenCode: 26},
+		fuzzEvent{kind: Blackhole, from: 2, span: 2, base: blk + 77, lenCode: 34},
+		fuzzEvent{kind: Blackhole, from: 3, span: 0, base: 0xffffffff, lenCode: 34},
+	), uint64(13))
+	// Nested blackhole prefixes around one address, plus duplicates.
+	f.Add(fuzzEvents(
+		fuzzEvent{kind: Blackhole, from: 0, span: 2, base: blk + 9, lenCode: 10},
+		fuzzEvent{kind: Blackhole, from: 1, span: 2, base: blk + 9, lenCode: 18},
+		fuzzEvent{kind: Blackhole, from: 2, span: 2, base: blk + 9, lenCode: 24},
+		fuzzEvent{kind: Blackhole, from: 3, span: 2, base: blk + 9, lenCode: 26},
+		fuzzEvent{kind: Blackhole, from: 0, span: 5, base: blk + 9, lenCode: 26},
+		fuzzEvent{kind: Blackhole, from: 4, span: 1, base: blk + 9, lenCode: 32},
+		fuzzEvent{kind: Blackhole, from: 5, span: 1, base: blk + 9, lenCode: 34},
+	), uint64(14))
 	f.Fuzz(func(t *testing.T, data []byte, salt uint64) {
 		events := decodeEvents(data)
 		plan := &Plan{Name: "fuzz", Salt: salt, Events: events}
@@ -64,6 +127,7 @@ func FuzzPlanSchedule(f *testing.F) {
 			return
 		}
 		twin := MustCompile(plan)
+		oracle := newLinearSchedule(plan)
 
 		// Probe a grid of epochs and scopes around every event's window.
 		addrs := []iputil.Addr{0, 0x01020304, 0xfffffffe}
@@ -116,6 +180,10 @@ func FuzzPlanSchedule(f *testing.F) {
 					if b < 0 {
 						t.Fatalf("negative loss boost %v", b)
 					}
+				}
+				checkAgainstOracle(t, s, oracle, []int{epoch}, addrs, []int32{e.Pop, 0, 127, -1}, []int{e.Vantage, -1, 0, 3})
+				if got, want := s.EpochDelta(epoch, epoch+1), oracle.EpochDelta(epoch, epoch+1); !sameDelta(got, want) {
+					t.Fatalf("EpochDelta(%d, %d) = %+v, oracle %+v", epoch, epoch+1, got, want)
 				}
 				// An event entirely alone must be silent outside its
 				// own window — the sharpest form of the no-fire rule.
