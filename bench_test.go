@@ -94,12 +94,16 @@ func BenchmarkWorldBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkProbe sends TTL-limited probes the way a campaign does: each
+// call goes to the next destination of responsiveDsts instead of
+// revisiting one route forever.
 func BenchmarkProbe(b *testing.B) {
 	l := lab(b)
-	dst := l.World.Blocks()[100].Addr(10)
+	dsts := responsiveDsts(b, l)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Net.Probe(dst, 7, uint16(i&0xf), uint32(i))
+		l.Net.Probe(dsts[i%len(dsts)], 7, uint16(i&0xf), uint32(i))
 	}
 }
 
@@ -158,49 +162,63 @@ func BenchmarkFaultQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkMDA traces one destination per op, cycling over
+// responsiveDsts like BenchmarkProbe.
 func BenchmarkMDA(b *testing.B) {
 	l := lab(b)
-	out, err := l.Pipeline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := firstResponsive(b, l, out.Eligible)
+	dsts := responsiveDsts(b, l)
+	reached := 0
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := probe.MDA(l.Net, dst, probe.MDAOptions{})
-		if !res.DestReached {
-			b.Fatal("destination unreachable")
+		if probe.MDA(l.Net, dsts[i%len(dsts)], probe.MDAOptions{}).DestReached {
+			reached++
 		}
+	}
+	if reached == 0 {
+		b.Fatal("no destination reached")
 	}
 }
 
+// BenchmarkFindLastHops runs the last-hop search on one destination per
+// op, cycling over responsiveDsts like BenchmarkProbe.
 func BenchmarkFindLastHops(b *testing.B) {
 	l := lab(b)
+	dsts := responsiveDsts(b, l)
+	responded := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if probe.FindLastHops(l.Net, dsts[i%len(dsts)], probe.MDAOptions{}).Responded {
+			responded++
+		}
+	}
+	if responded == 0 {
+		b.Fatal("no destination responded")
+	}
+}
+
+// responsiveDsts returns one probe-time responsive destination per
+// census-eligible /24, in block order: the population a campaign probes.
+func responsiveDsts(b *testing.B, l *eval.Lab) []iputil.Addr {
+	b.Helper()
 	out, err := l.Pipeline()
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := firstResponsive(b, l, out.Eligible)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := probe.FindLastHops(l.Net, dst, probe.MDAOptions{})
-		if !res.Responded {
-			b.Fatal("destination unresponsive")
-		}
-	}
-}
-
-func firstResponsive(b *testing.B, l *eval.Lab, blocks []iputil.Block24) iputil.Addr {
-	b.Helper()
-	for _, blk := range blocks {
+	var dsts []iputil.Addr
+	for _, blk := range out.Eligible {
 		for i := 1; i < 255; i++ {
 			if a := blk.Addr(i); l.World.RespondsNow(a) {
-				return a
+				dsts = append(dsts, a)
+				break
 			}
 		}
 	}
-	b.Fatal("no responsive destination")
-	return 0
+	if len(dsts) == 0 {
+		b.Fatal("no responsive destination")
+	}
+	return dsts
 }
 
 // BenchmarkMeasureBlock measures one /24 end to end and reports the probe
@@ -502,11 +520,7 @@ func BenchmarkAblationOrder(b *testing.B) {
 // with a naive fixed probe count per hop.
 func BenchmarkAblationMDAStop(b *testing.B) {
 	l := lab(b)
-	out, err := l.Pipeline()
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := firstResponsive(b, l, out.Eligible)
+	dst := responsiveDsts(b, l)[0]
 	for _, c := range []struct {
 		name     string
 		maxFlows int

@@ -35,6 +35,16 @@
 // therefore be recorded with -benchmem, as the CI bench job does.
 // Benchmarks present in only one input are reported but never fail the
 // run (suites grow; baselines are refreshed by the PR that grows them).
+//
+// Deterministic work counts a benchmark reports with b.ReportMetric —
+// the units in exactUnits: probes/block, packets/op, blocks/op — are kept
+// too and gated exactly: when a benchmark carries the unit in both the
+// baseline and the run, any change at all is a regression. Probe counts
+// are the paper's own cost metric and, at a fixed iteration count (the
+// bench job's -benchtime=1x), a pure function of the seed, so a pure
+// speed change must leave them untouched. A row whose baseline lacks
+// the unit stays ungated for it until a baseline refresh records it.
+// Every other custom unit is dropped.
 package main
 
 import (
@@ -56,7 +66,18 @@ type Metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	runs        int
+	// Counts maps each exactly-gated unit the benchmark reported to its
+	// value (see exactUnits).
+	Counts map[string]float64 `json:"counts,omitempty"`
+	runs   int
+}
+
+// exactUnits are the b.ReportMetric units benchdiff keeps and gates
+// exactly: deterministic work counts, not timings.
+var exactUnits = map[string]bool{
+	"probes/block": true,
+	"packets/op":   true,
+	"blocks/op":    true,
 }
 
 // File is the JSON baseline shape.
@@ -130,6 +151,7 @@ func Parse(data []byte) (map[string]Metrics, error) {
 type rawLine struct {
 	name         string
 	ns, bpo, apo float64
+	counts       map[string]float64
 }
 
 // parseBenchText extracts benchmark lines of the form
@@ -168,6 +190,13 @@ func parseBenchText(data []byte) (map[string]Metrics, error) {
 				l.bpo = v
 			case "allocs/op":
 				l.apo = v
+			default:
+				if exactUnits[fields[i+1]] {
+					if l.counts == nil {
+						l.counts = make(map[string]float64)
+					}
+					l.counts[fields[i+1]] = v
+				}
 			}
 		}
 		if seen {
@@ -186,11 +215,19 @@ func parseBenchText(data []byte) (map[string]Metrics, error) {
 		name := strings.TrimSuffix(l.name, suffix)
 		m, ok := out[name]
 		if !ok {
-			m = Metrics{NsPerOp: l.ns, BytesPerOp: l.bpo, AllocsPerOp: l.apo}
+			m = Metrics{NsPerOp: l.ns, BytesPerOp: l.bpo, AllocsPerOp: l.apo, Counts: l.counts}
 		} else {
 			m.NsPerOp = math.Min(m.NsPerOp, l.ns)
 			m.BytesPerOp = math.Min(m.BytesPerOp, l.bpo)
 			m.AllocsPerOp = math.Min(m.AllocsPerOp, l.apo)
+			for unit, v := range l.counts {
+				if m.Counts == nil {
+					m.Counts = make(map[string]float64)
+				}
+				if old, seen := m.Counts[unit]; !seen || v < old {
+					m.Counts[unit] = v
+				}
+			}
 		}
 		m.runs++
 		out[name] = m
@@ -223,7 +260,7 @@ func commonProcSuffix(lines []rawLine) string {
 // Delta is one compared (benchmark, metric) pair.
 type Delta struct {
 	Name     string
-	Metric   string // "ns/op", "B/op", or "allocs/op"
+	Metric   string // "ns/op", "B/op", "allocs/op", or an exact unit
 	Old, New float64
 }
 
@@ -254,7 +291,9 @@ type Report struct {
 // Compare evaluates new against old. A benchmark regresses when any gated
 // metric grew by more than its fractional limit — and, for B/op and
 // allocs/op, when a zero baseline grew at all: zero-alloc paths are a
-// contract, and a fractional threshold over zero would allow anything.
+// contract, and a fractional threshold over zero would allow anything —
+// or when an exact count present on both sides changed in either
+// direction.
 func Compare(old, new map[string]Metrics, lim Limits) Report {
 	r := Report{Limits: lim}
 	names := make([]string, 0, len(old))
@@ -287,6 +326,16 @@ func Compare(old, new map[string]Metrics, lim Limits) Report {
 				r.Regressions = append(r.Regressions, Delta{Name: name, Metric: c.metric, Old: c.old, New: c.new})
 			}
 		}
+		units := make([]string, 0, len(o.Counts))
+		for unit := range o.Counts {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			if nv, ok := n.Counts[unit]; ok && nv != o.Counts[unit] {
+				r.Regressions = append(r.Regressions, Delta{Name: name, Metric: unit, Old: o.Counts[unit], New: nv})
+			}
+		}
 	}
 	for name := range new {
 		if _, ok := old[name]; !ok {
@@ -314,6 +363,11 @@ func (r Report) limitFor(metric string) float64 {
 func (r Report) String() string {
 	var b strings.Builder
 	for _, d := range r.Regressions {
+		if exactUnits[d.Metric] {
+			fmt.Fprintf(&b, "REGRESSION %-60s %14.4g -> %14.4g %s (exact count must not change)\n",
+				d.Name, d.Old, d.New, d.Metric)
+			continue
+		}
 		if d.Old == 0 {
 			fmt.Fprintf(&b, "REGRESSION %-60s %14.1f -> %14.1f %s (zero baseline must not grow)\n",
 				d.Name, d.Old, d.New, d.Metric)

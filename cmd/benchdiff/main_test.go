@@ -249,3 +249,93 @@ func TestProcSuffixCrossMatch(t *testing.T) {
 		t.Errorf("cross-GOMAXPROCS names did not line up: %+v", r)
 	}
 }
+
+// TestParseExactCounts pins which b.ReportMetric units survive parsing:
+// the exactly-gated work counts do (reduced to the per-unit minimum over
+// repeated runs, like every other metric, and kept through a JSON round
+// trip); timing-like custom units do not.
+func TestParseExactCounts(t *testing.T) {
+	const text = `BenchmarkCampaign/workers-1-8	1	9000 ns/op	1200 blocks/op	41.5 probes/block	12 B/op	3 allocs/op
+BenchmarkCampaign/workers-1-8	1	8000 ns/op	1200 blocks/op	41.5 probes/block	12 B/op	3 allocs/op
+BenchmarkStages-8	1	5000 ns/op	3.2 census-ms/op	99 packets/op	0.97 accuracy
+BenchmarkPlain-8	1	100 ns/op
+`
+	set, err := Parse([]byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := set["BenchmarkCampaign/workers-1"]
+	if camp.NsPerOp != 8000 || camp.Counts["blocks/op"] != 1200 || camp.Counts["probes/block"] != 41.5 || len(camp.Counts) != 2 {
+		t.Errorf("Campaign parsed as %+v", camp)
+	}
+	stages := set["BenchmarkStages"]
+	if len(stages.Counts) != 1 || stages.Counts["packets/op"] != 99 {
+		t.Errorf("Stages counts = %v, want only packets/op 99", stages.Counts)
+	}
+	if set["BenchmarkPlain"].Counts != nil {
+		t.Errorf("Plain grew counts %v", set["BenchmarkPlain"].Counts)
+	}
+
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := writeJSON(path, set); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back["BenchmarkCampaign/workers-1"].Counts; got["probes/block"] != 41.5 || got["blocks/op"] != 1200 {
+		t.Errorf("JSON round trip counts = %v", got)
+	}
+	if strings.Contains(string(data), "accuracy") || strings.Contains(string(data), "census-ms") {
+		t.Errorf("ungated units leaked into the baseline:\n%s", data)
+	}
+}
+
+// TestCompareExactCounts pins the exact gate: a count present on both
+// sides must not move in either direction, however small the change,
+// while rows missing the unit on either side stay ungated for it.
+func TestCompareExactCounts(t *testing.T) {
+	counts := func(kv ...any) map[string]float64 {
+		m := make(map[string]float64)
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i].(string)] = float64(kv[i+1].(int))
+		}
+		return m
+	}
+	cases := []struct {
+		name     string
+		old, new map[string]float64
+		want     []string // regressed units
+	}{
+		{"same", counts("probes/block", 40), counts("probes/block", 40), nil},
+		{"grew", counts("probes/block", 40), counts("probes/block", 41), []string{"probes/block"}},
+		{"shrank", counts("packets/op", 900), counts("packets/op", 899), []string{"packets/op"}},
+		{"one of two moved", counts("blocks/op", 10, "probes/block", 40), counts("blocks/op", 11, "probes/block", 40), []string{"blocks/op"}},
+		{"both moved", counts("blocks/op", 10, "probes/block", 40), counts("blocks/op", 11, "probes/block", 39), []string{"blocks/op", "probes/block"}},
+		{"baseline lacks unit", nil, counts("probes/block", 40), nil},
+		{"run lacks unit", counts("probes/block", 40), nil, nil},
+		{"disjoint units", counts("blocks/op", 10), counts("packets/op", 99), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			old := map[string]Metrics{"BenchmarkX": {NsPerOp: 100, Counts: tc.old}}
+			new := map[string]Metrics{"BenchmarkX": {NsPerOp: 50, Counts: tc.new}}
+			r := Compare(old, new, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+			var got []string
+			for _, d := range r.Regressions {
+				got = append(got, d.Metric)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("regressed %v, want %v", got, tc.want)
+			}
+			if len(tc.want) > 0 && !strings.Contains(r.String(), "exact count must not change") {
+				t.Errorf("report does not explain the exact gate:\n%s", r.String())
+			}
+		})
+	}
+}

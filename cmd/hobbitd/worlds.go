@@ -14,10 +14,10 @@ import (
 
 // worldKey identifies one immutable world configuration. Fault plan and
 // epoch are part of the key, not mutable state: netsim.World.SetFaults
-// and SetEpoch invalidate routes wholesale and are not safe to flip under
-// live probing, so the pool builds a separate world per adversity view
-// and every session sharing a key probes an identical, frozen surface —
-// the property the determinism contract (and the result cache) rests on.
+// and SetEpoch are not safe to flip under live probing, so the pool
+// builds a separate world per adversity view and every session sharing a
+// key probes an identical, frozen surface — the property the determinism
+// contract (and the result cache) rests on.
 type worldKey struct {
 	blocks    int
 	scale     float64

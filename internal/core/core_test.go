@@ -297,7 +297,9 @@ type lowConfNet struct {
 	faulted iputil.Block24
 }
 
-func (n *lowConfNet) ScanPing(iputil.Addr) bool { return true }
+func (n *lowConfNet) ScanBlock(iputil.Block24) [4]uint64 {
+	return [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+}
 
 func (n *lowConfNet) Ping(iputil.Addr, int) (probe.PingResult, bool) {
 	return probe.PingResult{RespTTL: 56}, true

@@ -30,12 +30,16 @@ func findEcho(t *testing.T, w *World) (iputil.Addr, int) {
 	return 0, 0
 }
 
-// TestProbeZeroAlloc asserts the steady-state probe contract: with routes
-// and profiles precomputed, Ping, Probe (both reply kinds), and ScanPing
-// perform zero allocations per call.
+// TestProbeZeroAlloc asserts the steady-state probe contract: with
+// profiles precomputed, Ping, Probe (both reply kinds, at the unhashed
+// access hop and at every hashed hop of the path), ScanPing, and
+// ScanBlock perform zero allocations per call.
 func TestProbeZeroAlloc(t *testing.T) {
 	w := testWorld(t, 60)
 	echoDst, echoTTL := findEcho(t, w)
+	p, _ := w.popOf(echoDst)
+	n := pathLen(p)
+	unrouted := iputil.MustParseAddr("223.255.255.7")
 	vt := w.Vantage(1)
 
 	cases := []struct {
@@ -43,10 +47,17 @@ func TestProbeZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"Probe/ttl-exceeded", func() { w.Probe(echoDst, 1, 2, 1) }},
+		{"Probe/core-mid", func() { w.Probe(echoDst, 4, 2, 1) }},
+		{"Probe/dest-mid", func() { w.Probe(echoDst, n-2, 2, 1) }},
+		{"Probe/dest-mid2", func() { w.Probe(echoDst, n-1, 2, 1) }},
+		{"Probe/last-hop", func() { w.Probe(echoDst, n, 2, 1) }},
 		{"Probe/echo", func() { w.Probe(echoDst, echoTTL, 0, 1) }},
+		{"Probe/unrouted", func() { w.Probe(unrouted, 5, 2, 1) }},
 		{"Ping", func() { w.Ping(echoDst, 0) }},
 		{"ScanPing", func() { w.ScanPing(echoDst) }},
+		{"ScanBlock", func() { w.ScanBlock(echoDst.Block24()) }},
 		{"Vantage.Probe", func() { vt.Probe(echoDst, 2, 1, 1) }},
+		{"Vantage.Probe/last-hop", func() { vt.Probe(echoDst, n, 1, 1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,17 +65,5 @@ func TestProbeZeroAlloc(t *testing.T) {
 				t.Errorf("%s allocates %.1f times per call, want 0", tc.name, avg)
 			}
 		})
-	}
-}
-
-// TestProbeZeroAllocUncached asserts the same for the cache-disabled
-// world: the stack-array route walk must not allocate either.
-func TestProbeZeroAllocUncached(t *testing.T) {
-	cfg := testConfig(60)
-	cfg.DisableRouteCache = true
-	w := MustNew(cfg)
-	dst := w.Blocks()[0].Addr(7)
-	if avg := testing.AllocsPerRun(200, func() { w.Probe(dst, 2, 1, 1) }); avg != 0 {
-		t.Errorf("uncached Probe allocates %.1f times per call, want 0", avg)
 	}
 }

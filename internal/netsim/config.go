@@ -173,11 +173,6 @@ type Config struct {
 	// supports (Section 6.1 discusses varying vantage points to reveal
 	// more per-destination paths); vantage 0 is the paper's UMD source.
 	Vantages int
-	// DisableRouteCache turns off the per-epoch route memo (routecache.go),
-	// forcing every probe to re-walk its route. Replies are bit-identical
-	// either way; the switch exists for the equivalence tests and for
-	// memory-constrained runs.
-	DisableRouteCache bool
 	// PSrcSensitiveLB is the probability that an aggregate's
 	// per-destination load balancers hash the source address too, so a
 	// different vantage reveals different last-hop choices.

@@ -21,9 +21,8 @@ import (
 
 // SetFaultEpoch pins the epoch the active fault plan is evaluated at,
 // independent of the world's measurement epoch. Like SetEpoch it must
-// not be called concurrently with probing: flaps change routes, so the
-// route cache is dropped wholesale. A negative epoch clears the pin,
-// returning fault evaluation to the measurement epoch.
+// not be called concurrently with probing. A negative epoch clears the
+// pin, returning fault evaluation to the measurement epoch.
 func (w *World) SetFaultEpoch(e int) {
 	if e < 0 {
 		w.faultEpochSet = false
@@ -32,7 +31,6 @@ func (w *World) SetFaultEpoch(e int) {
 		w.faultEpochSet = true
 		w.faultEpoch = e
 	}
-	w.invalidateRoutes()
 }
 
 // FaultEpoch returns the epoch fault queries are evaluated at: the

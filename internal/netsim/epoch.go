@@ -51,14 +51,12 @@ func (w *World) TrueOutage(b iputil.Block24) bool {
 
 // SetEpoch switches the world's measurement epoch. Epoch 0 reproduces the
 // original single-snapshot behaviour exactly. Must not be called
-// concurrently with probing. Advancing the epoch drops the route cache:
-// split blocks re-enter with different entries.
+// concurrently with probing: every reply reads the epoch.
 func (w *World) SetEpoch(e int) {
 	if e < 0 {
 		e = 0
 	}
 	w.epoch = e
-	w.invalidateRoutes()
 }
 
 // Epoch returns the current measurement epoch.

@@ -30,7 +30,7 @@ import (
 //     the observed last-hop partition of the /24 remaps for as long as
 //     the flap is active.
 //
-// Faults never alter the census (ScanPing/ScanActive): the ZMap snapshot
+// Faults never alter the census (ScanBlock/ScanPing): the ZMap snapshot
 // predates the measurement window, so eligibility is held fixed while
 // measurement-time adversity varies — exactly the comparison the
 // accuracy harness needs.
@@ -61,11 +61,9 @@ type FaultView interface {
 }
 
 // SetFaults installs (or, with nil, removes) the active fault plan.
-// Like SetEpoch it must not be called concurrently with probing: flaps
-// change routes, so the route cache is dropped wholesale.
+// Like SetEpoch it must not be called concurrently with probing.
 func (w *World) SetFaults(f FaultView) {
 	w.faults = f
-	w.invalidateRoutes()
 }
 
 // Faults returns the active fault plan (nil when the world is clean).
@@ -80,16 +78,17 @@ func (w *World) faultBlackholed(dst iputil.Addr) bool {
 }
 
 // faultRateLimit returns the effective TTL-exceeded drop probability for
-// a probe from vantage v toward dst: the configured base plus any active
-// rate-storm boost at dst's pop and congestion boost at the vantage.
+// a probe from vantage v toward an address of pop (nil for unrouted
+// space): the configured base plus any active rate-storm boost at the pop
+// and congestion boost at the vantage.
 //
 //hobbit:hotpath
-func (w *World) faultRateLimit(v int, dst iputil.Addr) float64 {
+func (w *World) faultRateLimit(v int, pop *pop) float64 {
 	p := w.cfg.PRateLimit
 	if w.faults == nil {
 		return p
 	}
-	if pop, ok := w.popOf(dst); ok {
+	if pop != nil {
 		p += w.faults.RateBoost(w.faultsEpoch(), pop.id)
 	}
 	p += w.faults.LossBoost(w.faultsEpoch(), v)

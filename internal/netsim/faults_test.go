@@ -186,22 +186,16 @@ func TestFaultCongestionKillsVantage(t *testing.T) {
 }
 
 // TestFaultFlapRemapsLastHops asserts a flap changes observed routes for
-// the flapped block only, identically with and without the route cache,
-// and reverts when the plan is removed.
+// the flapped block only, and reverts when the plan is removed.
 func TestFaultFlapRemapsLastHops(t *testing.T) {
-	cached := testWorld(t, 60)
-	cfg := testConfig(60)
-	cfg.DisableRouteCache = true
-	uncached, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := testWorld(t, 60)
 
 	lastReply := func(w *World, dst iputil.Addr) (ProbeReply, bool) {
-		d, ok := w.forwardDist(0, dst)
+		p, ok := w.popOf(dst)
 		if !ok {
 			return ProbeReply{}, false
 		}
+		d := forwardDist(p)
 		// The last hop sits one before the destination; scan flows so
 		// rate-limit losses cannot fake a mismatch.
 		for flow := uint16(0); flow < 8; flow++ {
@@ -218,8 +212,8 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 	// pop has nothing to remap) and a control block left alone.
 	var flapped iputil.Block24
 	foundVictim := false
-	for _, b := range cached.Blocks() {
-		if cached.TrueLastHopCardinality(b) >= 2 {
+	for _, b := range w.Blocks() {
+		if w.TrueLastHopCardinality(b) >= 2 {
 			flapped = b
 			foundVictim = true
 			break
@@ -228,9 +222,9 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 	if !foundVictim {
 		t.Fatal("no block with a multi-last-hop pop")
 	}
-	control := cached.Blocks()[0]
+	control := w.Blocks()[0]
 	if control == flapped {
-		control = cached.Blocks()[1]
+		control = w.Blocks()[1]
 	}
 	key := uint64(0xfeedbeef)
 	view := &fakeFaults{flap: func(_ int, b iputil.Block24) (uint64, bool) {
@@ -250,7 +244,7 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 	for _, b := range []iputil.Block24{flapped, control} {
 		for i := 0; i < 256; i += 16 {
 			a := b.Addr(i)
-			if r, ok := lastReply(cached, a); ok {
+			if r, ok := lastReply(w, a); ok {
 				samples = append(samples, sample{addr: a, hop: r.From, inner: b == flapped})
 			}
 		}
@@ -259,26 +253,20 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 		t.Fatal("no last-hop samples on the clean world")
 	}
 
-	cached.SetFaults(view)
-	uncached.SetFaults(view)
-	defer cached.SetFaults(nil)
-	defer uncached.SetFaults(nil)
+	w.SetFaults(view)
+	defer w.SetFaults(nil)
 
 	changed := 0
 	for _, s := range samples {
-		r1, ok1 := lastReply(cached, s.addr)
-		r2, ok2 := lastReply(uncached, s.addr)
-		if ok1 != ok2 || (ok1 && r1.From != r2.From) {
-			t.Fatalf("cached and uncached disagree for %v under a flap", s.addr)
-		}
-		if !ok1 {
+		r, ok := lastReply(w, s.addr)
+		if !ok {
 			continue
 		}
-		if s.inner && r1.From != s.hop {
+		if s.inner && r.From != s.hop {
 			changed++
 		}
-		if !s.inner && r1.From != s.hop {
-			t.Errorf("flap leaked onto unflapped block: %v moved %v -> %v", s.addr, s.hop, r1.From)
+		if !s.inner && r.From != s.hop {
+			t.Errorf("flap leaked onto unflapped block: %v moved %v -> %v", s.addr, s.hop, r.From)
 		}
 	}
 	if changed == 0 {
@@ -286,9 +274,9 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 	}
 
 	// Revert: the clean route map returns exactly.
-	cached.SetFaults(nil)
+	w.SetFaults(nil)
 	for _, s := range samples {
-		if r, ok := lastReply(cached, s.addr); ok && r.From != s.hop {
+		if r, ok := lastReply(w, s.addr); ok && r.From != s.hop {
 			t.Errorf("route for %v did not revert after SetFaults(nil)", s.addr)
 		}
 	}
@@ -296,7 +284,7 @@ func TestFaultFlapRemapsLastHops(t *testing.T) {
 
 // TestFaultEpochWindow pins that the reply path hands the current epoch
 // to the view, and that SetEpoch after a fault window restores clean
-// behavior (the route cache is invalidated on both transitions).
+// behavior.
 func TestFaultEpochWindow(t *testing.T) {
 	w := testWorld(t, 60)
 	dst, ok := respondingAddr(w, w.Blocks()[0])
@@ -327,49 +315,5 @@ func TestFaultEpochWindow(t *testing.T) {
 	_, wantOK := twin.Ping(dst, 0)
 	if _, gotOK := w.Ping(dst, 0); gotOK != wantOK {
 		t.Fatalf("post-window behavior differs from a clean world at the same epoch (got %v, want %v)", gotOK, wantOK)
-	}
-}
-
-// TestFaultProbeCacheIdenticalUnderFaults extends the PR-4 cache pinning
-// to faulted worlds: cached and uncached replies must match for every
-// probe shape while a plan is active.
-func TestFaultProbeCacheIdenticalUnderFaults(t *testing.T) {
-	cfg := testConfig(40)
-	cached, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgNo := testConfig(40)
-	cfgNo.DisableRouteCache = true
-	uncached, err := New(cfgNo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := &fakeFaults{
-		blackhole: func(_ int, a iputil.Addr) bool { return a%7 == 0 },
-		rate:      func(_ int, p int32) float64 { return float64(p%3) * 0.2 },
-		loss:      func(_ int, v int) float64 { return float64(v) * 0.1 },
-		flap: func(_ int, b iputil.Block24) (uint64, bool) {
-			if b%2 == 0 {
-				return uint64(b) * 31, true
-			}
-			return 0, false
-		},
-	}
-	cached.SetFaults(view)
-	uncached.SetFaults(view)
-	for _, b := range cached.Blocks()[:8] {
-		for i := 0; i < 256; i += 32 {
-			dst := b.Addr(i)
-			for ttl := 1; ttl <= 12; ttl += 3 {
-				for flow := uint16(0); flow < 3; flow++ {
-					r1 := cached.Probe(dst, ttl, flow, 9)
-					r2 := uncached.Probe(dst, ttl, flow, 9)
-					if r1 != r2 {
-						t.Fatalf("cached/uncached mismatch dst=%v ttl=%d flow=%d: %+v vs %+v", dst, ttl, flow, r1, r2)
-					}
-				}
-			}
-		}
 	}
 }

@@ -215,10 +215,11 @@ func TestProbeSemantics(t *testing.T) {
 		t.Fatal("no responsive destination in world")
 	}
 
-	dist, ok := w.forwardDist(0, dst)
+	p, ok := w.popOf(dst)
 	if !ok {
-		t.Fatal("no forward distance for routed destination")
+		t.Fatal("responsive destination is not routed")
 	}
+	dist := forwardDist(p)
 	if dist < 5 || dist > maxHops+1 {
 		t.Fatalf("forward distance = %d", dist)
 	}
@@ -390,7 +391,7 @@ func TestScanActivePersistRates(t *testing.T) {
 		var addrs []iputil.Addr
 		for i := 0; i < 256; i++ {
 			a := b.Addr(i)
-			if w.ScanActive(a) {
+			if w.ScanPing(a) {
 				perQ[a.Block26()]++
 				addrs = append(addrs, a)
 			}
@@ -568,7 +569,7 @@ func TestStarvedBlocks(t *testing.T) {
 		total := 0
 		for _, b := range bs {
 			for i := 0; i < 256; i++ {
-				if w.ScanActive(b.Addr(i)) {
+				if w.ScanPing(b.Addr(i)) {
 					total++
 				}
 			}

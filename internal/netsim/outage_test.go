@@ -74,7 +74,7 @@ func TestEpochChurnDensityStable(t *testing.T) {
 		n := 0
 		for _, b := range w.Blocks()[:200] {
 			for i := 0; i < 256; i += 3 {
-				if w.ScanActive(b.Addr(i)) {
+				if w.ScanPing(b.Addr(i)) {
 					n++
 				}
 			}

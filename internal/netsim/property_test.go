@@ -105,32 +105,46 @@ func TestProbeTTLWalk(t *testing.T) {
 }
 
 // TestVantageZeroMatchesWorld checks that vantage 0 is byte-identical to
-// the World's own probe surface.
+// the World's own probe surface: every probe reply and every ping, rate
+// limiting and loss draws included, at epochs 0 and 1.
 func TestVantageZeroMatchesWorld(t *testing.T) {
 	w := testWorld(t, 200)
+	defer w.SetEpoch(0)
 	vt := w.Vantage(0)
 	blocks := w.Blocks()
-	f := func(blockIdx uint16, host uint8, ttl uint8) bool {
-		b := blocks[int(blockIdx)%len(blocks)]
-		dst := b.Addr(int(host))
-		t1 := int(ttl)%maxHops + 1
-		var hops [maxHops]routerID
-		nw, _ := w.route(0, dst, 2, &hops)
-		nv, _ := w.route(0, dst, 2, &hops)
-		if nw != nv {
+	f := func(blockIdx uint16, host uint8, ttl uint8, flow uint16, salt uint32) bool {
+		dst := blocks[int(blockIdx)%len(blocks)].Addr(int(host))
+		t1 := int(ttl)%(maxHops+1) + 1
+		if w.Probe(dst, t1, flow, salt) != vt.Probe(dst, t1, flow, salt) {
 			return false
 		}
-		// Same TTL-exceeded responders (rate-limit salts match too
-		// because vantage 0 reuses the world's key order only when the
-		// replies agree in kind and source).
-		a := w.Probe(dst, t1, 2, 1)
-		bv := vt.Probe(dst, t1, 2, 1)
-		if a.Kind == TTLExceeded && bv.Kind == TTLExceeded && a.From != bv.From {
-			return false
-		}
-		return true
+		seq := int(salt % 8)
+		wr, wok := w.Ping(dst, seq)
+		vr, vok := vt.Ping(dst, seq)
+		return wr == vr && wok == vok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	for epoch := 0; epoch <= 1; epoch++ {
+		w.SetEpoch(epoch)
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("epoch %d: %v", epoch, err)
+		}
+	}
+	// An exhaustive sweep of a few blocks catches the rare rate-limit and
+	// loss draws a random sample can miss.
+	w.SetEpoch(0)
+	for _, b := range blocks[:20] {
+		for i := 0; i < 256; i++ {
+			dst := b.Addr(i)
+			for ttl := 1; ttl <= maxHops+1; ttl++ {
+				if got, want := vt.Probe(dst, ttl, 3, 1), w.Probe(dst, ttl, 3, 1); got != want {
+					t.Fatalf("Probe(%v, ttl=%d): vantage 0 %+v, world %+v", dst, ttl, got, want)
+				}
+			}
+			gr, gok := vt.Ping(dst, 0)
+			wr, wok := w.Ping(dst, 0)
+			if gr != wr || gok != wok {
+				t.Fatalf("Ping(%v): vantage 0 (%+v, %v), world (%+v, %v)", dst, gr, gok, wr, wok)
+			}
+		}
 	}
 }

@@ -59,22 +59,38 @@ func (w *World) buildRate26(b iputil.Block24, rec *blockRec, q int) float64 {
 	return noisy / 64
 }
 
-// ScanActive reports whether the address answered the ICMP census scan
-// (the ZMap snapshot taken the day before the current epoch's
-// measurement). Activity is correlated across epochs: a host flips state
-// with probability EpochChurn per epoch, keeping population density
-// stable while individual hosts come and go.
-//
-//hobbit:hotpath
-func (w *World) ScanActive(a iputil.Addr) bool {
+// ScanPing answers an echo request sent at census time: whether the
+// address answered the ICMP census scan (the ZMap snapshot taken the day
+// before the current epoch's measurement), before availability churn
+// between scan and measurement. Activity is correlated across epochs: a
+// host flips state with probability EpochChurn per epoch, keeping
+// population density stable while individual hosts come and go.
+func (w *World) ScanPing(a iputil.Addr) bool {
 	rec := w.rec(a.Block24())
-	if rec == nil {
-		return false
-	}
-	return w.scanActiveRec(rec, a)
+	return rec != nil && w.scanActiveRec(rec, a)
 }
 
-// scanActiveRec is ScanActive with the block record already resolved
+// ScanBlock answers the census for a whole /24: bit i of the bitmap
+// (word i>>6, bit i&63) is ScanPing(b.Addr(i)). The block record is
+// resolved once for all 256 addresses; checkInvariants guarantees every
+// address of a universe block is routed, so no per-address pop lookup is
+// needed. Blocks outside the universe answer all zeros.
+//
+//hobbit:hotpath
+func (w *World) ScanBlock(b iputil.Block24) (bm [4]uint64) {
+	rec := w.rec(b)
+	if rec == nil {
+		return bm
+	}
+	for i := 0; i < 256; i++ {
+		if w.scanActiveRec(rec, b.Addr(i)) {
+			bm[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return bm
+}
+
+// scanActiveRec is ScanPing with the block record already resolved
 // (rates are clamped ≥ 0.15/64 at build time, so a present record always
 // has a non-zero rate — the zero-rate guard is the nil-record case).
 //
@@ -136,38 +152,19 @@ func (w *World) RespondsNow(a iputil.Addr) bool {
 	if rec == nil {
 		return false
 	}
-	return w.respondsNowRec(rec, a)
+	p, _ := w.popOfRec(rec, a)
+	return w.respondsNowRec(rec, p, a)
 }
 
-// respondsNowRec is RespondsNow with the block record already resolved.
+// respondsNowRec is RespondsNow with the block record and the address's
+// pop (nil when unrouted) already resolved.
 //
 //hobbit:hotpath
-func (w *World) respondsNowRec(rec *blockRec, a iputil.Addr) bool {
+func (w *World) respondsNowRec(rec *blockRec, p *pop, a iputil.Addr) bool {
 	if !w.scanActiveRec(rec, a) || !w.persistsRec(rec, a) {
 		return false
 	}
-	if w.epoch > 0 {
-		if p, ok := w.popOfRec(rec, a); ok && w.popDown(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// ScanPing answers an echo request sent at census time (the ZMap snapshot
-// taken the day before the measurement): availability churn between scan
-// and measurement has not yet happened.
-//
-//hobbit:hotpath
-func (w *World) ScanPing(a iputil.Addr) bool {
-	rec := w.rec(a.Block24())
-	if rec == nil {
-		return false
-	}
-	if _, ok := w.popOfRec(rec, a); !ok {
-		return false
-	}
-	return w.scanActiveRec(rec, a)
+	return w.epoch == 0 || p == nil || !w.popDown(p)
 }
 
 var defaultTTLs = [3]int{64, 128, 255}
@@ -262,22 +259,46 @@ func (w *World) precompute() {
 //
 //hobbit:hotpath
 func (w *World) Ping(dst iputil.Addr, seq int) (ProbeReply, bool) {
+	return w.pingFrom(0, dst, seq)
+}
+
+// pingFrom is Ping from vantage v: one block-record and pop lookup serve
+// the availability, loss, and echo-reply derivations.
+//
+// The per-reply loss draws here and in probeFrom key vantage 0 exactly
+// as the single-vantage world always has and fold any other vantage in
+// just before the salt — the flap-key rule of DESIGN §4f: an extra key
+// only when it is non-zero. World and Vantage(0) therefore answer
+// byte-identically, and vantages ≥1 keep their historical draws.
+//
+//hobbit:hotpath
+func (w *World) pingFrom(v int, dst iputil.Addr, seq int) (ProbeReply, bool) {
 	rec := w.rec(dst.Block24())
 	if rec == nil {
 		return ProbeReply{}, false
 	}
 	p, routed := w.popOfRec(rec, dst)
-	if !routed || !w.respondsNowRec(rec, dst) {
+	if !routed || !w.respondsNowRec(rec, p, dst) || w.faultBlackholed(dst) {
 		return ProbeReply{}, false
 	}
-	if w.faultBlackholed(dst) {
+	loss := w.faultPingLoss(v)
+	if v == 0 {
+		if rng.Bool(loss, w.seed, uint64(dst), uint64(seq), saltLoss) {
+			return ProbeReply{}, false
+		}
+	} else if rng.Bool(loss, w.seed, uint64(dst), uint64(seq), uint64(v), saltLoss) {
 		return ProbeReply{}, false
 	}
-	if rng.Bool(w.faultPingLoss(0), w.seed, uint64(dst), uint64(seq), saltLoss) {
-		return ProbeReply{}, false
-	}
-	dist, _ := w.forwardDist(0, dst)
-	rev := dist + w.revSkew(dst)
+	return w.echoReply(p, dst, seq), true
+}
+
+// echoReply is dst's answer once it is known to reply: the received TTL
+// encodes the host's default TTL minus the reverse path length, and seq
+// keys the RTT draw.
+//
+//hobbit:hotpath
+func (w *World) echoReply(p *pop, dst iputil.Addr, seq int) ProbeReply {
+	rev := forwardDist(p) + w.revSkew(dst)
 	if rev < 1 {
 		rev = 1
 	}
@@ -289,7 +310,7 @@ func (w *World) Ping(dst iputil.Addr, seq int) (ProbeReply, bool) {
 		Kind:    EchoReply,
 		RespTTL: respTTL,
 		RTT:     w.rttProfile(p).RTT(w.seed, dst, seq),
-	}, true
+	}
 }
 
 // PingRTT implements rttmodel.Pinger for the cellular detector.
@@ -308,10 +329,23 @@ func (w *World) PingRTT(dst iputil.Addr, seq int) (time.Duration, bool) {
 //
 //hobbit:hotpath
 func (w *World) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) ProbeReply {
+	return w.probeFrom(0, dst, ttl, flowID, salt)
+}
+
+// probeFrom is Probe from vantage v: one block-record and pop lookup
+// serve the hop derivation, the rate limit, and the echo path.
+//
+//hobbit:hotpath
+func (w *World) probeFrom(v int, dst iputil.Addr, ttl int, flowID uint16, salt uint32) ProbeReply {
 	if ttl < 1 {
 		return ProbeReply{}
 	}
-	n, routed, hop := w.probeHop(0, dst, flowID, ttl)
+	rec := w.rec(dst.Block24())
+	var p *pop
+	if rec != nil {
+		p, _ = w.popOfRec(rec, dst)
+	}
+	n, hop := w.probeHop(v, p, dst, flowID, ttl)
 	if ttl <= n {
 		if ttl > blackholeCoreHops && w.faultBlackholed(dst) {
 			// The withdrawn entry keeps traffic from reaching routers
@@ -322,32 +356,28 @@ func (w *World) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Prob
 		if !r.responsive {
 			return ProbeReply{}
 		}
-		if rng.Bool(w.faultRateLimit(0, dst), w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), saltRate) {
+		drop := w.faultRateLimit(v, p)
+		if v == 0 {
+			if rng.Bool(drop, w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), saltRate) {
+				return ProbeReply{}
+			}
+		} else if rng.Bool(drop, w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), uint64(v), saltRate) {
 			return ProbeReply{}
 		}
 		return ProbeReply{Kind: TTLExceeded, From: r.addr}
 	}
-	if !routed {
-		// Beyond the vantage point's access routers there is no route
-		// toward an unallocated destination.
+	// Beyond the vantage point's access routers there is no route toward
+	// an unallocated destination.
+	if p == nil || !w.respondsNowRec(rec, p, dst) || w.faultBlackholed(dst) {
 		return ProbeReply{}
 	}
-	rec := w.rec(dst.Block24())
-	if rec == nil || !w.respondsNowRec(rec, dst) || w.faultBlackholed(dst) {
+	loss := w.faultPingLoss(v)
+	if v == 0 {
+		if rng.Bool(loss, w.seed, uint64(dst), uint64(ttl), uint64(salt), saltLoss) {
+			return ProbeReply{}
+		}
+	} else if rng.Bool(loss, w.seed, uint64(dst), uint64(ttl), uint64(salt), uint64(v), saltLoss) {
 		return ProbeReply{}
 	}
-	if rng.Bool(w.faultPingLoss(0), w.seed, uint64(dst), uint64(ttl), uint64(salt), saltLoss) {
-		return ProbeReply{}
-	}
-	dist := n + 1
-	rev := dist + w.revSkew(dst)
-	if rev < 1 {
-		rev = 1
-	}
-	respTTL := w.hostDefaultTTL(dst) - rev
-	if respTTL < 1 {
-		respTTL = 1
-	}
-	p, _ := w.popOfRec(rec, dst)
-	return ProbeReply{Kind: EchoReply, RespTTL: respTTL, RTT: w.rttProfile(p).RTT(w.seed, dst, int(salt))}
+	return w.echoReply(p, dst, int(salt))
 }

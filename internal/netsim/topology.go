@@ -155,100 +155,107 @@ const (
 	saltTWCVar  = 0xbb
 )
 
-// maxHops bounds the forward path length (src hops + core + AS + pop).
-const maxHops = 12
+// Forward paths. A probe from vantage v toward a destination served by
+// pop p crosses, by TTL:
+//
+//	1, 2         the vantage's two access routers
+//	3            the region's core ingress
+//	4            a core middle router, per-flow ECMP
+//	5            the core egress
+//	6            the AS ingress
+//	7 … 6+len(c) the AS's intra-AS chain c
+//	n-2, n-1     two cascaded per-destination ECMP stages
+//	n            a last-hop router
+//
+// with n = pathLen(p); the destination sits at TTL n+1. Unrouted space
+// has no path past the access routers (n = 2). Every ECMP choice is a
+// keyed hash, so a hop is derived on its own, without walking the hops
+// before it.
 
-// route materializes the hop sequence from vantage v toward dst for the
-// given flow identifier, into hops. It returns the number of hops
-// written; the destination itself sits one hop past the last entry. ok is
-// false when dst is not a routed destination, in which case the returned
-// hops are the partial path that probes would still traverse (the source
-// access routers).
-func (w *World) route(v int, dst iputil.Addr, flowID uint16, hops *[maxHops]routerID) (n int, ok bool) {
+// pathLen is the number of router hops between any vantage and the
+// addresses of pop p. It is flow- and vantage-independent.
+func pathLen(p *pop) int { return 9 + len(p.as.chain) }
+
+// forwardDist returns the forward hop distance to an address of pop p:
+// the TTL a probe needs to reach the destination itself.
+func forwardDist(p *pop) int { return pathLen(p) + 1 }
+
+// probeHop returns the routed-path length from vantage v toward dst,
+// whose pop is p (nil for unrouted space), and the router a probe with
+// the given ttl expires at (meaningful only when 1 <= ttl <= n). Only the
+// probed hop is derived, drawing at most that hop's ECMP hash.
+//
+//hobbit:hotpath
+func (w *World) probeHop(v int, p *pop, dst iputil.Addr, flowID uint16, ttl int) (n int, hop routerID) {
 	if v < 0 || v >= len(w.srcHops) {
 		v = 0
 	}
-	hops[0] = w.srcHops[v][0]
-	hops[1] = w.srcHops[v][1]
 	n = 2
-	p, found := w.popOf(dst)
-	if !found {
-		return n, false
+	if p != nil {
+		n = pathLen(p)
 	}
+	if ttl < 1 || ttl > n {
+		return n, 0
+	}
+	if ttl <= 2 {
+		return n, w.srcHops[v][ttl-1]
+	}
+	reg, chain := p.as.region, p.as.chain
 	// srcKey folds the vantage into hashes of source-sensitive load
 	// balancers only.
 	var srcKey uint64
 	if p.srcSens {
 		srcKey = uint64(v)
 	}
-	reg := p.as.region
-	hops[n] = reg.coreIn
-	n++
-	// Per-flow ECMP: the hash covers (src, dst, flowID), as a router
-	// hashing the five-tuple would.
-	mid := rng.Intn(len(reg.coreMid), w.seed, uint64(dst), uint64(flowID), uint64(v), saltFlow)
-	hops[n] = reg.coreMid[mid]
-	n++
-	hops[n] = reg.coreOut
-	n++
-	hops[n] = p.as.ingress
-	n++
-	for _, c := range p.as.chain {
-		hops[n] = c
-		n++
-	}
+	switch {
+	case ttl == 3:
+		return n, reg.coreIn
+	case ttl == 4:
+		// Per-flow ECMP: the hash covers (src, dst, flowID), as a
+		// router hashing the five-tuple would.
+		return n, reg.coreMid[rng.Intn(len(reg.coreMid), w.seed, uint64(dst), uint64(flowID), uint64(v), saltFlow)]
+	case ttl == 5:
+		return n, reg.coreOut
+	case ttl == 6:
+		return n, p.as.ingress
+	case ttl <= 6+len(chain):
+		return n, chain[ttl-7]
 	// Per-destination ECMP, two cascaded stages: both hash the
 	// destination only (plus the source for source-sensitive balancers),
 	// so every probe toward dst takes the same branch while adjacent
 	// addresses diverge (the Section 2.2 effect) and whole-path
 	// diversity multiplies across the cascade.
-	dm := rng.Intn(len(p.destMid), w.seed, uint64(dst), uint64(p.id), srcKey, saltDest)
-	hops[n] = p.destMid[dm]
-	n++
-	dm2 := rng.Intn(len(p.destMid2), w.seed, uint64(dst), uint64(p.id), srcKey, saltDest, 2)
-	hops[n] = p.destMid2[dm2]
-	n++
-	// Flow-divergent load balancers fold flow fields into the last-hop
-	// hash too, so paths toward one destination need not converge
-	// (Section 2.3). An active route flap folds an extra per-epoch key
-	// into the same hash, remapping the block's last-hop partition for
-	// as long as the flap lasts (the route cache is dropped on
-	// SetFaults/SetEpoch, so cached hops never outlive a flap window).
-	flapKey, flapping := w.faultFlap(dst.Block24())
-	var lh int
-	switch {
-	case p.flowDiv:
-		bucket := rng.Intn(2, w.seed, uint64(dst), uint64(flowID), saltFlow, 7)
-		if flapping {
-			lh = rng.Intn(len(p.lastHops), w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, uint64(bucket), flapKey)
-		} else {
-			lh = rng.Intn(len(p.lastHops), w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, uint64(bucket))
-		}
-	case flapping:
-		lh = rng.Intn(len(p.lastHops), w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, flapKey)
+	case ttl == n-2:
+		return n, p.destMid[rng.Intn(len(p.destMid), w.seed, uint64(dst), uint64(p.id), srcKey, saltDest)]
+	case ttl == n-1:
+		return n, p.destMid2[rng.Intn(len(p.destMid2), w.seed, uint64(dst), uint64(p.id), srcKey, saltDest, 2)]
 	default:
-		lh = rng.Intn(len(p.lastHops), w.seed, uint64(dst), uint64(p.id), srcKey, saltLast)
+		return n, p.lastHops[w.lastHop(p, dst, flowID, srcKey)]
 	}
-	hops[n] = p.lastHops[lh]
-	n++
-	return n, true
 }
 
-// forwardDist returns the forward hop distance from a vantage point to
-// dst (the TTL needed for a probe to reach the destination itself).
-func (w *World) forwardDist(v int, dst iputil.Addr) (int, bool) {
-	if rv := w.cachedRoute(v, dst, 0); rv != nil {
-		if !rv.ok {
-			return 0, false
+// lastHop picks the index of dst's last-hop router within p.lastHops.
+// Flow-divergent load balancers fold flow fields into the last-hop hash,
+// so paths toward one destination need not converge (Section 2.3). An
+// active route flap folds an extra per-epoch key into the same hash,
+// remapping the block's last-hop partition for as long as the flap lasts.
+//
+//hobbit:hotpath
+func (w *World) lastHop(p *pop, dst iputil.Addr, flowID uint16, srcKey uint64) int {
+	flapKey, flapping := w.faultFlap(dst.Block24())
+	k := len(p.lastHops)
+	switch {
+	case p.flowDiv:
+		bucket := uint64(rng.Intn(2, w.seed, uint64(dst), uint64(flowID), saltFlow, 7))
+		if flapping {
+			return rng.Intn(k, w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, bucket, flapKey)
 		}
-		return int(rv.n) + 1, true
+		return rng.Intn(k, w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, bucket)
+	case flapping:
+		return rng.Intn(k, w.seed, uint64(dst), uint64(p.id), srcKey, saltLast, flapKey)
+	default:
+		return rng.Intn(k, w.seed, uint64(dst), uint64(p.id), srcKey, saltLast)
 	}
-	var hops [maxHops]routerID
-	n, ok := w.route(v, dst, 0, &hops)
-	if !ok {
-		return 0, false
-	}
-	return n + 1, true
 }
 
 // TrueLastHops returns the ground-truth last-hop router addresses of the

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
-	"github.com/hobbitscan/hobbit/internal/rng"
 )
 
 // Vantage is a view of the world from one of its probing vantage points.
-// Vantage 0 behaves exactly like the World's own probe methods (the
-// paper's single UMD source); other vantages see different source access
-// routers and — for aggregates whose load balancers hash the source
-// address — different per-destination branches and last hops, the
+// Vantage 0 answers byte-identically to the World's own probe methods
+// (the paper's single UMD source); other vantages see different source
+// access routers and — for aggregates whose load balancers hash the
+// source address — different per-destination branches and last hops, the
 // Section 6.1 effect that multi-vantage probing exploits.
 type Vantage struct {
 	w *World
@@ -32,75 +31,17 @@ func (w *World) NumVantages() int { return len(w.srcHops) }
 
 // Ping mirrors World.Ping from this vantage.
 func (vt *Vantage) Ping(dst iputil.Addr, seq int) (ProbeReply, bool) {
-	w := vt.w
-	p, routed := w.popOf(dst)
-	if !routed || !w.RespondsNow(dst) {
-		return ProbeReply{}, false
-	}
-	if w.faultBlackholed(dst) {
-		return ProbeReply{}, false
-	}
-	if rng.Bool(w.faultPingLoss(vt.v), w.seed, uint64(dst), uint64(seq), uint64(vt.v), saltLoss) {
-		return ProbeReply{}, false
-	}
-	dist, _ := w.forwardDist(vt.v, dst)
-	rev := dist + w.revSkew(dst)
-	if rev < 1 {
-		rev = 1
-	}
-	respTTL := w.hostDefaultTTL(dst) - rev
-	if respTTL < 1 {
-		respTTL = 1
-	}
-	return ProbeReply{
-		Kind:    EchoReply,
-		RespTTL: respTTL,
-		RTT:     w.rttProfile(p).RTT(w.seed, dst, seq),
-	}, true
+	return vt.w.pingFrom(vt.v, dst, seq)
 }
 
 // Probe mirrors World.Probe from this vantage.
 func (vt *Vantage) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) ProbeReply {
-	w := vt.w
-	if ttl < 1 {
-		return ProbeReply{}
-	}
-	n, routed, hop := w.probeHop(vt.v, dst, flowID, ttl)
-	if ttl <= n {
-		if ttl > blackholeCoreHops && w.faultBlackholed(dst) {
-			return ProbeReply{}
-		}
-		r := w.routers[hop]
-		if !r.responsive {
-			return ProbeReply{}
-		}
-		if rng.Bool(w.faultRateLimit(vt.v, dst), w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), uint64(vt.v), saltRate) {
-			return ProbeReply{}
-		}
-		return ProbeReply{Kind: TTLExceeded, From: r.addr}
-	}
-	if !routed || !w.RespondsNow(dst) || w.faultBlackholed(dst) {
-		return ProbeReply{}
-	}
-	if rng.Bool(w.faultPingLoss(vt.v), w.seed, uint64(dst), uint64(ttl), uint64(salt), uint64(vt.v), saltLoss) {
-		return ProbeReply{}
-	}
-	dist := n + 1
-	rev := dist + w.revSkew(dst)
-	if rev < 1 {
-		rev = 1
-	}
-	respTTL := w.hostDefaultTTL(dst) - rev
-	if respTTL < 1 {
-		respTTL = 1
-	}
-	p, _ := w.popOf(dst)
-	return ProbeReply{Kind: EchoReply, RespTTL: respTTL, RTT: w.rttProfile(p).RTT(w.seed, dst, int(salt))}
+	return vt.w.probeFrom(vt.v, dst, ttl, flowID, salt)
 }
 
-// ScanPing mirrors World.ScanPing (the census answer does not depend on
+// ScanBlock mirrors World.ScanBlock (the census answer does not depend on
 // the vantage).
-func (vt *Vantage) ScanPing(a iputil.Addr) bool { return vt.w.ScanPing(a) }
+func (vt *Vantage) ScanBlock(b iputil.Block24) [4]uint64 { return vt.w.ScanBlock(b) }
 
 // SrcSensitive reports whether the block's per-destination load balancers
 // hash the source address (ground truth for the multi-vantage ablation).

@@ -63,10 +63,6 @@ type World struct {
 	popBlockCache map[int32][]iputil.Block24
 	popBlockEpoch int
 
-	// routes memoizes materialized hop arrays for the current epoch (see
-	// routecache.go); nil when Config.DisableRouteCache is set.
-	routes *routeCache
-
 	// faults is the active fault plan (see faults.go); nil for a clean
 	// world. Set via SetFaults, never concurrently with probing.
 	faults FaultView
@@ -217,9 +213,6 @@ func New(cfg Config) (*World, error) {
 	w.buildIdx16()
 	w.populateMetadata()
 	w.precompute()
-	if !cfg.DisableRouteCache {
-		w.routes = newRouteCache()
-	}
 	return w, nil
 }
 
@@ -297,17 +290,22 @@ func (w *World) buildIdx16() {
 	w.idx16[1<<16] = int32(pos)
 }
 
+// checkInvariants verifies that every block's entries — and any scheduled
+// split's — tile the /24 in address order: each entry starts where the
+// previous one ended and together they cover all 256 addresses. Every
+// address of a universe block therefore resolves to a pop, which is what
+// lets the census answer a block from its record alone (ScanBlock).
 func (w *World) checkInvariants() error {
 	check := func(b iputil.Block24, entries []entry) error {
-		covered := 0
+		next := 0
 		for _, e := range entries {
-			if e.prefix.Base.Block24() != b && e.prefix.Len > 8 {
-				return fmt.Errorf("netsim: entry %v outside block %v", e.prefix, b)
+			if e.prefix.Len < 24 || next >= 256 || e.prefix.Base != b.Addr(next) {
+				return fmt.Errorf("netsim: block %v entry %v does not tile at offset %d", b, e.prefix, next)
 			}
-			covered += e.prefix.Size()
+			next += e.prefix.Size()
 		}
-		if covered != 256 {
-			return fmt.Errorf("netsim: block %v entries cover %d addresses", b, covered)
+		if next != 256 {
+			return fmt.Errorf("netsim: block %v entries cover %d addresses", b, next)
 		}
 		return nil
 	}

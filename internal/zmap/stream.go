@@ -176,15 +176,8 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 func scanChunk(s Scanner, blocks []iputil.Block24) *Dataset {
 	d := NewDataset()
 	for _, b := range blocks {
-		var bm [4]uint64
-		for j := 0; j < 256; j++ {
-			if s.ScanPing(b.Addr(j)) {
-				bm[j>>6] |= 1 << uint(j&63)
-			}
-		}
-		if bm != ([4]uint64{}) {
-			cp := bm
-			d.active[b] = &cp
+		if bm := s.ScanBlock(b); bm != ([4]uint64{}) {
+			d.active[b] = &bm
 		}
 	}
 	return d

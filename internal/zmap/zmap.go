@@ -13,12 +13,16 @@ import (
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
-// Scanner answers a census-time echo request. netsim.World satisfies this
-// with its scan-epoch behaviour; a live deployment would wrap a raw-socket
-// pinger. Implementations must be safe for concurrent ScanPing calls:
-// ScanWith fans the sweep out over a worker pool.
+// Scanner answers the census-time echo requests of one /24: bit i of the
+// returned bitmap (word i>>6, bit i&63) is set when b.Addr(i) replied.
+// The sweep's unit is the block, so an implementation resolves per-block
+// state once rather than per address. netsim.World satisfies this with
+// its scan-epoch behaviour; a live deployment would wrap a raw-socket
+// pinger that sweeps the block's 256 addresses. Implementations must be
+// safe for concurrent ScanBlock calls: ScanWith and Stream fan the sweep
+// out over workers.
 type Scanner interface {
-	ScanPing(a iputil.Addr) bool
+	ScanBlock(b iputil.Block24) [4]uint64
 }
 
 // Dataset is the result of a census sweep: a 256-bit activity bitmap per
@@ -70,12 +74,7 @@ func ScanWith(s Scanner, blocks []iputil.Block24, opts ScanOptions) *Dataset {
 	// The background context is deliberate: a census is one bounded sweep
 	// with no caller-visible cancellation surface.
 	_ = pool.ForEach(context.Background(), len(blocks), func(i int) {
-		b := blocks[i]
-		for j := 0; j < 256; j++ {
-			if s.ScanPing(b.Addr(j)) {
-				bms[i][j>>6] |= 1 << uint(j&63)
-			}
-		}
+		bms[i] = s.ScanBlock(blocks[i])
 	})
 
 	d := NewDataset()
