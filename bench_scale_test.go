@@ -139,7 +139,7 @@ func guardHeap(b *testing.B, peak, ceiling uint64) {
 
 // BenchmarkScale exercises the streaming census and the fully pipelined
 // census→campaign→aggregation run at 100k blocks. Output equivalence
-// with the materialized path is pinned by TestStreamMatchesScanWith and
+// with the staged test oracles is pinned by TestStreamMatchesScanWith and
 // TestPipelineStreamedIdentical; these legs pin the resource envelope.
 func BenchmarkScale(b *testing.B) {
 	w := scaleLab(b)

@@ -241,8 +241,9 @@ func BenchmarkMeasureBlock(b *testing.B) {
 	b.ReportMetric(float64(counter.Probes())/float64(b.N), "probes/block")
 }
 
-// BenchmarkCensus sweeps 500 blocks through the ZMap census, serial
-// against an 8-worker pool; the dataset is identical either way (see
+// BenchmarkCensus sweeps 500 blocks through the ZMap census
+// (zmap.Collect over zmap.Stream, chunk size derived from the input),
+// serial against 8 workers; the dataset is identical either way (see
 // TestScanWorkersIdentical), so only the wall clock may differ.
 func BenchmarkCensus(b *testing.B) {
 	l := lab(b)
@@ -252,7 +253,7 @@ func BenchmarkCensus(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				zmap.ScanWith(l.World, blocks, zmap.ScanOptions{Workers: workers})
+				zmap.Collect(zmap.Stream(context.Background(), l.World, blocks, zmap.StreamOptions{Workers: workers}))
 			}
 		})
 	}
@@ -290,8 +291,8 @@ func BenchmarkMCLCore(b *testing.B) {
 // DESIGN.md), so only the wall clock may differ. Speedups only show on
 // multi-core hosts — GOMAXPROCS=1 runs both legs on one core.
 
-// BenchmarkClusterGraph measures similarity-graph construction, the
-// pairwise stage sharded per vertex.
+// BenchmarkClusterGraph measures similarity-graph construction through
+// the inverted-index build the streaming clusterer uses (serial).
 func BenchmarkClusterGraph(b *testing.B) {
 	l := lab(b)
 	out, err := l.Pipeline()
@@ -301,17 +302,13 @@ func BenchmarkClusterGraph(b *testing.B) {
 	if len(out.Aggregates) == 0 {
 		b.Skip("no aggregates")
 	}
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := cluster.BuildGraphWorkers(out.Aggregates, workers)
-				if g.Len() != len(out.Aggregates) {
-					b.Fatal("graph size mismatch")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := cluster.BuildGraph(out.Aggregates)
+		if g.Len() != len(out.Aggregates) {
+			b.Fatal("graph size mismatch")
+		}
 	}
 }
 

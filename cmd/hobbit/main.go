@@ -55,9 +55,9 @@ func main() {
 		scale    = flag.Float64("scale", 0.25, "scale factor for the planted Table-5 aggregates")
 		seed     = flag.Uint64("seed", 0x40bb17, "world and measurement seed")
 		workers  = flag.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
-		clWorker = flag.Int("cluster-workers", 0, "post-campaign stage workers: similarity graph, MCL, validation (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
+		clWorker = flag.Int("cluster-workers", 0, "clustering stage workers: MCL, validation (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		cnWorker = flag.Int("census-workers", 0, "census sweep workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		stream   = flag.Int("stream-chunk", 0, "pipeline census, measurement, and aggregation over chunks of this many /24s (0 = materialized stages; output is identical either way)")
+		stream   = flag.Int("stream-chunk", 0, "census chunk size in /24s for the pipelined census, measurement, and aggregation (0 = size derived from the input; output is identical at any size)")
 		skipCl   = flag.Bool("skip-clustering", false, "stop after identical-set aggregation")
 		monEp    = flag.Int("monitor-epochs", 0, "after the initial run, advance the fault epoch this many times and re-measure incrementally (continuous-monitoring mode; the summary reports the final epoch)")
 		plan     = flag.String("fault-plan", "", "inject a built-in fault plan into the synthetic world and enable adaptive probing (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")

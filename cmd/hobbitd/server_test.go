@@ -372,6 +372,20 @@ func TestSSEEvents(t *testing.T) {
 			t.Errorf("done counts regressed: %+v -> %+v", progress[i-1], progress[i])
 		}
 	}
+	// The census streams, so total is 0 until the campaign's feed closed
+	// and exact after that: only the last event may claim done == total.
+	last := progress[len(progress)-1]
+	if last.Total == 0 || last.Done != last.Total {
+		t.Errorf("last progress event %+v does not complete its total", last)
+	}
+	for _, ev := range progress[:len(progress)-1] {
+		if ev.Total != 0 && ev.Total != last.Total {
+			t.Errorf("event %+v: total is neither 0 nor the final %d", ev, last.Total)
+		}
+		if ev.Done == ev.Total {
+			t.Errorf("event %+v claims done == total before the last event", ev)
+		}
+	}
 }
 
 // TestClientDisconnectAborts pins the wait-mode contract: the campaign

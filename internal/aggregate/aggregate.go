@@ -69,8 +69,8 @@ func IdenticalInterned(results []*hobbit.BlockResult, in *Interner) []*Block {
 // order as an IdenticalInterned call produces exactly its output — group
 // membership, block order, member sorting, and dense IDs — which is what
 // lets the streaming pipeline aggregate against the measurement campaign
-// without a barrier and still stay byte-identical to the materialized
-// path.
+// without a barrier and still stay byte-identical to a one-shot
+// aggregation of the finished campaign.
 type Builder struct {
 	in    *Interner
 	byKey map[string]*Block

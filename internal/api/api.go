@@ -112,7 +112,9 @@ type SessionListV1 struct {
 
 // ProgressEventV1 is one live observation of a running campaign stage,
 // the SSE "progress" event payload. It mirrors telemetry.ProgressEvent
-// onto stable wire names.
+// onto stable wire names. total is 0 while the census is still
+// streaming and exact once it has ended, so only a stage's last event
+// has done == total.
 type ProgressEventV1 struct {
 	Stage   string         `json:"stage"`
 	Done    int            `json:"done"`

@@ -7,6 +7,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/graph"
 	"github.com/hobbitscan/hobbit/internal/iputil"
+	"github.com/hobbitscan/hobbit/internal/parallel"
 )
 
 // benchAggregates builds n aggregates in small families (the clusterable
@@ -29,12 +30,12 @@ func benchAggregates(n int) []*aggregate.Block {
 }
 
 // BenchmarkGraphBuild compares the two similarity-graph constructions
-// over the same aggregates: the barrier path (BuildGraphWorkers shards
-// the O(n·candidates) pair scan over a pool) against the incremental
-// path (one Observe per aggregate growing the graph through the
-// inverted index, seal machinery included, MCL pool never started). The
-// adjacency lists are identical by contract (TestStreamerMatchesBarrier);
-// this leg pins the cost of getting them.
+// over the same aggregates: the barrier oracle (buildGraph shards the
+// O(n·candidates) pair scan over a pool) against the production
+// incremental path (one Observe per aggregate growing the graph through
+// the inverted index, seal machinery included, MCL pool never started).
+// The adjacency lists are identical by contract
+// (TestStreamerMatchesBarrier); this leg pins the cost of getting them.
 func BenchmarkGraphBuild(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		blocks := benchAggregates(n)
@@ -42,7 +43,7 @@ func BenchmarkGraphBuild(b *testing.B) {
 			b.ReportAllocs()
 			var edges int
 			for i := 0; i < b.N; i++ {
-				g := BuildGraphWorkers(blocks, 8)
+				g := buildGraph(blocks, parallel.Pool{Workers: 8})
 				edges = g.NumEdges()
 			}
 			b.ReportMetric(float64(edges), "edges")

@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"context"
 	"runtime"
 	"sort"
 
@@ -16,7 +15,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/graph"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/mcl"
-	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/rng"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
@@ -50,68 +48,15 @@ func (c *Cluster) Blocks24() []iputil.Block24 {
 // the identical-set aggregates (the Section 6.3 pre-merge of weight-1
 // edges), edges connect aggregates with overlapping last-hop sets,
 // weighted by the similarity score. Aggregates with disjoint sets get no
-// edge. BuildGraph runs serially; BuildGraphWorkers shards it.
+// edge. It is the batch form of the Streamer's inverted-index build —
+// every aggregate observed once, in order, with no MCL pool — so the
+// graph is exactly the one a clustering run over the same list builds.
 func BuildGraph(blocks []*aggregate.Block) *graph.Graph {
-	return BuildGraphWorkers(blocks, 1)
-}
-
-// BuildGraphWorkers is BuildGraph with the pairwise similarity
-// computation sharded over the given worker count (0 = GOMAXPROCS). Each
-// vertex independently resolves its higher-indexed candidate neighbors
-// through the shared inverted index and scores them; the per-vertex edge
-// lists are then merged into the graph in vertex order, so the adjacency
-// lists — and everything downstream — are identical for every worker
-// count.
-func BuildGraphWorkers(blocks []*aggregate.Block, workers int) *graph.Graph {
-	return buildGraph(blocks, parallel.Pool{Workers: workers})
-}
-
-// halfEdge is one scored candidate pair (i, to) with i < to.
-type halfEdge struct {
-	to int
-	w  float64
-}
-
-func buildGraph(blocks []*aggregate.Block, pool parallel.Pool) *graph.Graph {
-	g := graph.New(len(blocks))
-	// Inverted index: last hop -> aggregate ids, ascending (built in
-	// block order).
-	posting := make(map[iputil.Addr][]int)
-	for i, b := range blocks {
-		for _, lh := range b.LastHops {
-			posting[lh] = append(posting[lh], i)
-		}
+	s := &Streamer{g: graph.New(0), posting: make(map[iputil.Addr][]int), sealDisabled: true}
+	for _, b := range blocks {
+		s.Observe(b, true)
 	}
-	// Shard: vertex i scores each distinct j > i sharing a last hop.
-	rows, _ := parallel.Map(context.Background(), pool, len(blocks), func(i int) []halfEdge {
-		var cand []int
-		for _, lh := range blocks[i].LastHops {
-			for _, j := range posting[lh] {
-				if j > i {
-					cand = append(cand, j)
-				}
-			}
-		}
-		sort.Ints(cand)
-		row := make([]halfEdge, 0, len(cand))
-		prev := -1
-		for _, j := range cand {
-			if j == prev {
-				continue
-			}
-			prev = j
-			row = append(row, halfEdge{to: j, w: aggregate.Similarity(blocks[i].LastHops, blocks[j].LastHops)})
-		}
-		return row
-	})
-	// Ordered merge: edges enter the graph in (i, j) order regardless of
-	// which worker scored them.
-	for i, row := range rows {
-		for _, e := range row {
-			g.AddEdge(i, e.to, e.w)
-		}
-	}
-	return g
+	return s.g
 }
 
 // Pipeline configures the clustering run.
@@ -123,10 +68,9 @@ type Pipeline struct {
 	MCL mcl.Options
 	// Seed drives deterministic pair sampling during validation.
 	Seed uint64
-	// Workers bounds the concurrency of graph construction and of the
-	// MCL rounds (0 = GOMAXPROCS, 1 = serial). The result is identical
-	// for every worker count (see the parallel package's determinism
-	// contract).
+	// Workers bounds the concurrency of the MCL rounds (0 = GOMAXPROCS,
+	// 1 = serial). The result is identical for every worker count (see
+	// the parallel package's determinism contract).
 	Workers int
 	// Telemetry receives "cluster.…" counters and gauges; nil disables
 	// it.
@@ -160,8 +104,8 @@ func (p *Pipeline) inflations() []float64 {
 // delta and the stream is finished immediately, which routes the whole
 // run — incremental graph build, per-component MCL on the worker pool,
 // deferred sweep merge — through the same code the pipelined campaign
-// drives one result at a time. runBarrier is the executable reference
-// the streamer is tested against.
+// drives one result at a time. The stage-barrier implementation it
+// replaced is the test oracle (runBarrier in barrier_test.go).
 func (p *Pipeline) Run(blocks []*aggregate.Block) *Result {
 	s := p.Stream()
 	for _, b := range blocks {
@@ -173,82 +117,6 @@ func (p *Pipeline) Run(blocks []*aggregate.Block) *Result {
 // runtimeWorkers is the auto worker count (Workers == 0).
 func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// runBarrier is the original stage-barrier implementation — build the
-// full graph, split into components, sweep, cluster — kept as the
-// specification the streaming path must reproduce byte for byte
-// (TestStreamerMatchesBarrier); it emits the barrier-era counters only.
-func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
-	pool := parallel.Pool{Workers: p.Workers, Telemetry: p.Telemetry, Stage: "cluster"}
-	g := buildGraph(blocks, pool)
-	comps := g.Components()
-
-	// Only components with >= 2 vertices need MCL.
-	var multi [][]int
-	var singles []int
-	for _, c := range comps {
-		if len(c) >= 2 {
-			multi = append(multi, c)
-		} else {
-			singles = append(singles, c...)
-		}
-	}
-
-	res := &Result{SweepScores: make(map[float64]float64), Components: len(comps)}
-
-	// Parameter sweep: minimize the fraction of intra-cluster edges
-	// whose weight is below the median of all edge weights.
-	median, hasEdges := g.MedianWeight()
-	best := p.inflations()[0]
-	bestScore := 2.0
-	for _, inf := range p.inflations() {
-		score := 0.0
-		if hasEdges {
-			score = p.sweepObjective(g, multi, inf, median)
-		}
-		res.SweepScores[inf] = score
-		if score < bestScore {
-			bestScore = score
-			best = inf
-		}
-	}
-	res.ChosenInflation = best
-
-	// Final clustering at the chosen inflation.
-	opts := p.mclOpts(best)
-	clustered := make(map[int]bool)
-	for _, comp := range multi {
-		sub, back := g.Subgraph(comp)
-		for _, cl := range mcl.Cluster(sub, opts) {
-			if len(cl) < 2 {
-				continue
-			}
-			c := &Cluster{ID: len(res.Clusters)}
-			for _, v := range cl {
-				c.Members = append(c.Members, blocks[back[v]])
-				clustered[back[v]] = true
-			}
-			res.Clusters = append(res.Clusters, c)
-		}
-	}
-	for i, b := range blocks {
-		if !clustered[i] {
-			res.Unclustered = append(res.Unclustered, b)
-		}
-	}
-	_ = singles
-
-	reg := p.Telemetry
-	reg.Counter("cluster.aggregates_in").Add(int64(len(blocks)))
-	reg.Counter("cluster.graph_edges").Add(int64(g.NumEdges()))
-	reg.Counter("cluster.components").Add(int64(len(comps)))
-	reg.Counter("cluster.multi_components").Add(int64(len(multi)))
-	reg.Counter("cluster.clusters").Add(int64(len(res.Clusters)))
-	reg.Counter("cluster.unclustered").Add(int64(len(res.Unclustered)))
-	// Gauges are int64; store the inflation scaled by 1000.
-	reg.Gauge("cluster.chosen_inflation_milli").Set(int64(best * 1000))
-	return res
-}
-
 // mclOpts derives the per-run MCL options: the sweep's inflation wins,
 // and the pipeline's worker bound applies unless the caller pinned one on
 // MCL directly.
@@ -259,38 +127,6 @@ func (p *Pipeline) mclOpts(inflation float64) mcl.Options {
 		opts.Workers = p.Workers
 	}
 	return opts
-}
-
-// sweepObjective runs MCL at one inflation and scores it: the fraction of
-// intra-cluster edges with weight below the global median.
-func (p *Pipeline) sweepObjective(g *graph.Graph, comps [][]int, inflation, median float64) float64 {
-	opts := p.mclOpts(inflation)
-	below, total := 0, 0
-	for _, comp := range comps {
-		sub, _ := g.Subgraph(comp)
-		clusters := mcl.Cluster(sub, opts)
-		// Map vertex -> cluster id within this component.
-		cid := make([]int, sub.Len())
-		for id, cl := range clusters {
-			for _, v := range cl {
-				cid[v] = id
-			}
-		}
-		for v := 0; v < sub.Len(); v++ {
-			for _, e := range sub.Neighbors(v) {
-				if v < e.To && cid[v] == cid[e.To] {
-					total++
-					if e.Weight < median {
-						below++
-					}
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(below) / float64(total)
 }
 
 // SimilarityDistribution returns the weighted distribution of pairwise

@@ -19,7 +19,7 @@ import (
 // counter) is a pure function of the observed delta sequence. A component
 // a later delta does touch after sealing is invalidated and re-clustered,
 // so the horizon trades duplicated MCL work against pipeline overlap
-// without ever affecting output (DESIGN.md §4i).
+// without ever affecting output (DESIGN.md §4d).
 const sealHorizon = 256
 
 // mclJob is one sealed component's clustering work unit: MCL at every
@@ -52,8 +52,8 @@ type mclJob struct {
 // stay quiet for sealHorizon deltas are clustered on a worker pool while
 // later deltas are still arriving. Finish drains the remainder and merges
 // per-component results in component order, producing a Result
-// byte-identical to the barrier path at any worker count and any delta
-// chunking (TestStreamerMatchesBarrier pins this).
+// byte-identical to the stage-barrier oracle at any worker count and any
+// delta chunking (TestStreamerMatchesBarrier pins this).
 //
 // Observe and Finish/Abort must run on one goroutine; only the MCL jobs
 // are concurrent.

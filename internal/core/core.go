@@ -7,14 +7,15 @@
 // live in (zmap, hobbit, aggregate, cluster); Pipeline wires them together
 // with the paper's defaults. A run is observable through the optional
 // telemetry registry (per-stage spans, probe/ping counters, progress
-// events) and cancellable through its context: Run checks ctx between
-// stages and between blocks inside the measurement campaign, returning
-// the artifacts completed so far alongside ctx.Err().
+// events) and cancellable through its context: the census, campaign, and
+// validation stop where ctx was cancelled, and Run returns the artifacts
+// completed so far alongside ctx.Err().
 package core
 
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
@@ -53,16 +54,16 @@ type Pipeline struct {
 	// assign exactly as they did when the fields lived on Pipeline
 	// directly; construction sites spell the nested literal.
 	Options
-	// StreamChunk, when > 0, runs the census as a zmap.Stream of
-	// StreamChunk-block chunks and pipelines it against the measurement
-	// campaign and incremental aggregation, instead of materializing
-	// each stage before the next begins. It is an execution strategy
-	// like the worker counts, not behaviour: every artifact and counter
-	// is byte-identical to a materialized run (DESIGN.md §4d), which is
-	// why it lives on Pipeline next to the other local resource-shaping
-	// fields rather than in the serializable Options. Use it when the
-	// block universe is large enough (100k+) that holding the full
-	// census and campaign intermediates would dominate memory.
+	// StreamChunk is the census chunk size in /24s: Run sweeps the
+	// census as a zmap.Stream of StreamChunk-block chunks pipelined
+	// against the measurement campaign, incremental aggregation, and
+	// streaming clustering, so no stage holds the whole universe's
+	// intermediates. 0 means a size derived from the input (see
+	// zmap.StreamOptions.ChunkSize). It is an execution strategy like the
+	// worker counts, not behaviour: every artifact and counter is
+	// byte-identical at any chunk size (DESIGN.md §4d), which is why it
+	// lives on Pipeline next to the other local resource-shaping fields
+	// rather than in the serializable Options.
 	StreamChunk int
 	// ResultSink, when non-nil, receives every per-/24 measurement result
 	// in campaign order as soon as it is final — before clustering and
@@ -86,7 +87,9 @@ type Pipeline struct {
 // Output carries every intermediate and final artifact of a run.
 type Output struct {
 	// Dataset is the census result; Eligible the /24s meeting the
-	// selection criteria.
+	// selection criteria, in block order. On cancellation Eligible and
+	// Campaign.Order are prefixes of the full lists: the census and the
+	// campaign stop where the context was cancelled.
 	Dataset  *zmap.Dataset
 	Eligible []iputil.Block24
 	// Campaign is the per-/24 measurement result.
@@ -110,36 +113,27 @@ type Output struct {
 	Final []*aggregate.Block
 }
 
-func (p *Pipeline) minActive() int {
+// MinActiveOrDefault resolves the census eligibility threshold (0 means
+// the paper's default of 4). The monitor replays the census selection
+// epoch over epoch and must agree with Run on it.
+func (p *Pipeline) MinActiveOrDefault() int {
 	if p.MinActive > 0 {
 		return p.MinActive
 	}
 	return 4
 }
 
-// MinActiveOrDefault resolves the census eligibility threshold exactly
-// as Run does (0 means the paper's default of 4). The monitor replays
-// the census selection epoch over epoch and must agree with Run on it.
-func (p *Pipeline) MinActiveOrDefault() int { return p.minActive() }
-
-// Measurer builds the same per-block Measurer a Run would use —
-// exhaustive=false for the measurement campaign, exhaustive=true for
-// reprobe validation — so incremental drivers measure byte-identically
-// to a from-scratch run.
-func (p *Pipeline) Measurer(exhaustive bool) *hobbit.Measurer {
-	return p.newMeasurer(exhaustive)
-}
-
-// newMeasurer builds the per-block Measurer shared by the measurement
+// Measurer builds the per-block Measurer shared by the measurement
 // campaign (exhaustive=false) and the Section 6.5 reprobe validation
 // (exhaustive=true), so every option — probing surface, MDA tuning,
-// terminator, eligibility threshold, seed — is set in exactly one place.
-func (p *Pipeline) newMeasurer(exhaustive bool) *hobbit.Measurer {
+// terminator, eligibility threshold, seed — is set in exactly one place
+// and incremental drivers measure byte-identically to a from-scratch run.
+func (p *Pipeline) Measurer(exhaustive bool) *hobbit.Measurer {
 	return &hobbit.Measurer{
 		Net:        p.Net,
 		Opts:       p.MDA,
 		Term:       p.Terminator,
-		MinActive:  p.minActive(),
+		MinActive:  p.MinActiveOrDefault(),
 		Seed:       p.Seed,
 		Exhaustive: exhaustive,
 	}
@@ -153,10 +147,23 @@ func (p *Pipeline) setStage(stage string) {
 	}
 }
 
-// Run executes the pipeline. It checks ctx between stages (and, inside
-// the measurement campaign, between blocks): on cancellation it returns
-// the Output artifacts completed so far together with ctx.Err(), so a
-// partial run remains inspectable.
+// Run executes the pipeline with its stages overlapped: census chunks
+// stream off zmap.Stream, a feeder filters each chunk for eligibility and
+// hands the eligible blocks — with their chunk-local actives — to the
+// campaign workers, the campaign's in-order result stream drives the
+// aggregation, and every aggregate delta flows into the streaming
+// clusterer, which seals quiet components and runs their MCL while the
+// campaign is still probing (DESIGN.md §4d). Chunks arrive in block
+// order, so the eligible list, the campaign Order, the low-confidence
+// exclusions, and the aggregation grouping are the same at any chunk size
+// and worker count. Clustering finishes and validation runs once the last
+// aggregate is in, because both need the complete set.
+//
+// Peak memory is bounded by the stream window plus the campaign handout
+// window; the merged dataset and the campaign result are still retained,
+// because validation reprobes against the full census. On cancellation
+// Run returns the Output artifacts completed so far together with
+// ctx.Err(), so a partial run remains inspectable.
 func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	if p.Net == nil || p.Scanner == nil {
 		return nil, errors.New("core: Pipeline needs Net and Scanner")
@@ -170,101 +177,91 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	if err := ValidateStreamChunk(p.StreamChunk); err != nil {
 		return nil, err
 	}
-	if p.StreamChunk > 0 {
-		return p.runStreamed(ctx)
-	}
 	reg := p.Telemetry
 	out := &Output{}
 
-	span := reg.StartSpan(StageCensus)
-	out.Dataset = zmap.ScanWith(p.Scanner, p.Blocks, zmap.ScanOptions{Workers: p.CensusWorkers, Telemetry: reg})
-	out.Eligible = out.Dataset.EligibleBlocks(p.Blocks, p.minActive())
-	reg.Counter("census.eligible_blocks").Add(int64(len(out.Eligible)))
-	span.End()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-
-	span = reg.StartSpan(StageMeasure)
+	// The pipelined stages overlap, so their spans do too: each span
+	// covers the window its stage was active in.
+	censusSpan := reg.StartSpan(StageCensus)
+	measureSpan := reg.StartSpan(StageMeasure)
 	p.setStage(StageMeasure)
+
+	// The stream's context is cancelled as soon as the campaign stops
+	// consuming (error or not), so scan workers never outlive the run.
+	sctx, cancelScan := context.WithCancel(ctx)
+	defer cancelScan()
+	chunks := zmap.Stream(sctx, p.Scanner, p.Blocks, zmap.StreamOptions{
+		Workers:   p.CensusWorkers,
+		ChunkSize: p.StreamChunk,
+		Telemetry: reg,
+	})
+
+	// The feeder owns dataset and eligible until feedWG.Wait below, then
+	// hands them to the collector goroutine (this one) with the Wait as
+	// the memory barrier.
+	dataset := zmap.NewDataset()
+	var eligible []iputil.Block24
+	feed := make(chan hobbit.FeedItem)
+	var feedWG sync.WaitGroup
+	feedWG.Add(1)
+	go func() {
+		defer feedWG.Done()
+		defer close(feed)
+		defer censusSpan.End() // idempotent; covers cancelled sweeps too
+		for c := range chunks {
+			dataset.MergeChunk(c)
+			for _, b := range c.Data.EligibleBlocks(c.Blocks, p.MinActiveOrDefault()) {
+				eligible = append(eligible, b)
+				select {
+				case feed <- hobbit.FeedItem{Block: b, By26: c.Data.ActivesBy26(b)}:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+		// The census stage ends when its last chunk has been handed
+		// over; the eligibility counter lands here, after the full
+		// universe was filtered.
+		reg.Counter("census.eligible_blocks").Add(int64(len(eligible)))
+		censusSpan.End()
+	}()
+
+	// Clustering streams too: Run feeds the clusterer one Observe per
+	// aggregate delta, so graph construction and per-component MCL
+	// overlap the campaign (nil when the run skips clustering).
+	var str *cluster.Streamer
+	if !p.SkipClustering {
+		str = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Stream()
+	}
+	agg := NewAggregation(str)
+	aggSpan := reg.StartSpan(StageAggregate)
 	campaign := &hobbit.Campaign{
-		Measurer:  p.newMeasurer(false),
-		Dataset:   out.Dataset,
+		Measurer:  p.Measurer(false),
 		Workers:   p.Workers,
 		Telemetry: reg,
 		Progress:  p.Progress,
 		Stage:     StageMeasure,
 	}
-	res, err := campaign.Run(ctx, out.Eligible)
+	res, cerr := campaign.RunStream(ctx, feed, func(br *hobbit.BlockResult) {
+		if p.ResultSink != nil {
+			p.ResultSink(br)
+		}
+		agg.Add(br)
+	})
+	cancelScan()
+	feedWG.Wait()
+	out.Dataset = dataset
+	out.Eligible = eligible
 	out.Campaign = res
-	span.End()
-	if p.ResultSink != nil && res != nil {
-		for _, b := range res.Order {
-			p.ResultSink(res.Blocks[b])
-		}
+	measureSpan.End()
+	if cerr != nil {
+		aggSpan.End()
+		str.Abort()
+		return out, cerr
 	}
-	if err != nil {
-		return out, err
-	}
+	agg.Finish(out, reg)
+	aggSpan.End()
 
-	span = reg.StartSpan(StageAggregate)
-	homogeneous := out.Campaign.HomogeneousBlocks()
-	// One interner backs both the aggregation and the post-validation
-	// merge, so every block that shares a last-hop set — before and after
-	// cluster merging — shares one canonical slice.
-	interner := aggregate.NewInterner()
-	builder := aggregate.NewBuilder(interner)
-	str := p.clusterStream()
-	homogeneousIn := 0
-	// Graceful degradation: verdicts that rest on budget-exhausted
-	// measurements stay in the campaign result for reporting but are
-	// kept out of aggregation, so one faulted window cannot poison a
-	// multi-/24 aggregate. The loop preserves campaign order, so the
-	// exclusion list — like every other artifact — is byte-identical
-	// across worker counts, and the streaming clusterer observes the
-	// exact aggregate-delta sequence the pipelined path feeds it (same
-	// logical clock, so its seal counters match too).
-	for _, br := range homogeneous {
-		if br.LowConfidence() {
-			out.LowConfidence = append(out.LowConfidence, br.Block)
-			continue
-		}
-		homogeneousIn++
-		blk, isNew := builder.Add(br)
-		if str != nil && blk != nil {
-			str.Observe(blk, isNew)
-		}
-	}
-	out.Aggregates = builder.Finish()
-	reg.Counter("aggregate.homogeneous_in").Add(int64(homogeneousIn))
-	reg.Counter("aggregate.low_confidence_excluded").Add(int64(len(out.LowConfidence)))
-	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
-	span.End()
-	return p.finishRun(ctx, out, interner, str)
-}
-
-// clusterStream starts the incremental clustering stage — nil when the
-// run skips clustering. Both run shapes create it before their
-// aggregation loop and feed it one Observe per kept homogeneous result,
-// so graph construction and per-component MCL overlap whatever stage is
-// still producing aggregates.
-func (p *Pipeline) clusterStream() *cluster.Streamer {
-	if p.SkipClustering {
-		return nil
-	}
-	pipe := &cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: p.Telemetry}
-	return pipe.Stream()
-}
-
-// finishRun executes the barrier-synchronized tail every run shape
-// shares — the parameter-sweep merge and reprobe validation need the
-// complete aggregate set, so the streamed and materialized paths
-// converge here. str is the incremental clustering stage both paths fed
-// during aggregation (nil when SkipClustering); Finish joins its worker
-// pool, runs MCL on whatever components were not sealed early, and
-// merges the inflation sweep.
-func (p *Pipeline) finishRun(ctx context.Context, out *Output, interner *aggregate.Interner, str *cluster.Streamer) (*Output, error) {
-	reg := p.Telemetry
 	if p.SkipClustering {
 		out.Final = out.Aggregates
 		return out, ctx.Err()
@@ -273,62 +270,150 @@ func (p *Pipeline) finishRun(ctx context.Context, out *Output, interner *aggrega
 		str.Abort()
 		return out, err
 	}
-
 	span := reg.StartSpan(StageCluster)
 	out.Clustering = str.Finish()
 	span.End()
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
+	return out, p.ValidateClusters(ctx, StageValidate, out, agg, nil)
+}
 
-	span = reg.StartSpan(StageValidate)
+// Aggregation is the Section 5 step shared by Run and the monitor: it
+// folds per-/24 results, in campaign order, into identical-set
+// aggregates. Only homogeneous verdicts aggregate, and homogeneous
+// verdicts that rest on budget-exhausted measurements are reported in
+// Output.LowConfidence instead, so one faulted window cannot poison a
+// multi-/24 aggregate. One interner backs both the aggregation and the
+// post-validation merge, so every block that shares a last-hop set —
+// before and after cluster merging — shares one canonical slice.
+type Aggregation struct {
+	interner *aggregate.Interner
+	builder  *aggregate.Builder
+	str      *cluster.Streamer
+	lowConf  []iputil.Block24
+	kept     int
+}
+
+// NewAggregation starts an aggregation. str, when non-nil, observes every
+// aggregate delta in order — the streaming clusterer's input, so its
+// logical seal clock is a pure function of the campaign order.
+func NewAggregation(str *cluster.Streamer) *Aggregation {
+	in := aggregate.NewInterner()
+	return &Aggregation{interner: in, builder: aggregate.NewBuilder(in), str: str}
+}
+
+// Add folds one measured /24.
+func (a *Aggregation) Add(br *hobbit.BlockResult) {
+	if !br.Class.Homogeneous() {
+		return
+	}
+	if br.LowConfidence() {
+		a.lowConf = append(a.lowConf, br.Block)
+		return
+	}
+	a.kept++
+	blk, isNew := a.builder.Add(br)
+	if a.str != nil && blk != nil {
+		a.str.Observe(blk, isNew)
+	}
+}
+
+// Finish stores the aggregates and the low-confidence exclusions in out
+// and bumps the "aggregate.…" counters.
+func (a *Aggregation) Finish(out *Output, reg *telemetry.Registry) {
+	out.Aggregates = a.builder.Finish()
+	out.LowConfidence = a.lowConf
+	reg.Counter("aggregate.homogeneous_in").Add(int64(a.kept))
+	reg.Counter("aggregate.low_confidence_excluded").Add(int64(len(a.lowConf)))
+	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
+}
+
+// ValidationCache is the hook an incremental driver passes to
+// ValidateClusters: Validation returns a validation computed earlier for
+// an identical cluster, when it is still sound, and Reprobe answers the
+// exhaustive reprobes of the clusters that miss.
+type ValidationCache interface {
+	cluster.Reprober
+	Validation(c *cluster.Cluster) (cluster.Validation, bool)
+}
+
+// ValidateClusters is the Section 6.5 step shared by Run and the
+// monitor: it validates out.Clustering's clusters by exhaustive
+// reprobing, fills out.Validations and out.Validated, and merges the
+// accepted clusters into out.Final, drawing merged last-hop sets from
+// agg's interner. stage names the span, the probe attribution, and the
+// pool's telemetry. cache may be nil (every cluster reprobes live
+// against out.Dataset); otherwise its hits are used as they are.
+//
+// Clusters validate independently (each owns its member /24s, and
+// reprobe randomness is keyed by cluster ID), so the misses fan out over
+// the pool; results land in per-cluster slots and merge in cluster-ID
+// order, so maps and counters tally identically whether the run was
+// serial or sharded. The "validate.…" work counters count only the
+// validations this call computed. On cancellation the merged prefix stays
+// inspectable, but no final block list is produced.
+func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Output, agg *Aggregation, cache ValidationCache) error {
+	reg := p.Telemetry
+	span := reg.StartSpan(stage)
 	defer span.End()
-	p.setStage(StageValidate)
-	rp := &exhaustiveReprober{m: p.newMeasurer(true), ds: out.Dataset}
+	p.setStage(stage)
+	var rp cluster.Reprober = cache
+	if cache == nil {
+		rp = &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset}
+	}
+	clusters := out.Clustering.Clusters
+	vals := make([]cluster.Validation, len(clusters))
+	done := make([]bool, len(clusters))
+	cached := make([]bool, len(clusters))
+	var misses []int
+	for i, c := range clusters {
+		if cache != nil {
+			if vals[i], cached[i] = cache.Validation(c); cached[i] {
+				done[i] = true
+				continue
+			}
+		}
+		misses = append(misses, i)
+	}
+	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: stage}
+	perr := pool.ForEach(ctx, len(misses), func(k int) {
+		i := misses[k]
+		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
+		done[i] = true
+	})
+
 	pairsChecked := reg.Counter("validate.pairs_checked")
 	identicalPairs := reg.Counter("validate.identical_pairs")
 	reprobed := reg.Counter("validate.blocks_reprobed")
 	accepted := reg.Counter("validate.clusters_validated")
-	// Clusters validate independently (each owns its member /24s, and
-	// reprobe randomness is keyed by cluster ID), so they fan out over
-	// the pool; the measurer and probing surface are the same
-	// concurrency-safe objects the measurement campaign already shares
-	// across workers. Results land in per-cluster slots and merge below
-	// in cluster-ID order, so counters and maps tally identically whether
-	// the run was serial or sharded.
-	clusters := out.Clustering.Clusters
-	vals := make([]cluster.Validation, len(clusters))
-	done := make([]bool, len(clusters))
-	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: StageValidate}
-	perr := pool.ForEach(ctx, len(clusters), func(i int) {
-		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
-		done[i] = true
-	})
 	out.Validations = make(map[int]cluster.Validation, len(clusters))
-	validated := make(map[int]bool)
+	out.Validated = make(map[int]bool)
 	for i, c := range clusters {
 		if !done[i] {
 			continue
 		}
 		v := vals[i]
 		out.Validations[c.ID] = v
+		if v.Passes() {
+			out.Validated[c.ID] = true
+		}
+		if cached[i] {
+			continue
+		}
 		pairsChecked.Add(int64(v.PairsChecked))
 		identicalPairs.Add(int64(v.IdenticalPairs))
 		reprobed.Add(int64(v.Reprobed))
 		if v.Passes() {
-			validated[c.ID] = true
 			accepted.Inc()
 		}
 	}
-	out.Validated = validated
 	if perr != nil {
-		// Cancelled mid-validation: the merged prefix stays inspectable,
-		// but no final block list is produced.
-		return out, perr
+		return perr
 	}
-	out.Final = cluster.ApplyValidatedInterned(out.Clustering, validated, interner)
+	out.Final = cluster.ApplyValidatedInterned(out.Clustering, out.Validated, agg.interner)
 	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
-	return out, nil
+	return nil
 }
 
 // exhaustiveReprober adapts the Section 6.5 modified probing strategy to

@@ -149,6 +149,10 @@ func TestPipelineCancellation(t *testing.T) {
 
 func TestPipelineMidCampaignCancellation(t *testing.T) {
 	_, p := testPipeline(t, 400)
+	full, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
@@ -166,8 +170,15 @@ func TestPipelineMidCampaignCancellation(t *testing.T) {
 	if sum.Total == 0 {
 		t.Error("mid-campaign cancellation lost the partial result")
 	}
-	if sum.Total == len(out.Eligible) {
-		t.Error("cancellation did not stop the campaign early")
+	// The census streams, so a cancelled run's Eligible is only the
+	// prefix the census reached: compare against an uncancelled run.
+	if sum.Total >= len(full.Eligible) {
+		t.Errorf("cancellation did not stop the campaign early: measured %d of %d eligible", sum.Total, len(full.Eligible))
+	}
+	for i, b := range out.Campaign.Order {
+		if b != full.Eligible[i] {
+			t.Fatalf("partial campaign Order[%d] = %v, want the eligible prefix %v", i, b, full.Eligible[i])
+		}
 	}
 }
 

@@ -22,13 +22,13 @@ type Options struct {
 	Workers int `json:"workers"`
 	// CensusWorkers bounds the census sweep (0 = GOMAXPROCS, 1 =
 	// serial). The dataset and census counters are byte-identical for
-	// every value: workers fill per-block bitmaps into indexed slots and
-	// the merge applies them in block order.
+	// every value: workers scan chunks into indexed slots and one emitter
+	// applies them in block order.
 	CensusWorkers int `json:"census_workers"`
-	// ClusterWorkers bounds the post-campaign stages — similarity-graph
-	// construction, MCL expansion, and reprobe validation (0 =
-	// GOMAXPROCS, 1 = serial). Output is byte-identical for every value:
-	// the stages shard index spaces and merge results in index order.
+	// ClusterWorkers bounds the clustering stages — MCL expansion and
+	// reprobe validation (0 = GOMAXPROCS, 1 = serial). Output is
+	// byte-identical for every value: the stages shard index spaces and
+	// merge results in index order.
 	ClusterWorkers int `json:"cluster_workers"`
 	// MDA tunes the per-destination MDA runs.
 	MDA probe.MDAOptions `json:"mda"`
@@ -88,16 +88,17 @@ func (o Options) Validate() error {
 // MaxStreamChunk bounds Pipeline.StreamChunk. The cap is a sanity rail,
 // not a tuning knob: one chunk of 2^20 /24s already covers the full
 // routable IPv4 space, so anything larger is a unit mistake (bytes,
-// addresses) that would silently degenerate into a materialized run
-// with one giant buffer.
+// addresses) that would silently degenerate into one giant chunk that
+// serializes the census.
 const MaxStreamChunk = 1 << 20
 
 // ValidateStreamChunk rejects StreamChunk values the pipeline would
-// misread: negative chunks (the caller probably wanted 0 = materialized)
-// and chunks beyond MaxStreamChunk. 0 is valid and disables streaming.
+// misread: negative chunks (the caller probably wanted 0 = derived from
+// the input) and chunks beyond MaxStreamChunk. 0 is valid and derives
+// the chunk size from the input.
 func ValidateStreamChunk(n int) error {
 	if n < 0 {
-		return fmt.Errorf("core: stream chunk must be >= 0 (0 = materialized run), got %d", n)
+		return fmt.Errorf("core: stream chunk must be >= 0 (0 = size derived from the input), got %d", n)
 	}
 	if n > MaxStreamChunk {
 		return fmt.Errorf("core: stream chunk %d exceeds max %d (one chunk already spans the IPv4 /24 space)", n, MaxStreamChunk)

@@ -46,9 +46,10 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestValidateStreamChunk pins the StreamChunk guard rails: 0 disables
-// streaming, anything up to one full /24-space chunk streams, negatives
-// and unit-mistake sizes fail with an error naming the value.
+// TestValidateStreamChunk pins the StreamChunk guard rails: 0 derives
+// the size from the input, anything up to one full /24-space chunk is
+// honoured, negatives and unit-mistake sizes fail with an error naming
+// the value.
 func TestValidateStreamChunk(t *testing.T) {
 	cases := []struct {
 		n    int

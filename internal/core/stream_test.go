@@ -12,8 +12,8 @@ import (
 )
 
 // marshalOutput serializes every deterministic artifact of a run the way
-// TestPipelineOutputDeterministic does, so streamed and materialized
-// runs can be compared byte for byte.
+// TestPipelineOutputDeterministic does, so Run and the staged oracle can
+// be compared byte for byte.
 func marshalOutput(t *testing.T, out *Output) []byte {
 	t.Helper()
 	j, err := json.Marshal(struct {
@@ -32,14 +32,16 @@ func marshalOutput(t *testing.T, out *Output) []byte {
 	return j
 }
 
-// TestPipelineStreamedIdentical pins the tentpole invariant of the
-// streaming path: a pipelined run (census chunks feeding the campaign
-// feeding incremental aggregation) must produce byte-identical artifacts
-// — and an identical telemetry counter state — to the materialized
-// barrier-stage run, at 1 and 8 workers and across chunk sizes that do
-// and do not divide the universe.
+// TestPipelineStreamedIdentical pins the run-shape invariant: Run (census
+// chunks feeding the campaign feeding aggregation and the streaming
+// clusterer) must produce byte-identical artifacts — and identical
+// telemetry counters and histograms — to the barrier-staged oracle, at 1,
+// 2, and 8 workers and across chunk sizes that do and do not divide the
+// universe, including the size derived from the input. The seal-clock
+// counters, which the oracle cannot reproduce, must agree across every
+// Run configuration instead.
 func TestPipelineStreamedIdentical(t *testing.T) {
-	run := func(streamChunk, workers int) ([]byte, *telemetry.Snapshot, *Output) {
+	pipe := func(streamChunk, workers int) (*Pipeline, *telemetry.Registry) {
 		_, p := testPipeline(t, 300)
 		reg := telemetry.NewRegistry()
 		p.Telemetry = reg
@@ -47,18 +49,17 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 		p.CensusWorkers = workers
 		p.ClusterWorkers = workers
 		p.StreamChunk = streamChunk
-		out, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		return marshalOutput(t, out), &snap, out
+		return p, reg
 	}
 
-	wantJSON, wantSnap, wantOut := run(0, 4)
+	p, reg := pipe(0, 4)
+	wantOut := stagedRun(t, p)
+	wantJSON, wantSnap := marshalOutput(t, wantOut), reg.Snapshot()
+	wantCounters, _ := splitSeal(wantSnap.Counters)
 	if len(wantOut.Eligible) == 0 || len(wantOut.Final) == 0 {
-		t.Fatal("materialized baseline produced no output")
+		t.Fatal("staged oracle produced no output")
 	}
+	var firstSeal map[string]int64
 	for _, tc := range []struct {
 		name           string
 		chunk, workers int
@@ -67,32 +68,44 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 		{"chunk=32/workers=8", 32, 8},
 		{"odd-chunk", 7, 8},
 		{"one-chunk", 1 << 20, 8},
+		{"derived-chunk", 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gotJSON, gotSnap, gotOut := run(tc.chunk, tc.workers)
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("streamed output differs from materialized:\n%.300s\n%.300s", gotJSON, wantJSON)
+			p, reg := pipe(tc.chunk, tc.workers)
+			gotOut, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotJSON := marshalOutput(t, gotOut); !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("Run output differs from the staged oracle:\n%.300s\n%.300s", gotJSON, wantJSON)
 			}
 			if !gotOut.Dataset.Equal(wantOut.Dataset) {
-				t.Error("streamed dataset differs from materialized")
+				t.Error("Run dataset differs from the staged oracle")
 			}
-			if !reflect.DeepEqual(gotSnap.Counters, wantSnap.Counters) {
-				t.Errorf("counters differ:\nstreamed:     %v\nmaterialized: %v",
-					gotSnap.Counters, wantSnap.Counters)
+			snap := reg.Snapshot()
+			counters, seal := splitSeal(snap.Counters)
+			if !reflect.DeepEqual(counters, wantCounters) {
+				t.Errorf("counters differ:\nRun:    %v\noracle: %v", counters, wantCounters)
 			}
-			if !reflect.DeepEqual(gotSnap.Histograms, wantSnap.Histograms) {
-				t.Error("histograms differ between streamed and materialized runs")
+			if !reflect.DeepEqual(snap.Histograms, wantSnap.Histograms) {
+				t.Error("histograms differ between Run and the staged oracle")
+			}
+			if firstSeal == nil {
+				firstSeal = seal
+			} else if !reflect.DeepEqual(seal, firstSeal) {
+				t.Errorf("seal counters %v differ from the first configuration's %v", seal, firstSeal)
 			}
 		})
 	}
 }
 
-// TestPipelineClusteringMatrix is the PR's acceptance matrix for the
+// TestPipelineClusteringMatrix is the acceptance matrix for the
 // streaming clustering stage: {ClusterWorkers 1, 8} × {StreamChunk 1,
 // 64, 4096}, on an unfaulted world and on a blackhole-faulted world with
 // adaptive probing (the shape that produces low-confidence exclusions),
 // each compared byte for byte — artifacts, counters, histograms —
-// against that world's materialized barrier run.
+// against that world's barrier-staged oracle, and the seal-clock counters
+// across the matrix.
 func TestPipelineClusteringMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("14 full pipeline runs are slow")
@@ -103,7 +116,7 @@ func TestPipelineClusteringMatrix(t *testing.T) {
 			name = "faulted"
 		}
 		t.Run(name, func(t *testing.T) {
-			run := func(streamChunk, clusterWorkers int) ([]byte, *telemetry.Snapshot) {
+			pipe := func(streamChunk, clusterWorkers int) (*Pipeline, *telemetry.Registry) {
 				w, p := testPipeline(t, 300)
 				if faulted {
 					sched, err := faultplan.CompileBuiltin("blackhole", w)
@@ -117,29 +130,38 @@ func TestPipelineClusteringMatrix(t *testing.T) {
 				p.Telemetry = reg
 				p.ClusterWorkers = clusterWorkers
 				p.StreamChunk = streamChunk
-				out, err := p.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap := reg.Snapshot()
-				return marshalOutput(t, out), &snap
+				return p, reg
 			}
-			wantJSON, wantSnap := run(0, 4)
+			p, reg := pipe(0, 4)
+			wantJSON, wantSnap := marshalOutput(t, stagedRun(t, p)), reg.Snapshot()
+			wantCounters, _ := splitSeal(wantSnap.Counters)
 			if wantSnap.Counters["cluster.clusters"] == 0 {
-				t.Fatal("baseline run produced no clusters; the matrix would compare nothing")
+				t.Fatal("oracle run produced no clusters; the matrix would compare nothing")
 			}
+			var firstSeal map[string]int64
 			for _, cw := range []int{1, 8} {
 				for _, chunk := range []int{1, 64, 4096} {
-					gotJSON, gotSnap := run(chunk, cw)
-					if !bytes.Equal(gotJSON, wantJSON) {
-						t.Errorf("chunk=%d workers=%d: output differs from materialized baseline", chunk, cw)
+					p, reg := pipe(chunk, cw)
+					out, err := p.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(gotSnap.Counters, wantSnap.Counters) {
+					if !bytes.Equal(marshalOutput(t, out), wantJSON) {
+						t.Errorf("chunk=%d workers=%d: output differs from the staged oracle", chunk, cw)
+					}
+					snap := reg.Snapshot()
+					counters, seal := splitSeal(snap.Counters)
+					if !reflect.DeepEqual(counters, wantCounters) {
 						t.Errorf("chunk=%d workers=%d: counters differ:\ngot:  %v\nwant: %v",
-							chunk, cw, gotSnap.Counters, wantSnap.Counters)
+							chunk, cw, counters, wantCounters)
 					}
-					if !reflect.DeepEqual(gotSnap.Histograms, wantSnap.Histograms) {
+					if !reflect.DeepEqual(snap.Histograms, wantSnap.Histograms) {
 						t.Errorf("chunk=%d workers=%d: histograms differ", chunk, cw)
+					}
+					if firstSeal == nil {
+						firstSeal = seal
+					} else if !reflect.DeepEqual(seal, firstSeal) {
+						t.Errorf("chunk=%d workers=%d: seal counters %v, first configuration %v", chunk, cw, seal, firstSeal)
 					}
 				}
 			}

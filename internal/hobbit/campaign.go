@@ -2,8 +2,6 @@ package hobbit
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
@@ -16,16 +14,19 @@ type Campaign struct {
 	// Measurer is the per-block configuration; its Net must be safe for
 	// concurrent use (SimNetwork is).
 	Measurer *Measurer
-	// Dataset supplies the census actives per block.
+	// Dataset supplies the census actives per block to Run (RunStream
+	// takes them from each FeedItem instead).
 	Dataset *zmap.Dataset
 	// Workers bounds concurrency; 0 uses GOMAXPROCS.
 	Workers int
 	// Telemetry receives per-block accounting ("campaign.…" counters and
 	// histograms); nil disables it.
 	Telemetry *telemetry.Registry
-	// Progress receives a ProgressEvent after every measured block; nil
-	// disables it. Stage names the emitting stage in events (default
-	// "measure").
+	// Progress receives one ProgressEvent per measured block, in campaign
+	// order; nil disables it. Each event is emitted once the next block's
+	// result (or the end of the run) is in, so the last event is the only
+	// one with Done == Total. Stage names the emitting stage in events
+	// (default "measure").
 	Progress telemetry.Sink
 	Stage    string
 }
@@ -130,84 +131,21 @@ func (c *Campaign) stage() string {
 	return "measure"
 }
 
-// Run measures the given blocks (typically Dataset.EligibleBlocks),
-// checking ctx between blocks: on cancellation it stops handing out work,
-// drains the in-flight blocks, and returns the partial Result together
-// with ctx.Err(). A nil error means every block was measured.
+// Run measures the given blocks (typically Dataset.EligibleBlocks): it
+// feeds them, with their census actives from Dataset, through RunStream's
+// worker pool and reorder buffer, so Result.Order is the input order and
+// progress events carry the known total from the first block on. On
+// cancellation it stops feeding, drains the in-flight blocks, and returns
+// the measured prefix together with ctx.Err(). A nil error means every
+// block was measured.
 func (c *Campaign) Run(ctx context.Context, blocks []iputil.Block24) (*Result, error) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res := &Result{
-		Blocks: make(map[iputil.Block24]*BlockResult, len(blocks)),
-		Order:  append([]iputil.Block24(nil), blocks...),
-	}
-	met := c.metrics()
-	load, _ := c.Measurer.Net.(loadReporter)
-
-	type item struct {
-		b  iputil.Block24
-		br *BlockResult
-	}
-	in := make(chan iputil.Block24)
-	out := make(chan item)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range in {
-				br := c.Measurer.MeasureBlock(b, c.Dataset.ActivesBy26(b))
-				met.measured.Inc()
-				met.classes[br.Class].Inc()
-				met.probed.Observe(int64(br.Probed))
-				met.responded.Observe(int64(br.Responded))
-				if br.Degraded > 0 {
-					met.degraded.Inc()
-				}
-				if br.LowConfidence() {
-					met.lowConf.Inc()
-				}
-				out <- item{b: b, br: &br}
-			}
-		}()
-	}
-	go func() {
-		defer func() {
-			close(in)
-			wg.Wait()
-			close(out)
-		}()
-		for _, b := range blocks {
-			select {
-			case in <- b:
-			case <-ctx.Done():
-				return
-			}
+	i := 0
+	return c.run(ctx, func() (FeedItem, bool) {
+		if i == len(blocks) {
+			return FeedItem{}, false
 		}
-	}()
-
-	var classes map[string]int
-	if c.Progress != nil {
-		classes = make(map[string]int)
-	}
-	for it := range out {
-		res.Blocks[it.b] = it.br
-		if c.Progress != nil {
-			classes[it.br.Class.String()]++
-			ev := telemetry.ProgressEvent{
-				Stage:   c.stage(),
-				Done:    len(res.Blocks),
-				Total:   len(blocks),
-				Classes: classes,
-			}
-			if load != nil {
-				ev.Pings = load.Pings()
-				ev.Probes = load.Probes()
-			}
-			c.Progress.Emit(ev)
-		}
-	}
-	return res, ctx.Err()
+		b := blocks[i]
+		i++
+		return FeedItem{Block: b, By26: c.Dataset.ActivesBy26(b)}, true
+	}, len(blocks), nil)
 }

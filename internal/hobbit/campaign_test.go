@@ -19,7 +19,7 @@ func campaignWorld(t *testing.T, n int) (*netsim.World, *Campaign, []iputil.Bloc
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := zmap.Scan(w, w.Blocks())
+	ds := zmap.Collect(zmap.Stream(context.Background(), w, w.Blocks(), zmap.StreamOptions{}))
 	c := &Campaign{
 		Measurer: &Measurer{Net: probe.NewSimNetwork(w), Seed: 1},
 		Dataset:  ds,

@@ -23,13 +23,11 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
-	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
 
@@ -100,7 +98,8 @@ type valEntry struct {
 type Monitor struct {
 	// Pipeline supplies the probing surface, universe, seed, and run
 	// options. The monitor never calls its Run; it drives the same
-	// stage building blocks incrementally.
+	// census, campaign, core.Aggregation, and ValidateClusters steps
+	// incrementally.
 	Pipeline *core.Pipeline
 	// Source feeds epochs and change sets.
 	Source Source
@@ -140,35 +139,38 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	if err := p.Options.Validate(); err != nil {
 		return nil, err
 	}
+	if err := core.ValidateStreamChunk(p.StreamChunk); err != nil {
+		return nil, err
+	}
 	reg := p.Telemetry
 	e := m.epoch
 	m.Source.Advance(e)
 	rep := &EpochReport{Epoch: e}
+	ds, eligible := m.ds, m.eligible
 	var reprobe []iputil.Block24
 
-	if m.results == nil {
+	bootstrap := m.results == nil
+	if bootstrap {
 		// Bootstrap census: the census ignores fault state, so one sweep
 		// serves every epoch — the universe and eligibility never move.
 		span := reg.StartSpan(core.StageCensus)
-		m.ds = zmap.ScanWith(p.Scanner, p.Blocks, zmap.ScanOptions{Workers: p.CensusWorkers, Telemetry: reg})
-		m.eligible = m.ds.EligibleBlocks(p.Blocks, p.MinActiveOrDefault())
-		reg.Counter("census.eligible_blocks").Add(int64(len(m.eligible)))
+		ds = zmap.Collect(zmap.Stream(ctx, p.Scanner, p.Blocks, zmap.StreamOptions{
+			Workers:   p.CensusWorkers,
+			ChunkSize: p.StreamChunk,
+			Telemetry: reg,
+		}))
+		eligible = ds.EligibleBlocks(p.Blocks, p.MinActiveOrDefault())
+		reg.Counter("census.eligible_blocks").Add(int64(len(eligible)))
 		span.End()
-		m.results = make(map[iputil.Block24]*hobbit.BlockResult, len(m.eligible))
-		if !p.SkipClustering {
-			m.roll = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
-		}
-		m.vals = make(map[string]valEntry)
-		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
 		rep.All = true
-		reprobe = m.eligible
+		reprobe = eligible
 	} else {
 		changed, all := m.Source.Changed(e-1, e)
 		rep.All = all
 		rep.Changed = len(changed)
 		if all {
 			rep.Changed = len(p.Blocks)
-			reprobe = m.eligible
+			reprobe = eligible
 		} else {
 			// Intersect with the eligible list in eligible order, so the
 			// sub-campaign is a strict subsequence of the from-scratch one.
@@ -176,7 +178,7 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 			for _, b := range changed {
 				changedSet[b] = true
 			}
-			for _, b := range m.eligible {
+			for _, b := range eligible {
 				if changedSet[b] {
 					reprobe = append(reprobe, b)
 				}
@@ -197,7 +199,7 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	m.setStage(StageReprobe)
 	campaign := &hobbit.Campaign{
 		Measurer:  p.Measurer(false),
-		Dataset:   m.ds,
+		Dataset:   ds,
 		Workers:   p.Workers,
 		Telemetry: reg,
 		Progress:  p.Progress,
@@ -205,10 +207,23 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	}
 	res, err := campaign.Run(ctx, reprobe)
 	span.End()
-	if res != nil {
-		for b, br := range res.Blocks {
-			m.results[b] = br
+	if bootstrap {
+		// Commit the bootstrap only once its campaign completed: a
+		// partial bootstrap would leave the next Step reprobing a change
+		// set against results that were never measured.
+		if err != nil {
+			return rep, err
 		}
+		m.ds, m.eligible = ds, eligible
+		m.results = make(map[iputil.Block24]*hobbit.BlockResult, len(eligible))
+		if !p.SkipClustering {
+			m.roll = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
+		}
+		m.vals = make(map[string]valEntry)
+		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
+	}
+	for b, br := range res.Blocks {
+		m.results[b] = br
 	}
 	if err != nil {
 		return rep, err
@@ -229,7 +244,8 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 }
 
 // assemble replays aggregation over the merged per-block results and
-// repairs clustering and validation, producing the epoch's Output.
+// repairs clustering and validation through the steps Pipeline.Run
+// uses, producing the epoch's Output.
 func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output, error) {
 	p := m.Pipeline
 	reg := p.Telemetry
@@ -240,21 +256,15 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 	}
 	out.Campaign = &hobbit.Result{Blocks: blocks, Order: m.eligible}
 
-	// Aggregation replay: cheap string grouping over cached results,
-	// and exactly the from-scratch loop including the low-confidence
-	// exclusion — a block whose reprobe exhausted its budget this epoch
-	// drops out of aggregation this epoch.
+	// Aggregation replay: cheap string grouping over cached results, in
+	// campaign order, so a block whose reprobe exhausted its budget this
+	// epoch drops out of aggregation this epoch.
 	span := reg.StartSpan(core.StageAggregate)
-	interner := aggregate.NewInterner()
-	builder := aggregate.NewBuilder(interner)
-	for _, br := range out.Campaign.HomogeneousBlocks() {
-		if br.LowConfidence() {
-			out.LowConfidence = append(out.LowConfidence, br.Block)
-			continue
-		}
-		builder.Add(br)
+	agg := core.NewAggregation(nil)
+	for _, b := range m.eligible {
+		agg.Add(blocks[b])
 	}
-	out.Aggregates = builder.Finish()
+	agg.Finish(out, reg)
 	span.End()
 	if p.SkipClustering {
 		out.Final = out.Aggregates
@@ -276,73 +286,30 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 		return out, err
 	}
 
-	return out, m.validate(ctx, out, rep, interner)
-}
-
-// validate merges cached and recomputed cluster validations. A cache
-// entry is keyed by cluster identity — ID plus member /24s, because the
-// reprobe pair sampling is keyed by cluster ID — and entries whose
-// members appeared in any change set since computation were already
-// evicted, so a hit is provably what a live revalidation would return.
-func (m *Monitor) validate(ctx context.Context, out *core.Output, rep *EpochReport, interner *aggregate.Interner) error {
-	p := m.Pipeline
-	reg := p.Telemetry
-	span := reg.StartSpan(StageValidate)
-	defer span.End()
-	m.setStage(StageValidate)
-
-	clusters := out.Clustering.Clusters
-	keys := make([]string, len(clusters))
-	vals := make([]cluster.Validation, len(clusters))
-	done := make([]bool, len(clusters))
-	var misses []int
-	for i, c := range clusters {
-		keys[i] = valKey(c)
-		if ent, ok := m.vals[keys[i]]; ok {
-			vals[i] = ent.v
-			done[i] = true
-			rep.ValReused++
-			continue
-		}
-		misses = append(misses, i)
-	}
+	// Validation, with the monitor's caches behind the hook. Entries
+	// whose members appeared in any change set since computation were
+	// already evicted, so a hit is provably what a live revalidation
+	// would return.
 	rp := &reprober{m: p.Measurer(true), ds: m.ds, mon: m}
-	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: StageValidate}
-	perr := pool.ForEach(ctx, len(misses), func(k int) {
-		i := misses[k]
-		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
-		done[i] = true
-	})
-	rep.ValRecomputed = len(misses)
+	err := p.ValidateClusters(ctx, StageValidate, out, agg, rp)
+	clusters := out.Clustering.Clusters
+	rep.ValReused = rp.hits
+	rep.ValRecomputed = len(clusters) - rp.hits
 	reg.Counter("monitor.validations_reused").Add(int64(rep.ValReused))
 	reg.Counter("monitor.validations_recomputed").Add(int64(rep.ValRecomputed))
-
-	// Merge in cluster-ID order and rebuild the cache from this epoch's
-	// validations only, so clusters that dissolved do not accumulate.
-	out.Validations = make(map[int]cluster.Validation, len(clusters))
-	validated := make(map[int]bool)
-	next := make(map[string]valEntry, len(clusters))
-	for i, c := range clusters {
-		if !done[i] {
-			continue
-		}
-		v := vals[i]
-		out.Validations[c.ID] = v
-		next[keys[i]] = valEntry{v: v, members: c.Blocks24()}
-		if v.Passes() {
-			validated[c.ID] = true
-		}
-	}
-	out.Validated = validated
-	if perr != nil {
+	if err != nil {
 		// Cancelled mid-validation: keep the old cache (it stays sound —
 		// eviction already happened against this epoch's change set).
-		return perr
+		return out, err
+	}
+	// Rebuild the cache from this epoch's validations only, so clusters
+	// that dissolved do not accumulate.
+	next := make(map[string]valEntry, len(clusters))
+	for _, c := range clusters {
+		next[valKey(c)] = valEntry{v: out.Validations[c.ID], members: c.Blocks24()}
 	}
 	m.vals = next
-	out.Final = cluster.ApplyValidatedInterned(out.Clustering, validated, interner)
-	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
-	return nil
+	return out, nil
 }
 
 // dropStaleValidations evicts validation-cache entries whose member
@@ -420,18 +387,32 @@ func (m *Monitor) setStage(stage string) {
 	}
 }
 
-// reprober adapts the exhaustive measurement strategy to the
-// cluster.Reprober interface, exactly as the from-scratch validation
-// stage does, but consults the monitor's cross-epoch reprobe cache
-// first: a block absent from every change set since its last reprobe
-// answers from the cache (purity makes the bytes identical), so a
-// revalidated cluster only pays live probes for its churned members.
+// reprober is the monitor's core.ValidationCache. Validation serves a
+// cluster validation from the cross-epoch cache, keyed by cluster
+// identity — ID plus member /24s, because the reprobe pair sampling is
+// keyed by cluster ID. Reprobe adapts the exhaustive measurement
+// strategy exactly as the from-scratch validation stage does, but
+// consults the cross-epoch reprobe cache first: a block absent from
+// every change set since its last reprobe answers from the cache (purity
+// makes the bytes identical), so a revalidated cluster only pays live
+// probes for its churned members.
 type reprober struct {
 	m   *hobbit.Measurer
 	ds  *zmap.Dataset
 	mon *Monitor
+	// hits counts Validation cache hits; Validation runs serially,
+	// before the fan-out.
+	hits int
 
 	mu sync.Mutex
+}
+
+func (r *reprober) Validation(c *cluster.Cluster) (cluster.Validation, bool) {
+	ent, ok := r.mon.vals[valKey(c)]
+	if ok {
+		r.hits++
+	}
+	return ent.v, ok
 }
 
 func (r *reprober) Reprobe(b iputil.Block24) []iputil.Addr {

@@ -1,9 +1,8 @@
 // Package parallel is the sanctioned worker pool of the pipeline: a
 // bounded, context-aware fan-out over an index space with a deterministic
-// ordered merge. Every post-campaign stage that shards work — similarity
-// graph construction, MCL expansion, reprobe validation — runs through
-// this package, so concurrency policy (worker bounds, cancellation,
-// telemetry accounting) lives in exactly one place and the
+// ordered merge. Post-campaign fan-outs over an index space (reprobe
+// validation) run through this package, so concurrency policy (worker
+// bounds, cancellation, telemetry accounting) lives in one place and the
 // goroutine-leak analyzer can treat its launch sites as the approved
 // idiom.
 //

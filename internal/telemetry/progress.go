@@ -17,7 +17,8 @@ type ProgressEvent struct {
 	// Stage names the emitting pipeline stage ("measure", "validate").
 	Stage string
 	// Done and Total count blocks measured so far out of the stage's
-	// workload (Total 0 when unknown).
+	// workload (Total 0 while unknown, e.g. while the census is still
+	// streaming).
 	Done, Total int
 	// Classes are the running per-class block tallies.
 	Classes map[string]int

@@ -23,7 +23,8 @@ type Chunk struct {
 type StreamOptions struct {
 	// Workers bounds the sweep's concurrency (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// ChunkSize is the number of blocks per emitted chunk (0 = 1024).
+	// ChunkSize is the number of blocks per emitted chunk (0 = a size
+	// derived from the input, see chunkSize).
 	ChunkSize int
 	// Window bounds the chunks in flight — claimed by a worker but not
 	// yet received by the consumer (0 = 2× workers, minimum 2). The
@@ -41,11 +42,16 @@ func (o StreamOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o StreamOptions) chunkSize() int {
+// chunkSize resolves ChunkSize for an n-block sweep over the given
+// workers. An explicit size wins; 0 derives one from the input — about
+// four chunks per worker, clamped to [16, 1024] blocks — so a small
+// universe still spreads over every worker while a large one keeps
+// chunks big enough to amortize each hand-off.
+func (o StreamOptions) chunkSize(n, workers int) int {
 	if o.ChunkSize > 0 {
 		return o.ChunkSize
 	}
-	return 1024
+	return min(1024, max(16, (n+4*workers-1)/(4*workers)))
 }
 
 func (o StreamOptions) window(workers int) int {
@@ -59,14 +65,15 @@ func (o StreamOptions) window(workers int) int {
 	return w
 }
 
-// Stream sweeps the blocks like ScanWith but emits the dataset as
-// block-ordered chunks over the returned channel instead of materializing
-// the full sweep. Workers claim chunk indices from a shared cursor and
-// scan into index-addressed slots; a single emitter then applies the
-// census counters and sends each chunk strictly in input order, so the
-// concatenated chunks — and every counter — are byte-identical to a
-// ScanWith over the same blocks at any worker count
-// (TestStreamMatchesScanWith pins this).
+// Stream is the census: it sweeps every address of the given blocks
+// through the scanner and emits the responders as block-ordered chunks
+// over the returned channel, never materializing the full sweep (Collect
+// does that for callers that need it). Workers claim chunk indices from
+// a shared cursor and scan into index-addressed slots; a single emitter
+// then applies the "census.…" counters and sends each chunk strictly in
+// input order, so the concatenated chunks — and every counter — are
+// byte-identical at any worker count and chunk size
+// (TestStreamMatchesScanWith pins this against a one-shot sweep).
 //
 // A worker may only claim a chunk after taking a window token, and the
 // emitter returns the token once the consumer has received the chunk, so
@@ -83,12 +90,10 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 		if n == 0 {
 			return
 		}
-		cs := opts.chunkSize()
-		nc := (n + cs - 1) / cs
 		workers := opts.workers()
-		if workers > nc {
-			workers = nc
-		}
+		cs := opts.chunkSize(n, workers)
+		nc := (n + cs - 1) / cs
+		workers = min(workers, nc)
 
 		slots := make([]*Dataset, nc)
 		ready := make([]chan struct{}, nc)
@@ -161,10 +166,10 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 				return
 			}
 		}
-		// Match the pool accounting of a completed ScanWith fan-out, so
-		// a streamed and a materialized census leave identical telemetry
-		// snapshots. Cancelled sweeps return above and, like cancelled
-		// ForEach runs, go uncounted.
+		// Account the sweep the way internal/parallel accounts every
+		// other fan-out ("<stage>.parallel_items/_runs"). Cancelled
+		// sweeps return above and, like cancelled ForEach runs, go
+		// uncounted.
 		reg.Counter("census.parallel_items").Add(int64(n))
 		reg.Counter("census.parallel_runs").Inc()
 	}()
@@ -174,10 +179,13 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 // scanChunk sweeps one contiguous run of blocks serially into a fresh
 // dataset — the per-chunk unit of work a Stream worker performs.
 func scanChunk(s Scanner, blocks []iputil.Block24) *Dataset {
-	d := NewDataset()
-	for _, b := range blocks {
-		if bm := s.ScanBlock(b); bm != ([4]uint64{}) {
-			d.active[b] = &bm
+	// One bitmap array and one presized map per chunk keep the sweep at
+	// a few allocations per chunk, not one per active block.
+	bms := make([][4]uint64, len(blocks))
+	d := &Dataset{active: make(map[iputil.Block24]*[4]uint64, len(blocks))}
+	for i, b := range blocks {
+		if bms[i] = s.ScanBlock(b); bms[i] != ([4]uint64{}) {
+			d.active[b] = &bms[i]
 		}
 	}
 	return d
@@ -185,7 +193,7 @@ func scanChunk(s Scanner, blocks []iputil.Block24) *Dataset {
 
 // MergeChunk folds a streamed chunk into the dataset. Chunks of one
 // stream cover disjoint blocks, so merging every chunk of a sweep (in any
-// order) reproduces the ScanWith dataset exactly.
+// order) reproduces the full sweep's dataset exactly.
 func (d *Dataset) MergeChunk(c Chunk) {
 	for _, b := range c.Blocks {
 		if bm, ok := c.Data.active[b]; ok {
@@ -194,8 +202,8 @@ func (d *Dataset) MergeChunk(c Chunk) {
 	}
 }
 
-// Collect drains a stream into one dataset — the materializing consumer,
-// used where the streamed and swept forms must be interchangeable.
+// Collect drains a stream into one dataset — the census for callers that
+// need the whole sweep at once, such as the monitor's bootstrap.
 func Collect(ch <-chan Chunk) *Dataset {
 	d := NewDataset()
 	for c := range ch {

@@ -9,11 +9,11 @@ import (
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
-// TestStreamMatchesScanWith pins the streaming half of the census
-// determinism contract: the merged chunks of a Stream — and every census
-// counter — must be byte-identical to a materialized ScanWith over the
-// same world, at any worker count and chunk size, including chunk sizes
-// that do not divide the block count.
+// TestStreamMatchesScanWith pins the census determinism contract: the
+// merged chunks of a Stream — and every census counter — must be
+// byte-identical to the one-shot ScanWith oracle over the same world, at
+// any worker count and chunk size, including chunk sizes that do not
+// divide the block count.
 func TestStreamMatchesScanWith(t *testing.T) {
 	cfg := netsim.DefaultConfig(300)
 	cfg.BigBlockScale = 0.02
@@ -44,7 +44,7 @@ func TestStreamMatchesScanWith(t *testing.T) {
 				Telemetry: reg,
 			}))
 			if !got.Equal(want) || !want.Equal(got) {
-				t.Fatal("streamed dataset differs from materialized ScanWith")
+				t.Fatal("streamed dataset differs from the ScanWith oracle")
 			}
 			snap := reg.Snapshot()
 			if !reflect.DeepEqual(snap.Counters, snapWant.Counters) {
@@ -78,6 +78,32 @@ func TestStreamChunksInOrder(t *testing.T) {
 	}
 	if next != len(blocks) {
 		t.Fatalf("chunks covered %d blocks, want %d", next, len(blocks))
+	}
+}
+
+// TestStreamDerivedChunks: with ChunkSize 0 the chunk size derives from
+// the input, so a small universe still yields several chunks per worker
+// instead of one serial chunk.
+func TestStreamDerivedChunks(t *testing.T) {
+	cfg := netsim.DefaultConfig(500)
+	cfg.BigBlockScale = 0.02
+	w := netsim.MustNew(cfg)
+	blocks := w.Blocks()[:500]
+	const workers = 2
+	chunks := 0
+	for range Stream(context.Background(), w, blocks, StreamOptions{Workers: workers}) {
+		chunks++
+	}
+	if chunks < 2*workers {
+		t.Fatalf("%d blocks on %d workers emitted %d chunks, want >= %d", len(blocks), workers, chunks, 2*workers)
+	}
+	// An explicit size is honoured.
+	chunks = 0
+	for range Stream(context.Background(), w, blocks, StreamOptions{Workers: workers, ChunkSize: 1024}) {
+		chunks++
+	}
+	if chunks != 1 {
+		t.Fatalf("ChunkSize 1024 over %d blocks emitted %d chunks, want 1", len(blocks), chunks)
 	}
 }
 

@@ -5,12 +5,9 @@
 package zmap
 
 import (
-	"context"
 	"math/bits"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
-	"github.com/hobbitscan/hobbit/internal/parallel"
-	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
 // Scanner answers the census-time echo requests of one /24: bit i of the
@@ -19,8 +16,8 @@ import (
 // state once rather than per address. netsim.World satisfies this with
 // its scan-epoch behaviour; a live deployment would wrap a raw-socket
 // pinger that sweeps the block's 256 addresses. Implementations must be
-// safe for concurrent ScanBlock calls: ScanWith and Stream fan the sweep
-// out over workers.
+// safe for concurrent ScanBlock calls: Stream fans the sweep out over
+// workers.
 type Scanner interface {
 	ScanBlock(b iputil.Block24) [4]uint64
 }
@@ -34,63 +31,6 @@ type Dataset struct {
 // NewDataset returns an empty dataset for incremental recording.
 func NewDataset() *Dataset {
 	return &Dataset{active: make(map[iputil.Block24]*[4]uint64)}
-}
-
-// Scan sweeps every address of the given blocks through the scanner and
-// records responders.
-func Scan(s Scanner, blocks []iputil.Block24) *Dataset {
-	return ScanObserved(s, blocks, nil)
-}
-
-// ScanObserved is Scan with census-load accounting: it records the echo
-// requests sent, the responders found, and the blocks with any activity
-// under "census.…" counters in reg (nil reg keeps the plain behaviour).
-func ScanObserved(s Scanner, blocks []iputil.Block24, reg *telemetry.Registry) *Dataset {
-	return ScanWith(s, blocks, ScanOptions{Workers: 1, Telemetry: reg})
-}
-
-// ScanOptions configures a census sweep.
-type ScanOptions struct {
-	// Workers bounds the sweep's concurrency (0 = GOMAXPROCS, 1 = serial).
-	Workers int
-	// Telemetry receives the "census.…" counters; nil disables them.
-	Telemetry *telemetry.Registry
-}
-
-// ScanWith sweeps the blocks over a worker pool. Each worker fills the
-// bitmap of the blocks it claims into an index-addressed slot; the slots
-// are then merged — and the census counters applied — serially in block
-// order, so the dataset and every counter are byte-identical for any
-// worker count (TestScanWorkersIdentical pins this).
-func ScanWith(s Scanner, blocks []iputil.Block24, opts ScanOptions) *Dataset {
-	reg := opts.Telemetry
-	scanPings := reg.Counter("census.scan_pings")
-	responders := reg.Counter("census.responders")
-	activeBlocks := reg.Counter("census.active_blocks")
-	activePerBlock := reg.Histogram("census.active_per_block", []int64{4, 16, 64, 256})
-
-	bms := make([][4]uint64, len(blocks))
-	pool := parallel.Pool{Workers: opts.Workers, Telemetry: reg, Stage: "census"}
-	// The background context is deliberate: a census is one bounded sweep
-	// with no caller-visible cancellation surface.
-	_ = pool.ForEach(context.Background(), len(blocks), func(i int) {
-		bms[i] = s.ScanBlock(blocks[i])
-	})
-
-	d := NewDataset()
-	for i, b := range blocks {
-		scanPings.Add(256)
-		active := bits.OnesCount64(bms[i][0]) + bits.OnesCount64(bms[i][1]) +
-			bits.OnesCount64(bms[i][2]) + bits.OnesCount64(bms[i][3])
-		if active > 0 {
-			cp := bms[i]
-			d.active[b] = &cp
-			responders.Add(int64(active))
-			activeBlocks.Inc()
-			activePerBlock.Observe(int64(active))
-		}
-	}
-	return d
 }
 
 // Equal reports whether two datasets record exactly the same responders.

@@ -1,6 +1,7 @@
 package zmap
 
 import (
+	"context"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -22,6 +23,11 @@ func (s bitmapScanner) ScanBlock(b iputil.Block24) (bm [4]uint64) {
 
 func b24(s string) iputil.Block24 { return iputil.MustParseBlock24(s) }
 
+// census runs the production census over the blocks with default options.
+func census(s Scanner, blocks []iputil.Block24) *Dataset {
+	return Collect(Stream(context.Background(), s, blocks, StreamOptions{}))
+}
+
 func TestScanRecordsActives(t *testing.T) {
 	blk := b24("1.2.3.0")
 	s := bitmapScanner{
@@ -30,7 +36,7 @@ func TestScanRecordsActives(t *testing.T) {
 		blk.Addr(64):  true,
 		blk.Addr(255): true,
 	}
-	d := Scan(s, []iputil.Block24{blk, b24("9.9.9.0")})
+	d := census(s, []iputil.Block24{blk, b24("9.9.9.0")})
 	if d.ActiveCount(blk) != 4 {
 		t.Fatalf("ActiveCount = %d", d.ActiveCount(blk))
 	}
@@ -64,7 +70,7 @@ func TestActivesBy26(t *testing.T) {
 		blk.Addr(200): true, // /26 #3
 		blk.Addr(201): true, // /26 #3
 	}
-	d := Scan(s, []iputil.Block24{blk})
+	d := census(s, []iputil.Block24{blk})
 	by := d.ActivesBy26(blk)
 	if len(by[0]) != 1 || len(by[1]) != 1 || len(by[2]) != 1 || len(by[3]) != 2 {
 		t.Errorf("ActivesBy26 = %v", by)
@@ -78,13 +84,13 @@ func TestEligible(t *testing.T) {
 		blk.Addr(5): true, blk.Addr(70): true,
 		blk.Addr(130): true, blk.Addr(131): true,
 	}
-	d := Scan(s, []iputil.Block24{blk})
+	d := census(s, []iputil.Block24{blk})
 	if d.Eligible(blk, 4) {
 		t.Error("block missing a /26 should not be eligible")
 	}
 	// Cover the fourth /26.
 	s[blk.Addr(200)] = true
-	d = Scan(s, []iputil.Block24{blk})
+	d = census(s, []iputil.Block24{blk})
 	if !d.Eligible(blk, 4) {
 		t.Error("block with all /26s and 5 actives should be eligible")
 	}
@@ -112,7 +118,7 @@ func TestScanWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Scan(w, w.Blocks())
+	d := census(w, w.Blocks())
 	eligible := d.EligibleBlocks(w.Blocks(), 4)
 	if len(eligible) == 0 {
 		t.Fatal("no eligible blocks in world")
@@ -135,7 +141,7 @@ func TestScanWorld(t *testing.T) {
 
 // TestScanWorkersIdentical pins the parallel census determinism contract:
 // the dataset and every census counter must be byte-identical for any
-// worker count.
+// worker count, and equal to the serial one-shot sweep oracle.
 func TestScanWorkersIdentical(t *testing.T) {
 	cfg := netsim.DefaultConfig(300)
 	cfg.BigBlockScale = 0.02
@@ -143,25 +149,20 @@ func TestScanWorkersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg1 := telemetry.NewRegistry()
-	reg8 := telemetry.NewRegistry()
-	d1 := ScanWith(w, w.Blocks(), ScanOptions{Workers: 1, Telemetry: reg1})
-	d8 := ScanWith(w, w.Blocks(), ScanOptions{Workers: 8, Telemetry: reg8})
-	if !d1.Equal(d8) {
-		t.Fatal("Workers=1 and Workers=8 datasets differ")
-	}
-	if !d8.Equal(d1) {
-		t.Fatal("Equal is not symmetric")
-	}
-	s1, s8 := reg1.Snapshot(), reg8.Snapshot()
-	for _, name := range []string{"census.scan_pings", "census.responders", "census.active_blocks"} {
-		if s1.Counters[name] != s8.Counters[name] {
-			t.Errorf("%s: Workers=1 %d != Workers=8 %d", name, s1.Counters[name], s8.Counters[name])
+	regWant := telemetry.NewRegistry()
+	want := ScanWith(w, w.Blocks(), ScanOptions{Workers: 1, Telemetry: regWant})
+	for _, workers := range []int{1, 8, 0} {
+		reg := telemetry.NewRegistry()
+		got := Collect(Stream(context.Background(), w, w.Blocks(), StreamOptions{Workers: workers, Telemetry: reg}))
+		if !got.Equal(want) || !want.Equal(got) {
+			t.Fatalf("Workers=%d dataset differs from the serial sweep", workers)
 		}
-	}
-	// And the pool default (GOMAXPROCS) agrees too.
-	if !d1.Equal(ScanWith(w, w.Blocks(), ScanOptions{})) {
-		t.Error("Workers=0 dataset differs")
+		sw, sg := regWant.Snapshot(), reg.Snapshot()
+		for _, name := range []string{"census.scan_pings", "census.responders", "census.active_blocks"} {
+			if sw.Counters[name] != sg.Counters[name] {
+				t.Errorf("%s: Workers=%d %d != serial %d", name, workers, sg.Counters[name], sw.Counters[name])
+			}
+		}
 	}
 }
 
