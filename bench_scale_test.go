@@ -3,10 +3,10 @@
 // BENCH_SCALE.json gates in CI (the bench-scale job; see ci.yml and
 // cmd/benchdiff for the refresh procedure). Beyond ns/op and B/op these
 // legs guard peak heap: the streaming census must hold chunks, not the
-// universe, and the streaming clusterer must hold component snapshots,
-// not the pairwise graph, so a regression that re-materializes
-// per-block state shows up here as a ceiling breach long before it
-// shows up as an OOM at 1M blocks.
+// universe, and the streaming clusterer must hold the sparse similarity
+// graph and its per-component subgraphs, never all pairs, so a
+// regression that re-materializes per-block state shows up here as a
+// ceiling breach long before it shows up as an OOM at 1M blocks.
 //
 // Run with: go test -run xxx -bench '^BenchmarkScale$' -benchtime=1x -count=3 -benchmem .
 package hobbit
@@ -37,14 +37,14 @@ const scaleBlocks = 100_000
 // Peak-heap ceilings, in bytes, for the scale legs — checked-in budgets
 // the same way BENCH_SCALE.json pins wall clock. Measured peaks (world +
 // streamed run): ~50 MB census, ~130 MB pipeline, ~230 MB isolated
-// clustering (100k aggregates with per-component MCL snapshots in
-// flight), ~145 MB full streamed run; the ~2.5x headroom absorbs GC
-// timing and host variance, while a change that rematerializes
-// per-block state (the census used to allocate millions of record
-// pointers) blows through it immediately. The clustering legs guard the
-// streaming clusterer the same way: the incremental graph plus
-// sealed-component snapshots must stay a small multiple of the
-// aggregate count, never quadratic in it.
+// clustering (100k aggregates, plus one subgraph per multi-vertex
+// component while Finish clusters them), ~145 MB full streamed run; the
+// ~2.5x headroom absorbs GC timing and host variance, while a change
+// that rematerializes per-block state (the census used to allocate
+// millions of record pointers) blows through it immediately. The
+// clustering legs guard the streaming clusterer the same way: the
+// incremental graph plus the per-component subgraphs must stay a small
+// multiple of the aggregate count, never quadratic in it.
 const (
 	scaleCensusHeapCeiling   = 128 << 20
 	scalePipelineHeapCeiling = 320 << 20
@@ -228,8 +228,9 @@ func BenchmarkScale(b *testing.B) {
 
 	b.Run(fmt.Sprintf("full-%dk-blocks", scaleBlocks/1000), func(b *testing.B) {
 		// The complete streamed pipeline — census, campaign, aggregation,
-		// clustering, and bounded reprobe validation all overlapped — the
-		// exact shape the nightly 1M job runs with -output.
+		// and graph build overlapped, then clustering and bounded reprobe
+		// validation — the exact shape the nightly 1M job runs with
+		// -output.
 		b.ReportAllocs()
 		runtime.GC()
 		hp := trackHeapPeak()

@@ -14,7 +14,7 @@ import (
 // This file holds the stage-barrier form of clustering — build the full
 // graph with a sharded all-candidates scan, split it into components,
 // sweep, cluster — as the oracle the Streamer must reproduce byte for
-// byte (TestStreamerMatchesBarrier). It emits no seal counters.
+// byte (TestStreamerMatchesBarrier).
 
 // halfEdge is one scored candidate pair (i, to) with i < to.
 type halfEdge struct {
@@ -23,8 +23,8 @@ type halfEdge struct {
 }
 
 // buildGraph scores, per vertex i, every distinct j > i sharing a last
-// hop (sharded over the pool), then adds the edges serially in (i, j)
-// order.
+// hop (fanned out over the pool into row i), then adds the edges serially
+// in (i, j) order.
 func buildGraph(blocks []*aggregate.Block, pool parallel.Pool) *graph.Graph {
 	g := graph.New(len(blocks))
 	posting := make(map[iputil.Addr][]int)
@@ -33,7 +33,8 @@ func buildGraph(blocks []*aggregate.Block, pool parallel.Pool) *graph.Graph {
 			posting[lh] = append(posting[lh], i)
 		}
 	}
-	rows, _ := parallel.Map(context.Background(), pool, len(blocks), func(i int) []halfEdge {
+	rows := make([][]halfEdge, len(blocks))
+	_ = pool.ForEach(context.Background(), len(blocks), func(i int) {
 		var cand []int
 		for _, lh := range blocks[i].LastHops {
 			for _, j := range posting[lh] {
@@ -52,7 +53,7 @@ func buildGraph(blocks []*aggregate.Block, pool parallel.Pool) *graph.Graph {
 			prev = j
 			row = append(row, halfEdge{to: j, w: aggregate.Similarity(blocks[i].LastHops, blocks[j].LastHops)})
 		}
-		return row
+		rows[i] = row
 	})
 	for i, row := range rows {
 		for _, e := range row {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
-	"github.com/hobbitscan/hobbit/internal/graph"
-	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/parallel"
 )
 
@@ -33,7 +31,7 @@ func benchAggregates(n int) []*aggregate.Block {
 // over the same aggregates: the barrier oracle (buildGraph shards the
 // O(n·candidates) pair scan over a pool) against the production
 // incremental path (one Observe per aggregate growing the graph through
-// the inverted index, seal machinery included, MCL pool never started).
+// the inverted index; the stream is never finished, so no MCL runs).
 // The adjacency lists are identical by contract
 // (TestStreamerMatchesBarrier); this leg pins the cost of getting them.
 func BenchmarkGraphBuild(b *testing.B) {
@@ -52,16 +50,7 @@ func BenchmarkGraphBuild(b *testing.B) {
 			b.ReportAllocs()
 			var edges int
 			for i := 0; i < b.N; i++ {
-				// A bare Streamer with no worker pool: dispatch parks
-				// sealed jobs on pending (nil channel, non-blocking), so
-				// the leg measures graph growth and seal snapshots, not
-				// MCL.
-				s := &Streamer{
-					p:       &Pipeline{Seed: 1},
-					g:       graph.New(0),
-					posting: make(map[iputil.Addr][]int),
-					jobs:    make(map[int]*mclJob),
-				}
+				s := (&Pipeline{Seed: 1}).Stream()
 				for _, blk := range blocks {
 					s.Observe(blk, true)
 				}

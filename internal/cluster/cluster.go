@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"runtime"
 	"sort"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
@@ -49,10 +48,10 @@ func (c *Cluster) Blocks24() []iputil.Block24 {
 // edges), edges connect aggregates with overlapping last-hop sets,
 // weighted by the similarity score. Aggregates with disjoint sets get no
 // edge. It is the batch form of the Streamer's inverted-index build —
-// every aggregate observed once, in order, with no MCL pool — so the
+// every aggregate observed once, in order, and never clustered — so the
 // graph is exactly the one a clustering run over the same list builds.
 func BuildGraph(blocks []*aggregate.Block) *graph.Graph {
-	s := &Streamer{g: graph.New(0), posting: make(map[iputil.Addr][]int), sealDisabled: true}
+	s := (&Pipeline{}).Stream()
 	for _, b := range blocks {
 		s.Observe(b, true)
 	}
@@ -68,9 +67,10 @@ type Pipeline struct {
 	MCL mcl.Options
 	// Seed drives deterministic pair sampling during validation.
 	Seed uint64
-	// Workers bounds the concurrency of the MCL rounds (0 = GOMAXPROCS,
-	// 1 = serial). The result is identical for every worker count (see
-	// the parallel package's determinism contract).
+	// Workers bounds the concurrency of the clustering: the MCL runs
+	// of the inflation sweep and each run's column shards (0 =
+	// GOMAXPROCS, 1 = serial). The result is identical for every worker
+	// count (see the parallel package's determinism contract).
 	Workers int
 	// Telemetry receives "cluster.…" counters and gauges; nil disables
 	// it.
@@ -113,9 +113,6 @@ func (p *Pipeline) Run(blocks []*aggregate.Block) *Result {
 	}
 	return s.Finish()
 }
-
-// runtimeWorkers is the auto worker count (Workers == 0).
-func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // mclOpts derives the per-run MCL options: the sweep's inflation wins,
 // and the pipeline's worker bound applies unless the caller pinned one on

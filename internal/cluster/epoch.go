@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
-	"github.com/hobbitscan/hobbit/internal/graph"
 )
 
 // Rolling is the epoch-over-epoch form of the streaming clusterer: one
@@ -25,10 +24,11 @@ import (
 // under vertex reorderings — so a component's clustering is reused only
 // on a signature hit, where the signature is the member key list in
 // subgraph vertex order: a hit proves the cached MCL ran on the
-// bit-identical subgraph a from-scratch run would build. Misses
-// recompute on the worker pool over a canonically reconstructed
-// subgraph (edges added in the lexicographic order graph.Subgraph
-// produces over an ascending member list).
+// subgraph a from-scratch run would build. Misses recompute through the
+// worker pool Finish uses, over the induced subgraph with members in
+// rank order — the vertex numbering a from-scratch run gives them. Its
+// edges are inserted in a different order, which MCL never sees: the
+// engine sorts every column by row (TestClusterEdgeOrderInvariant).
 type Rolling struct {
 	s *Streamer
 	// vert maps a live aggregate key to its persistent vertex; keyOf is
@@ -53,14 +53,10 @@ type EpochStats struct {
 }
 
 // Rolling starts a persistent epoch clusterer over the pipeline's
-// configuration. Callers feed it one Epoch per aggregation replay and
-// must end it with Close; the embedded streamer's quiet-window sealing
-// is disabled (Epoch dispatches canonical per-component jobs itself).
+// configuration. Callers feed it one Epoch per aggregation replay.
 func (p *Pipeline) Rolling() *Rolling {
-	s := p.Stream()
-	s.sealDisabled = true
 	return &Rolling{
-		s:    s,
+		s:    p.Stream(),
 		vert: make(map[string]int),
 		sig:  make(map[string]*mclJob),
 	}
@@ -136,10 +132,11 @@ func (r *Rolling) Epoch(aggs []*aggregate.Block) (*Result, EpochStats) {
 	stats.Components = len(roots)
 
 	// Resolve each multi-vertex component's sweep job: a signature hit
-	// reuses the cached canonical clustering, a miss dispatches a
-	// canonical recompute to the (still running) worker pool.
+	// reuses the cached clustering, a miss is recomputed on the worker
+	// pool over the subgraph with members in rank order.
 	newSig := make(map[string]*mclJob, len(roots))
 	jobs := make([]*mclJob, len(roots))
+	var misses []*mclJob
 	for ci, rt := range roots {
 		ranks := memberRanks[rt]
 		if len(ranks) < 2 {
@@ -157,14 +154,17 @@ func (r *Rolling) Epoch(aggs []*aggregate.Block) (*Result, EpochStats) {
 			stats.Reused++
 			continue
 		}
-		job := r.canonicalJob(ranks, keys)
+		members := make([]int, len(ranks))
+		for i, rk := range ranks {
+			members[i] = r.vert[keys[rk]]
+		}
+		job := s.newJob(members)
 		jobs[ci] = job
 		newSig[sigKey] = job
-		stats.Recomputed++
-		s.jobsWG.Add(1)
-		s.jobCh <- job
+		misses = append(misses, job)
 	}
-	s.jobsWG.Wait()
+	s.p.computeJobs(misses)
+	stats.Recomputed = len(misses)
 	r.sig = newSig
 
 	// Merge exactly as Finish does: global median over the full graph
@@ -200,46 +200,4 @@ func (r *Rolling) Epoch(aggs []*aggregate.Block) (*Result, EpochStats) {
 		}
 	}
 	return res, stats
-}
-
-// Close joins the worker pool; the Rolling is dead afterwards.
-func (r *Rolling) Close() { r.s.Abort() }
-
-// canonicalJob builds a component's sweep job over the canonical
-// (rank-ordered) member list: sub vertex i is ranks[i], and edges enter
-// the subgraph in lexicographic (i, j) order — the order graph.Subgraph
-// produces over an ascending member list, which is what MCL's bitwise
-// determinism keys on.
-func (r *Rolling) canonicalJob(ranks []int, keys []string) *mclJob {
-	s := r.s
-	members := make([]int, len(ranks))
-	idx := make(map[int]int, len(ranks))
-	for i, rk := range ranks {
-		v := r.vert[keys[rk]]
-		members[i] = v
-		idx[v] = i
-	}
-	type subEdge struct {
-		i, j int
-		w    float64
-	}
-	var edges []subEdge
-	for i, v := range members {
-		for _, e := range s.g.Neighbors(v) {
-			if j, ok := idx[e.To]; ok && i < j {
-				edges = append(edges, subEdge{i: i, j: j, w: e.Weight})
-			}
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].i != edges[b].i {
-			return edges[a].i < edges[b].i
-		}
-		return edges[a].j < edges[b].j
-	})
-	sub := graph.New(len(members))
-	for _, e := range edges {
-		sub.AddEdge(e.i, e.j, e.w)
-	}
-	return &mclJob{members: members, sub: sub}
 }

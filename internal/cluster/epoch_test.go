@@ -7,36 +7,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 )
 
-// TestStreamerAbortAfterFinish is the double-terminate regression: the
-// pipeline's error paths call Abort unconditionally, including after a
-// successful Finish already joined the pool. A second termination must
-// be a strict no-op — not a second drain, not a close of the closed job
-// channel.
-func TestStreamerAbortAfterFinish(t *testing.T) {
-	blocks := starvedFamily(4, 8, 0x100000)
-	p := &Pipeline{Seed: 2, Workers: 2}
-	s := p.Stream()
-	for _, b := range blocks {
-		s.Observe(b, true)
-	}
-	res := s.Finish()
-	if res == nil || len(res.Clusters) == 0 {
-		t.Fatal("Finish produced no clusters")
-	}
-	s.Abort() // must not panic or block
-	s.Abort() // and stays idempotent
-
-	// Abort then Abort on a never-finished streamer is equally safe.
-	s2 := p.Stream()
-	s2.Observe(blocks[0], true)
-	s2.Abort()
-	s2.Abort()
-
-	// And the documented nil-receiver shape.
-	var s3 *Streamer
-	s3.Abort()
-}
-
 // TestRetractMatchesFreshStream pins the retraction oracle: after any
 // observe/retract interleaving, Finish must equal a fresh stream over
 // the surviving blocks in their original observation order. Survivor
@@ -150,7 +120,6 @@ func TestRollingMatchesFromScratch(t *testing.T) {
 				t.Errorf("workers=%d epoch %d: churn generator produced no churn", workers, e)
 			}
 		}
-		roll.Close()
 	}
 }
 
@@ -160,7 +129,6 @@ func TestRollingMatchesFromScratch(t *testing.T) {
 func TestRollingKeyReappears(t *testing.T) {
 	fam := starvedFamily(6, 6, 0x40000)
 	roll := (&Pipeline{Seed: 7, Workers: 2}).Rolling()
-	defer roll.Close()
 	epochs := [][]*aggregate.Block{
 		fam,      // all present
 		fam[:4],  // two retracted

@@ -31,11 +31,11 @@ func fuzzPool() []*aggregate.Block {
 // low bytes observe the next pool aggregate as new, mid bytes retract
 // a fuzzer-chosen vertex (tombstone and out-of-range retracts are
 // legal no-ops), high bytes re-observe an existing aggregate, which
-// only ages the quiet-window seal race.
+// must change nothing.
 func FuzzStreamerRetract(f *testing.F) {
 	f.Add([]byte("ab"))
 	f.Add([]byte("abcdefgh\x85\x90abcd\xf0\xf1\x92ab\x80"))
-	f.Add(bytes.Repeat([]byte("aaaa\x9b\xe2"), 80)) // long: crosses the seal horizon
+	f.Add(bytes.Repeat([]byte("aaaa\x9b\xe2"), 80)) // long: hundreds of observes and retracts
 	f.Add([]byte("\x81\xff"))                       // retract/re-observe before any observe
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool := fuzzPool()

@@ -1,46 +1,27 @@
 package cluster
 
 import (
+	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/graph"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/mcl"
+	"github.com/hobbitscan/hobbit/internal/parallel"
 )
 
-// sealHorizon is the quiet window, in Observe calls, after which a
-// component untouched by any aggregate delta is optimistically sealed and
-// its MCL runs dispatched. The horizon is counted on the single-threaded
-// Observe sequence — never on wall clock, chunk boundaries, or worker
-// scheduling — so which components seal early (and therefore every seal
-// counter) is a pure function of the observed delta sequence. A component
-// a later delta does touch after sealing is invalidated and re-clustered,
-// so the horizon trades duplicated MCL work against pipeline overlap
-// without ever affecting output (DESIGN.md §4d).
-const sealHorizon = 256
-
-// mclJob is one sealed component's clustering work unit: MCL at every
-// sweep inflation over a subgraph snapshot taken at seal time. Results
-// are read only after the worker pool is joined, and only for jobs that
-// were never invalidated, so the snapshot is immutable for the job's
-// lifetime.
+// mclJob is one component's clustering work unit: MCL at every sweep
+// inflation over the component's induced subgraph.
 type mclJob struct {
-	// members are the component's vertices, ascending; sub is the induced
-	// subgraph over them (sub vertex i == members[i]).
+	// members are the component's vertices; sub is the induced subgraph
+	// over them (sub vertex i == members[i]).
 	members []int
 	sub     *graph.Graph
-	// canceled stops unfinished inflations early when a later delta
-	// invalidated the seal; the results of a canceled job are never read,
-	// so the flag only reclaims wasted work.
-	canceled atomic.Bool
-	// clusterings[k] is the MCL output at inflations[k]; intraBelow[k]
-	// and intraTotal[k] count this component's intra-cluster edges below
-	// the (deferred) global median and in total. The weights are kept
-	// sorted so the below-median count is a binary search at Finish,
-	// after the full graph's median is known.
+	// clusterings[k] is the MCL output at inflations[k] and intra[k] this
+	// component's intra-cluster edge weights under it. The weights are
+	// kept sorted so that counting the ones below the global median is a
+	// binary search once the full graph's median is known.
 	clusterings [][][]int
 	intra       [][]float64
 }
@@ -48,15 +29,15 @@ type mclJob struct {
 // Streamer is the incremental form of Pipeline.Run: aggregate deltas are
 // observed one at a time as a campaign emits them, the similarity graph
 // grows through a last-hop inverted index (candidate edges touch only
-// vertices sharing a hop, never all pairs), and connected components that
-// stay quiet for sealHorizon deltas are clustered on a worker pool while
-// later deltas are still arriving. Finish drains the remainder and merges
-// per-component results in component order, producing a Result
-// byte-identical to the stage-barrier oracle at any worker count and any
-// delta chunking (TestStreamerMatchesBarrier pins this).
+// vertices sharing a hop, never all pairs), and union-find tracks its
+// connected components. Finish clusters every component once, after the
+// last delta, producing a Result byte-identical to the stage-barrier
+// oracle at any worker count and any delta chunking
+// (TestStreamerMatchesBarrier pins this).
 //
-// Observe and Finish/Abort must run on one goroutine; only the MCL jobs
-// are concurrent.
+// A Streamer is a plain data structure: it starts no goroutines, and all
+// of its methods must run on one goroutine. Only the MCL fan-out inside
+// Finish is concurrent, and it is joined before Finish returns.
 type Streamer struct {
 	p *Pipeline
 
@@ -76,72 +57,13 @@ type Streamer struct {
 	tail   []int
 	link   []int
 
-	// lastTouch[r] is the Observe sequence of root r's last structural
-	// change; sealQueue replays touch events FIFO so trySeal only
-	// examines components whose quiet window elapsed.
-	seq       int
-	lastTouch []int
-	sealQueue []sealEvent
-	qhead     int
-
-	// jobs holds the valid early-sealed jobs by root; allJobs every job
-	// ever dispatched (for Abort). pending buffers jobs the bounded
-	// channel could not accept without blocking the Observe path.
-	jobs    map[int]*mclJob
-	allJobs []*mclJob
-	pending []*mclJob
-
-	jobCh chan *mclJob
-	wg    sync.WaitGroup
-	// jobsWG counts dispatched-but-unfinished jobs, so the rolling epoch
-	// clusterer can await a batch without closing the pool the way
-	// Finish does.
-	jobsWG sync.WaitGroup
-
-	// sealDisabled turns off the quiet-window seal machinery: the
-	// rolling clusterer drives MCL through canonical per-component jobs
-	// instead (see epoch.go), so speculative internal-order seals would
-	// only burn workers.
-	sealDisabled bool
-
-	deltaEdges    int
-	invalidations int
-	retractions   int
-	closed        bool
+	deltaEdges int
 }
 
-type sealEvent struct {
-	root int
-	seq  int
-}
-
-// Stream returns a Streamer over the pipeline's configuration with its
-// MCL worker pool started. Callers feed it with Observe and must end it
-// with exactly one Finish (normal completion) or Abort (error path), both
-// of which join the pool.
+// Stream returns an empty Streamer over the pipeline's configuration.
+// Callers feed it with Observe (and Retract) and end it with Finish.
 func (p *Pipeline) Stream() *Streamer {
-	s := &Streamer{
-		p:       p,
-		g:       graph.New(0),
-		posting: make(map[iputil.Addr][]int),
-		jobs:    make(map[int]*mclJob),
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtimeWorkers()
-	}
-	s.jobCh = make(chan *mclJob, 2*workers)
-	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer s.wg.Done()
-			for j := range s.jobCh {
-				s.runJob(j)
-				s.jobsWG.Done()
-			}
-		}()
-	}
-	return s
+	return &Streamer{p: p, g: graph.New(0), posting: make(map[iputil.Addr][]int)}
 }
 
 // Observe folds one aggregate delta into the stream: blk is the aggregate
@@ -149,78 +71,61 @@ func (p *Pipeline) Stream() *Streamer {
 // it (aggregate.Builder.Add's return values). A new aggregate becomes a
 // vertex whose edges are resolved through the inverted index — its
 // last-hop set is final at creation, so the edge set never needs
-// revisiting — while a repeat only ages the quiet windows: member lists
-// grow after creation, but no edge weight depends on them. It returns
-// the created vertex id (-1 for a repeat), which the rolling epoch
-// clusterer records; batch callers ignore it.
+// revisiting — while a repeat changes nothing: member lists grow after
+// creation, but no edge weight depends on them. It returns the created
+// vertex id (-1 for a repeat), which the rolling epoch clusterer
+// records; batch callers ignore it.
 func (s *Streamer) Observe(blk *aggregate.Block, isNew bool) int {
-	s.seq++
-	vertex := -1
-	if isNew {
-		v := s.g.AddVertex()
-		vertex = v
-		s.blocks = append(s.blocks, blk)
-		s.parent = append(s.parent, v)
-		s.size = append(s.size, 1)
-		s.head = append(s.head, v)
-		s.tail = append(s.tail, v)
-		s.link = append(s.link, -1)
-		s.lastTouch = append(s.lastTouch, 0)
+	if !isNew {
+		return -1
+	}
+	v := s.g.AddVertex()
+	s.blocks = append(s.blocks, blk)
+	s.parent = append(s.parent, v)
+	s.size = append(s.size, 1)
+	s.head = append(s.head, v)
+	s.tail = append(s.tail, v)
+	s.link = append(s.link, -1)
 
-		// Candidate neighbors: every earlier vertex sharing a last hop,
-		// deduplicated in ascending order — the same pair set, scored
-		// with the same Similarity calls, as the barrier build; and
-		// because earlier vertices gain their larger neighbors in vertex
-		// creation order, the adjacency lists come out identical too.
-		cand := s.cand[:0]
-		for _, lh := range blk.LastHops {
-			cand = append(cand, s.posting[lh]...)
-			s.posting[lh] = append(s.posting[lh], v)
+	// Candidate neighbors: every earlier vertex sharing a last hop,
+	// deduplicated in ascending order — the same pair set, scored with
+	// the same Similarity calls, as the barrier build; and because
+	// earlier vertices gain their larger neighbors in vertex creation
+	// order, the adjacency lists come out identical too.
+	cand := s.cand[:0]
+	for _, lh := range blk.LastHops {
+		cand = append(cand, s.posting[lh]...)
+		s.posting[lh] = append(s.posting[lh], v)
+	}
+	sort.Ints(cand)
+	prev := -1
+	for _, j := range cand {
+		if j == prev {
+			continue
 		}
-		sort.Ints(cand)
-		prev := -1
-		for _, j := range cand {
-			if j == prev {
-				continue
-			}
-			prev = j
-			w := aggregate.Similarity(s.blocks[j].LastHops, blk.LastHops)
-			if w > 0 {
-				s.g.AddEdge(j, v, w)
-				s.deltaEdges++
-				s.union(j, v)
-			}
-		}
-		s.cand = cand[:0]
-		r := s.find(v)
-		s.lastTouch[r] = s.seq
-		if !s.sealDisabled {
-			s.sealQueue = append(s.sealQueue, sealEvent{root: r, seq: s.seq})
+		prev = j
+		w := aggregate.Similarity(s.blocks[j].LastHops, blk.LastHops)
+		if w > 0 {
+			s.g.AddEdge(j, v, w)
+			s.deltaEdges++
+			s.union(j, v)
 		}
 	}
-	if !s.sealDisabled {
-		s.trySeal()
-		s.drainPending(false)
-	}
-	return vertex
+	s.cand = cand[:0]
+	return v
 }
 
 // Retract removes a previously observed aggregate from the stream: its
 // vertex leaves the inverted index and the graph, and — because cutting
 // a vertex can split its component — the survivors' union-find state is
-// rebuilt from the remaining edges. Retracting a vertex a sealed job
-// covered invalidates the seal, exactly like a structural union would.
-// Tombstoned ids are never reused; a key that reappears in a later
-// epoch becomes a fresh vertex.
+// rebuilt from the remaining edges. Tombstoned ids are never reused; a
+// key that reappears in a later epoch becomes a fresh vertex.
 func (s *Streamer) Retract(v int) {
 	if v < 0 || v >= len(s.blocks) || s.blocks[v] == nil {
 		return
 	}
-	s.seq++
-	s.retractions++
 	blk := s.blocks[v]
 	r := s.find(v)
-	s.invalidate(r)
 
 	// Surviving members of the component, ascending.
 	members := make([]int, 0, s.size[r]-1)
@@ -232,8 +137,8 @@ func (s *Streamer) Retract(v int) {
 	sort.Ints(members)
 
 	// Drop v from the posting lists (order-preserving, so they stay
-	// ascending) and from the graph, then tombstone it: a dead singleton
-	// whose lastTouch no queued seal event can match.
+	// ascending) and from the graph, then tombstone it as a dead
+	// singleton.
 	for _, lh := range blk.LastHops {
 		row := s.posting[lh]
 		k := 0
@@ -254,7 +159,6 @@ func (s *Streamer) Retract(v int) {
 	s.parent[v] = v
 	s.size[v] = 1
 	s.head[v], s.tail[v], s.link[v] = v, v, -1
-	s.lastTouch[v] = s.seq
 
 	// Rebuild the survivors: reset to singletons, then re-union along
 	// the remaining edges in ascending member order. The resulting roots
@@ -272,21 +176,6 @@ func (s *Streamer) Retract(v int) {
 			}
 		}
 	}
-	// Every surviving root re-enters the quiet-window race.
-	for _, u := range members {
-		ru := s.find(u)
-		if s.lastTouch[ru] == s.seq {
-			continue
-		}
-		s.lastTouch[ru] = s.seq
-		if !s.sealDisabled {
-			s.sealQueue = append(s.sealQueue, sealEvent{root: ru, seq: s.seq})
-		}
-	}
-	if !s.sealDisabled {
-		s.trySeal()
-		s.drainPending(false)
-	}
 }
 
 func (s *Streamer) find(x int) int {
@@ -297,17 +186,13 @@ func (s *Streamer) find(x int) int {
 	return x
 }
 
-// union merges the components of a and b, invalidating any early seal on
-// either side: a sealed component a later delta touches was clustered on
-// a stale snapshot, so its job is canceled and the merged component
-// re-enters the quiet-window race.
+// union merges the components of a and b: the larger root (the smaller
+// id on a tie) absorbs the other and appends its member chain.
 func (s *Streamer) union(a, b int) {
 	ra, rb := s.find(a), s.find(b)
 	if ra == rb {
 		return
 	}
-	s.invalidate(ra)
-	s.invalidate(rb)
 	if s.size[ra] < s.size[rb] || (s.size[ra] == s.size[rb] && ra > rb) {
 		ra, rb = rb, ra
 	}
@@ -317,133 +202,52 @@ func (s *Streamer) union(a, b int) {
 	s.tail[ra] = s.tail[rb]
 }
 
-func (s *Streamer) invalidate(root int) {
-	if job, ok := s.jobs[root]; ok {
-		job.canceled.Store(true)
-		delete(s.jobs, root)
-		s.invalidations++
-	}
-}
-
-// trySeal seals every component whose newest structural change is at
-// least sealHorizon Observe calls old: its members are snapshotted in
-// ascending order, the induced subgraph is copied (the live graph keeps
-// growing underneath), and the job is handed to the pool. Singleton
-// components never need MCL and are left for Finish.
-func (s *Streamer) trySeal() {
-	for s.qhead < len(s.sealQueue) {
-		ev := s.sealQueue[s.qhead]
-		if ev.seq > s.seq-sealHorizon {
-			break
-		}
-		s.qhead++
-		r := ev.root
-		if s.find(r) != r || s.lastTouch[r] != ev.seq || s.size[r] < 2 {
-			continue
-		}
-		if _, ok := s.jobs[r]; ok {
-			continue
-		}
-		job := s.makeJob(r)
-		s.jobs[r] = job
-		s.dispatch(job, false)
-	}
-	// Reclaim the consumed prefix once it dominates the queue.
-	if s.qhead > 1024 && s.qhead*2 >= len(s.sealQueue) {
-		s.sealQueue = append(s.sealQueue[:0], s.sealQueue[s.qhead:]...)
-		s.qhead = 0
-	}
-}
-
-// makeJob snapshots root's component: sorted members and the induced
-// subgraph, both extracted on the Observe goroutine so jobs never read
-// the growing graph.
-func (s *Streamer) makeJob(root int) *mclJob {
-	members := make([]int, 0, s.size[root])
-	for v := s.head[root]; v != -1; v = s.link[v] {
-		members = append(members, v)
-	}
-	sort.Ints(members)
+// newJob builds a component's sweep job: members in subgraph vertex
+// order and the induced subgraph over them.
+func (s *Streamer) newJob(members []int) *mclJob {
 	sub, _ := s.g.Subgraph(members)
 	return &mclJob{members: members, sub: sub}
 }
 
-// dispatch hands a job to the pool. On the Observe path (block=false) a
-// full channel parks the job on pending instead of stalling the
-// pipeline; Finish retries with block=true.
-func (s *Streamer) dispatch(job *mclJob, block bool) {
-	s.allJobs = append(s.allJobs, job)
-	s.jobsWG.Add(1)
-	if block {
-		s.jobCh <- job
-		return
+// computeJobs runs every job's sweep work on the pipeline's worker pool,
+// one pool item per (job, inflation) pair, so a component that dominates
+// the work spreads its inflations over the workers. Each item writes only
+// its own slots, so the results are the same at any worker count. Finish
+// and Epoch take no context, and ForEach fails only on cancellation, so
+// its error is always nil here.
+func (p *Pipeline) computeJobs(jobs []*mclJob) {
+	infl := p.inflations()
+	for _, j := range jobs {
+		j.clusterings = make([][][]int, len(infl))
+		j.intra = make([][]float64, len(infl))
 	}
-	select {
-	case s.jobCh <- job:
-	default:
-		s.pending = append(s.pending, job)
-	}
+	_ = parallel.Pool{Workers: p.Workers}.ForEach(context.TODO(), len(jobs)*len(infl), func(i int) {
+		p.sweepJob(jobs[i/len(infl)], i%len(infl))
+	})
 }
 
-// drainPending opportunistically moves parked jobs onto the channel.
-func (s *Streamer) drainPending(block bool) {
-	for len(s.pending) > 0 {
-		if block {
-			s.jobCh <- s.pending[0]
-		} else {
-			select {
-			case s.jobCh <- s.pending[0]:
-			default:
-				return
-			}
-		}
-		s.pending = s.pending[1:]
-	}
-}
-
-// runJob executes one component's sweep work on a pool worker: MCL at
-// every candidate inflation, keeping the clustering and the sorted
-// intra-cluster edge weights. Scoring against the global median — the
-// only cross-component input — is deferred to Finish, which is what lets
-// a component cluster before the last delta lands without changing the
-// sweep's outcome.
-func (s *Streamer) runJob(j *mclJob) {
-	if j.canceled.Load() {
-		return
-	}
-	s.computeJob(j)
-}
-
-// computeJob fills the job's per-inflation clusterings and sorted
-// intra-cluster weights; shared by the pool workers and the rolling
-// clusterer's inline canonical recomputes.
-func (s *Streamer) computeJob(j *mclJob) {
-	infl := s.p.inflations()
-	j.clusterings = make([][][]int, len(infl))
-	j.intra = make([][]float64, len(infl))
+// sweepJob clusters the job at inflations()[k] and keeps the clustering
+// and its sorted intra-cluster weights. Scoring against the global
+// median — the only cross-component input — is left to mergeSweep.
+func (p *Pipeline) sweepJob(j *mclJob, k int) {
+	clusters := mcl.Cluster(j.sub, p.mclOpts(p.inflations()[k]))
 	cid := make([]int, j.sub.Len())
-	for k, inf := range infl {
-		if j.canceled.Load() {
-			return
+	for id, cl := range clusters {
+		for _, v := range cl {
+			cid[v] = id
 		}
-		clusters := mcl.Cluster(j.sub, s.p.mclOpts(inf))
-		j.clusterings[k] = clusters
-		for id, cl := range clusters {
-			for _, v := range cl {
-				cid[v] = id
-			}
-		}
-		var ws []float64
-		for v := 0; v < j.sub.Len(); v++ {
-			for _, e := range j.sub.Neighbors(v) {
-				if v < e.To && cid[v] == cid[e.To] {
-					ws = append(ws, e.Weight)
-				}
-			}
-		}
-		sort.Float64s(ws)
-		j.intra[k] = ws
 	}
+	var ws []float64
+	for v := 0; v < j.sub.Len(); v++ {
+		for _, e := range j.sub.Neighbors(v) {
+			if v < e.To && cid[v] == cid[e.To] {
+				ws = append(ws, e.Weight)
+			}
+		}
+	}
+	sort.Float64s(ws)
+	j.clusterings[k] = clusters
+	j.intra[k] = ws
 }
 
 // mergeSweep is the deferred inflation sweep shared by Finish and the
@@ -491,92 +295,51 @@ func (p *Pipeline) mergeSweep(res *Result, jobs []*mclJob, median float64, hasEd
 	return bestIdx
 }
 
-// Abort cancels outstanding work and joins the worker pool without
-// producing a result; the error paths of a cancelled run use it so no
-// goroutine outlives the pipeline. Safe to call after Finish (no-op)
-// and on a nil receiver (run shapes that skip clustering never start
-// the stage).
-func (s *Streamer) Abort() {
-	if s == nil {
-		return
-	}
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, j := range s.allJobs {
-		j.canceled.Store(true)
-	}
-	// Parked jobs never reach a worker; release their jobsWG slots so
-	// the counter stays balanced.
-	for range s.pending {
-		s.jobsWG.Done()
-	}
-	s.pending = nil
-	close(s.jobCh)
-	s.wg.Wait()
-}
-
-// Finish seals every remaining component, joins the pool, and merges the
-// per-component results in component order (components ordered by their
-// smallest vertex, exactly as graph.Components yields them): the global
-// median is computed once over the full graph, each component's sweep
-// contribution is merged as integer counts, the winning inflation is
-// chosen with the barrier path's tie-breaking, and clusters are emitted
-// in component order with sequential IDs. Every merge input is either
-// computed on the Observe goroutine or read from a joined job, so the
-// result — including all counters — is identical at any worker count.
+// Finish clusters the observed graph once and returns the Result.
+// Components are taken in ascending-vertex order (grouped by root on
+// first sight, the order graph.Components yields), every multi-vertex
+// component becomes one job, and the jobs run on the worker pool. The
+// merge then runs on the calling goroutine: the global median is
+// computed once over the full graph, each component's sweep contribution
+// is summed as integer counts in component order, the winning inflation
+// is chosen with the barrier path's tie-breaking, and clusters are
+// emitted in component order with sequential IDs. So the result —
+// including all counters — is identical at any worker count.
 func (s *Streamer) Finish() *Result {
-	s.closed = true
-	sealedEarly := len(s.jobs)
-
-	// Component order: ascending vertex sweep, grouping by root on first
-	// sight — the order graph.Components produces. Retracted vertices
-	// are tombstones and contribute nothing.
+	// Retracted vertices are tombstones and contribute nothing.
 	n := len(s.blocks)
 	live := 0
-	rootIndex := make(map[int]int, n)
+	seen := make([]bool, n)
 	var roots []int
-	multi := 0
 	for v := 0; v < n; v++ {
 		if s.blocks[v] == nil {
 			continue
 		}
 		live++
-		r := s.find(v)
-		if _, ok := rootIndex[r]; ok {
-			continue
-		}
-		rootIndex[r] = len(roots)
-		roots = append(roots, r)
-		if s.size[r] >= 2 {
-			multi++
+		if r := s.find(v); !seen[r] {
+			seen[r] = true
+			roots = append(roots, r)
 		}
 	}
-	// Drain: late components (and invalidated re-runs) get their jobs
-	// now; the pool is still hot, so the tail parallelizes too.
-	for _, r := range roots {
+	// jobs is indexed by component; nil slots are singletons, which need
+	// no MCL.
+	jobs := make([]*mclJob, len(roots))
+	var multi []*mclJob
+	for i, r := range roots {
 		if s.size[r] < 2 {
 			continue
 		}
-		if _, ok := s.jobs[r]; !ok {
-			job := s.makeJob(r)
-			s.jobs[r] = job
-			s.dispatch(job, true)
+		members := make([]int, 0, s.size[r])
+		for v := s.head[r]; v != -1; v = s.link[v] {
+			members = append(members, v)
 		}
+		sort.Ints(members)
+		jobs[i] = s.newJob(members)
+		multi = append(multi, jobs[i])
 	}
-	s.drainPending(true)
-	close(s.jobCh)
-	s.wg.Wait()
+	s.p.computeJobs(multi)
 
 	res := &Result{SweepScores: make(map[float64]float64), Components: len(roots)}
-
-	// Deferred sweep merge over the per-component jobs in component
-	// order; nil slots (singletons) contribute nothing.
-	jobs := make([]*mclJob, len(roots))
-	for i, r := range roots {
-		jobs[i] = s.jobs[r]
-	}
 	median, hasEdges := s.g.MedianWeight()
 	bestIdx := s.p.mergeSweep(res, jobs, median, hasEdges)
 
@@ -585,10 +348,7 @@ func (s *Streamer) Finish() *Result {
 	// deterministic on an identical subgraph), so reusing it skips the
 	// barrier path's extra final run per component.
 	clustered := make([]bool, n)
-	for _, job := range jobs {
-		if job == nil {
-			continue
-		}
+	for _, job := range multi {
 		for _, cl := range job.clusterings[bestIdx] {
 			if len(cl) < 2 {
 				continue
@@ -612,22 +372,12 @@ func (s *Streamer) Finish() *Result {
 	reg.Counter("cluster.aggregates_in").Add(int64(live))
 	reg.Counter("cluster.graph_edges").Add(int64(s.g.NumEdges()))
 	reg.Counter("cluster.components").Add(int64(len(roots)))
-	reg.Counter("cluster.multi_components").Add(int64(multi))
+	reg.Counter("cluster.multi_components").Add(int64(len(multi)))
 	reg.Counter("cluster.clusters").Add(int64(len(res.Clusters)))
 	reg.Counter("cluster.unclustered").Add(int64(len(res.Unclustered)))
 	reg.Gauge("cluster.chosen_inflation_milli").Set(int64(res.ChosenInflation * 1000))
-	// Streaming-overlap telemetry (all deterministic: derived from the
-	// Observe sequence, never from scheduling): how many components were
-	// early-sealed and survived, how many edges arrived as deltas, how
-	// many seals a later delta invalidated, and the fraction of MCL work
-	// dispatched before the final delta landed.
-	reg.Counter("cluster.sealed_components").Add(int64(sealedEarly))
+	// Edges that arrived as Observe deltas; equals graph_edges unless
+	// retractions removed some.
 	reg.Counter("cluster.graph_delta_edges").Add(int64(s.deltaEdges))
-	reg.Counter("cluster.seal_invalidations").Add(int64(s.invalidations))
-	overlap := int64(0)
-	if len(s.jobs) > 0 {
-		overlap = int64(1000 * sealedEarly / len(s.jobs))
-	}
-	reg.Gauge("cluster.overlap_ratio_milli").Set(overlap)
 	return res
 }

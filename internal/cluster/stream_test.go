@@ -15,7 +15,7 @@ import (
 // Observe per kept campaign result, in order. reobserveEvery > 0
 // additionally replays an already-created aggregate every few deltas
 // (isNew=false — a later /24 landing in an existing aggregate), which
-// ages the quiet windows differently without changing the graph.
+// must leave the graph and the result unchanged.
 func streamerRun(p *Pipeline, blocks []*aggregate.Block, reobserveEvery int) *Result {
 	s := p.Stream()
 	for i, b := range blocks {
@@ -27,11 +27,8 @@ func streamerRun(p *Pipeline, blocks []*aggregate.Block, reobserveEvery int) *Re
 	return s.Finish()
 }
 
-// streamBlocks builds an input large enough that components actually
-// seal early (well past sealHorizon observes): many small families plus
-// a few singleton loners.
-func streamBlocks(t *testing.T) []*aggregate.Block {
-	t.Helper()
+// streamBlocks builds many small families plus a few singleton loners.
+func streamBlocks() []*aggregate.Block {
 	var blocks []*aggregate.Block
 	for f := 0; f < 60; f++ {
 		blocks = append(blocks, starvedFamily(5, 10, uint32(f)*0x10000)...)
@@ -42,83 +39,71 @@ func streamBlocks(t *testing.T) []*aggregate.Block {
 	for i, b := range blocks {
 		b.ID = i
 	}
-	if len(blocks) <= 2*sealHorizon {
-		t.Fatalf("input too small to exercise early sealing: %d observes", len(blocks))
+	return blocks
+}
+
+// lateJoinerBlocks builds a two-aggregate family, a run of disjoint
+// singletons, a late joiner that shares the family's hops, and more
+// singletons: the family's component is complete long before the joiner
+// merges into it, hundreds of deltas later.
+func lateJoinerBlocks() []*aggregate.Block {
+	var blocks []*aggregate.Block
+	blocks = append(blocks,
+		agg(0, 0x100000, 1, 1, 2, 3),
+		agg(1, 0x100100, 1, 1, 2, 3))
+	for i := 0; i < 264; i++ {
+		blocks = append(blocks, agg(2+i, 0x200000+uint32(i)*4, 1, 0x9990000+uint32(i)))
+	}
+	blocks = append(blocks, agg(900, 0x300000, 1, 2, 3, 4))
+	for i := 0; i < 264; i++ {
+		blocks = append(blocks, agg(1000+i, 0x400000+uint32(i)*4, 1, 0x8880000+uint32(i)))
 	}
 	return blocks
 }
 
-// TestStreamerMatchesBarrier is the tentpole determinism contract at the
-// cluster layer: the incremental build + per-component overlap path must
-// produce a Result deeply identical to the barrier path — same clusters
-// in the same order, same sweep scores, same chosen inflation — at any
-// worker count and under re-observation traffic.
+// TestStreamerMatchesBarrier is the determinism contract at the cluster
+// layer: the incremental build + per-component sweep must produce a
+// Result deeply identical to the barrier path — same clusters in the
+// same order, same sweep scores, same chosen inflation — at any worker
+// count and under re-observation traffic.
 func TestStreamerMatchesBarrier(t *testing.T) {
-	blocks := streamBlocks(t)
-	want := (&Pipeline{Seed: 3}).runBarrier(blocks)
-	if len(want.Clusters) < 2 {
-		t.Fatalf("barrier baseline found only %d clusters", len(want.Clusters))
-	}
-	for _, workers := range []int{1, 8} {
-		for _, re := range []int{0, 3} {
-			reg := telemetry.NewRegistry()
-			p := &Pipeline{Seed: 3, Workers: workers, Telemetry: reg}
-			got := streamerRun(p, blocks, re)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d reobserve=%d: streamed result differs from barrier", workers, re)
+	for _, tc := range []struct {
+		name   string
+		seed   uint64
+		blocks []*aggregate.Block
+		// minClusters guards the input's shape: the barrier baseline
+		// must find at least that many clusters. oneCluster > 0 requires
+		// exactly one cluster of that many members.
+		minClusters, oneCluster int
+	}{
+		{"families", 3, streamBlocks(), 2, 0},
+		{"late-joiner", 1, lateJoinerBlocks(), 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := (&Pipeline{Seed: tc.seed}).runBarrier(tc.blocks)
+			if len(want.Clusters) < tc.minClusters {
+				t.Fatalf("barrier baseline found only %d clusters", len(want.Clusters))
 			}
-			snap := reg.Snapshot()
-			if snap.Counters["cluster.sealed_components"] == 0 {
-				t.Errorf("workers=%d reobserve=%d: no component sealed early — the stream never overlapped", workers, re)
+			for _, workers := range []int{1, 8} {
+				for _, re := range []int{0, 3} {
+					reg := telemetry.NewRegistry()
+					p := &Pipeline{Seed: tc.seed, Workers: workers, Telemetry: reg}
+					got := streamerRun(p, tc.blocks, re)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("workers=%d reobserve=%d: streamed result differs from barrier", workers, re)
+					}
+					snap := reg.Snapshot()
+					if snap.Counters["cluster.graph_delta_edges"] != snap.Counters["cluster.graph_edges"] {
+						t.Errorf("workers=%d reobserve=%d: delta edges %d != graph edges %d",
+							workers, re,
+							snap.Counters["cluster.graph_delta_edges"], snap.Counters["cluster.graph_edges"])
+					}
+				}
 			}
-			if snap.Counters["cluster.graph_delta_edges"] != snap.Counters["cluster.graph_edges"] {
-				t.Errorf("workers=%d reobserve=%d: delta edges %d != graph edges %d",
-					workers, re,
-					snap.Counters["cluster.graph_delta_edges"], snap.Counters["cluster.graph_edges"])
+			if tc.oneCluster > 0 && (len(want.Clusters) != 1 || len(want.Clusters[0].Members) != tc.oneCluster) {
+				t.Errorf("want one cluster of %d members, got %+v", tc.oneCluster, want.Clusters)
 			}
-		}
-	}
-}
-
-// TestStreamerSealInvalidation pins the re-clustering rule: a delta that
-// touches an early-sealed component cancels its job, the merged component
-// re-enters the quiet-window race, and the final result is still the
-// barrier one. The seal counters are part of the contract — they derive
-// from the Observe sequence, not from scheduling.
-func TestStreamerSealInvalidation(t *testing.T) {
-	var blocks []*aggregate.Block
-	// A two-aggregate family that will go quiet and seal.
-	blocks = append(blocks,
-		agg(0, 0x100000, 1, 1, 2, 3),
-		agg(1, 0x100100, 1, 1, 2, 3))
-	// Disjoint singletons age its window past the horizon.
-	for i := 0; i < sealHorizon+8; i++ {
-		blocks = append(blocks, agg(2+i, 0x200000+uint32(i)*4, 1, 0x9990000+uint32(i)))
-	}
-	// A late joiner shares hops with the sealed family: invalidation.
-	blocks = append(blocks, agg(900, 0x300000, 1, 2, 3, 4))
-	// More singletons let the merged component seal again before Finish.
-	for i := 0; i < sealHorizon+8; i++ {
-		blocks = append(blocks, agg(1000+i, 0x400000+uint32(i)*4, 1, 0x8880000+uint32(i)))
-	}
-
-	want := (&Pipeline{Seed: 1}).runBarrier(blocks)
-	reg := telemetry.NewRegistry()
-	p := &Pipeline{Seed: 1, Workers: 4, Telemetry: reg}
-	got := streamerRun(p, blocks, 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("result after invalidation differs from barrier")
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counters["cluster.seal_invalidations"]; n != 1 {
-		t.Errorf("seal_invalidations = %d, want 1", n)
-	}
-	// The re-sealed merged component is the only multi-vertex one.
-	if n := snap.Counters["cluster.sealed_components"]; n != 1 {
-		t.Errorf("sealed_components = %d, want 1 (re-seal after invalidation)", n)
-	}
-	if len(got.Clusters) != 1 || len(got.Clusters[0].Members) != 3 {
-		t.Errorf("merged family not clustered together: %+v", got.Clusters)
+		})
 	}
 }
 

@@ -151,13 +151,12 @@ func (p *Pipeline) setStage(stage string) {
 // stream off zmap.Stream, a feeder filters each chunk for eligibility and
 // hands the eligible blocks — with their chunk-local actives — to the
 // campaign workers, the campaign's in-order result stream drives the
-// aggregation, and every aggregate delta flows into the streaming
-// clusterer, which seals quiet components and runs their MCL while the
-// campaign is still probing (DESIGN.md §4d). Chunks arrive in block
-// order, so the eligible list, the campaign Order, the low-confidence
-// exclusions, and the aggregation grouping are the same at any chunk size
-// and worker count. Clustering finishes and validation runs once the last
-// aggregate is in, because both need the complete set.
+// aggregation, and every aggregate delta grows the streaming clusterer's
+// similarity graph while the campaign is still probing (DESIGN.md §4d).
+// Chunks arrive in block order, so the eligible list, the campaign Order,
+// the low-confidence exclusions, and the aggregation grouping are the
+// same at any chunk size and worker count. MCL clustering and validation
+// run once the last aggregate is in, because both need the complete set.
 //
 // Peak memory is bounded by the stream window plus the campaign handout
 // window; the merged dataset and the campaign result are still retained,
@@ -227,8 +226,8 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	}()
 
 	// Clustering streams too: Run feeds the clusterer one Observe per
-	// aggregate delta, so graph construction and per-component MCL
-	// overlap the campaign (nil when the run skips clustering).
+	// aggregate delta, so graph construction overlaps the campaign (nil
+	// when the run skips clustering).
 	var str *cluster.Streamer
 	if !p.SkipClustering {
 		str = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Stream()
@@ -256,7 +255,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	measureSpan.End()
 	if cerr != nil {
 		aggSpan.End()
-		str.Abort()
 		return out, cerr
 	}
 	agg.Finish(out, reg)
@@ -267,7 +265,6 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 		return out, ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
-		str.Abort()
 		return out, err
 	}
 	span := reg.StartSpan(StageCluster)
@@ -296,8 +293,7 @@ type Aggregation struct {
 }
 
 // NewAggregation starts an aggregation. str, when non-nil, observes every
-// aggregate delta in order — the streaming clusterer's input, so its
-// logical seal clock is a pure function of the campaign order.
+// aggregate delta in campaign order — the streaming clusterer's input.
 func NewAggregation(str *cluster.Streamer) *Aggregation {
 	in := aggregate.NewInterner()
 	return &Aggregation{interner: in, builder: aggregate.NewBuilder(in), str: str}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -147,12 +149,34 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
+// waitGoroutines polls until the goroutine count is back at base, and
+// fails after a few seconds: no goroutine a Run starts may outlive it.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines still running, %d before Run", what, n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPipelineMidCampaignCancellation cancels a run from inside its
+// campaign: Run returns the partial artifacts with context.Canceled, and
+// neither that run nor a completed one leaves a goroutine behind.
 func TestPipelineMidCampaignCancellation(t *testing.T) {
 	_, p := testPipeline(t, 400)
+	base := runtime.NumGoroutine()
 	full, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitGoroutines(t, base, "completed run")
 	p.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
@@ -162,10 +186,12 @@ func TestPipelineMidCampaignCancellation(t *testing.T) {
 			cancel()
 		}
 	})
+	base = runtime.NumGoroutine()
 	out, err := p.Run(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	waitGoroutines(t, base, "cancelled run")
 	sum := out.Campaign.Summary()
 	if sum.Total == 0 {
 		t.Error("mid-campaign cancellation lost the partial result")

@@ -16,8 +16,7 @@ import (
 // census collected, the campaign run over the eligible list, the
 // aggregation folded from the finished campaign, clustering run over the
 // finished aggregate list, and validation fanned out at the end. It
-// records the same artifacts and counters as Run, except the streaming
-// clusterer's seal-clock counters (see sealCounters).
+// records the same artifacts and counters as Run.
 func stagedRun(t *testing.T, p *Pipeline) *Output {
 	t.Helper()
 	ctx := context.Background()
@@ -80,23 +79,4 @@ func stagedRun(t *testing.T, p *Pipeline) *Output {
 	out.Final = cluster.ApplyValidatedInterned(out.Clustering, out.Validated, interner)
 	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
 	return out
-}
-
-// sealCounters are the streaming clusterer's seal-clock counters. They
-// count Observe calls, and Run observes every kept result while the
-// oracle's cluster.Pipeline.Run observes each aggregate once, so they are
-// compared between Run configurations instead of against the oracle.
-var sealCounters = []string{"cluster.sealed_components", "cluster.seal_invalidations"}
-
-// splitSeal separates the seal-clock counters from the rest.
-func splitSeal(counters map[string]int64) (rest, seal map[string]int64) {
-	rest, seal = make(map[string]int64, len(counters)), make(map[string]int64)
-	for k, v := range counters {
-		rest[k] = v
-	}
-	for _, k := range sealCounters {
-		seal[k] = rest[k]
-		delete(rest, k)
-	}
-	return rest, seal
 }

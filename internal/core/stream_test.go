@@ -37,9 +37,7 @@ func marshalOutput(t *testing.T, out *Output) []byte {
 // clusterer) must produce byte-identical artifacts — and identical
 // telemetry counters and histograms — to the barrier-staged oracle, at 1,
 // 2, and 8 workers and across chunk sizes that do and do not divide the
-// universe, including the size derived from the input. The seal-clock
-// counters, which the oracle cannot reproduce, must agree across every
-// Run configuration instead.
+// universe, including the size derived from the input.
 func TestPipelineStreamedIdentical(t *testing.T) {
 	pipe := func(streamChunk, workers int) (*Pipeline, *telemetry.Registry) {
 		_, p := testPipeline(t, 300)
@@ -55,11 +53,9 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 	p, reg := pipe(0, 4)
 	wantOut := stagedRun(t, p)
 	wantJSON, wantSnap := marshalOutput(t, wantOut), reg.Snapshot()
-	wantCounters, _ := splitSeal(wantSnap.Counters)
 	if len(wantOut.Eligible) == 0 || len(wantOut.Final) == 0 {
 		t.Fatal("staged oracle produced no output")
 	}
-	var firstSeal map[string]int64
 	for _, tc := range []struct {
 		name           string
 		chunk, workers int
@@ -83,17 +79,11 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 				t.Error("Run dataset differs from the staged oracle")
 			}
 			snap := reg.Snapshot()
-			counters, seal := splitSeal(snap.Counters)
-			if !reflect.DeepEqual(counters, wantCounters) {
-				t.Errorf("counters differ:\nRun:    %v\noracle: %v", counters, wantCounters)
+			if !reflect.DeepEqual(snap.Counters, wantSnap.Counters) {
+				t.Errorf("counters differ:\nRun:    %v\noracle: %v", snap.Counters, wantSnap.Counters)
 			}
 			if !reflect.DeepEqual(snap.Histograms, wantSnap.Histograms) {
 				t.Error("histograms differ between Run and the staged oracle")
-			}
-			if firstSeal == nil {
-				firstSeal = seal
-			} else if !reflect.DeepEqual(seal, firstSeal) {
-				t.Errorf("seal counters %v differ from the first configuration's %v", seal, firstSeal)
 			}
 		})
 	}
@@ -104,8 +94,7 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 // 64, 4096}, on an unfaulted world and on a blackhole-faulted world with
 // adaptive probing (the shape that produces low-confidence exclusions),
 // each compared byte for byte — artifacts, counters, histograms —
-// against that world's barrier-staged oracle, and the seal-clock counters
-// across the matrix.
+// against that world's barrier-staged oracle.
 func TestPipelineClusteringMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("14 full pipeline runs are slow")
@@ -134,11 +123,9 @@ func TestPipelineClusteringMatrix(t *testing.T) {
 			}
 			p, reg := pipe(0, 4)
 			wantJSON, wantSnap := marshalOutput(t, stagedRun(t, p)), reg.Snapshot()
-			wantCounters, _ := splitSeal(wantSnap.Counters)
 			if wantSnap.Counters["cluster.clusters"] == 0 {
 				t.Fatal("oracle run produced no clusters; the matrix would compare nothing")
 			}
-			var firstSeal map[string]int64
 			for _, cw := range []int{1, 8} {
 				for _, chunk := range []int{1, 64, 4096} {
 					p, reg := pipe(chunk, cw)
@@ -150,18 +137,12 @@ func TestPipelineClusteringMatrix(t *testing.T) {
 						t.Errorf("chunk=%d workers=%d: output differs from the staged oracle", chunk, cw)
 					}
 					snap := reg.Snapshot()
-					counters, seal := splitSeal(snap.Counters)
-					if !reflect.DeepEqual(counters, wantCounters) {
+					if !reflect.DeepEqual(snap.Counters, wantSnap.Counters) {
 						t.Errorf("chunk=%d workers=%d: counters differ:\ngot:  %v\nwant: %v",
-							chunk, cw, counters, wantCounters)
+							chunk, cw, snap.Counters, wantSnap.Counters)
 					}
 					if !reflect.DeepEqual(snap.Histograms, wantSnap.Histograms) {
 						t.Errorf("chunk=%d workers=%d: histograms differ", chunk, cw)
-					}
-					if firstSeal == nil {
-						firstSeal = seal
-					} else if !reflect.DeepEqual(seal, firstSeal) {
-						t.Errorf("chunk=%d workers=%d: seal counters %v, first configuration %v", chunk, cw, seal, firstSeal)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package mcl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/graph"
@@ -193,6 +194,59 @@ func TestClusterWorkersIdentical(t *testing.T) {
 		if e1.cur.rows[i] != e8.cur.rows[i] || e1.cur.vals[i] != e8.cur.vals[i] {
 			t.Fatalf("entry %d differs: (%d, %v) vs (%d, %v)", i,
 				e1.cur.rows[i], e1.cur.vals[i], e8.cur.rows[i], e8.cur.vals[i])
+		}
+	}
+}
+
+// TestClusterEdgeOrderInvariant pins the property the rolling epoch
+// clusterer relies on: MCL sees a graph only through its edge set, never
+// through the order edges were inserted (newEngine sorts every column by
+// row). One weighted graph built twice — edges in lexicographic order,
+// and shuffled with random endpoint order — must yield a bit-identical
+// initial flow matrix and identical clusterings.
+func TestClusterEdgeOrderInvariant(t *testing.T) {
+	type edge struct {
+		a, b int
+		w    float64
+	}
+	rng := rand.New(rand.NewSource(5))
+	const families, size = 6, 30 // 180 vertices: above parallelMinColumns
+	var edges []edge
+	for i := 0; i < families*size; i++ {
+		for j := i + 1; j < families*size; j++ {
+			same := i/size == j/size
+			if (same && rng.Float64() < 0.3) || (!same && rng.Float64() < 0.004) {
+				edges = append(edges, edge{i, j, 0.05 + 0.95*rng.Float64()})
+			}
+		}
+	}
+	lex := graph.New(families * size)
+	for _, e := range edges {
+		lex.AddEdge(e.a, e.b, e.w)
+	}
+	shuffled := graph.New(families * size)
+	for _, k := range rng.Perm(len(edges)) {
+		e := edges[k]
+		if rng.Intn(2) == 0 {
+			e.a, e.b = e.b, e.a
+		}
+		shuffled.AddEdge(e.a, e.b, e.w)
+	}
+	// The initial flow matrices must match entry for entry, bits included.
+	el, es := newEngine(lex, Options{}.withDefaults()), newEngine(shuffled, Options{}.withDefaults())
+	if !reflect.DeepEqual(el.cur, es.cur) {
+		t.Fatal("initial flow matrix depends on edge insertion order")
+	}
+	for _, inf := range []float64{1.4, 2.0, 3.0} {
+		for _, workers := range []int{1, 4} {
+			opts := Options{Inflation: inf, Workers: workers}
+			want, got := Cluster(lex, opts), Cluster(shuffled, opts)
+			if len(want) < families {
+				t.Fatalf("inflation=%v: only %d clusters; the graph is too uniform to test", inf, len(want))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("inflation=%v workers=%d: clustering depends on edge insertion order", inf, workers)
+			}
 		}
 	}
 }

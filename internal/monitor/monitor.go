@@ -372,13 +372,10 @@ func (m *Monitor) Run(ctx context.Context, n int) ([]*EpochReport, error) {
 	return reps, nil
 }
 
-// Close releases the rolling clusterer's worker pool. The Monitor is
-// dead afterwards.
+// Close drops the rolling clusterer's state. The Monitor is dead
+// afterwards.
 func (m *Monitor) Close() {
-	if m.roll != nil {
-		m.roll.Close()
-		m.roll = nil
-	}
+	m.roll = nil
 }
 
 func (m *Monitor) setStage(stage string) {

@@ -47,19 +47,9 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking, reporting whether it got one.
-func (l *Limiter) TryAcquire() bool {
-	select {
-	case l.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot taken by Acquire or TryAcquire. Releasing a
-// slot that was never acquired panics — that is a bookkeeping bug, not a
-// recoverable condition.
+// Release returns a slot taken by Acquire. Releasing a slot that was
+// never acquired panics — that is a bookkeeping bug, not a recoverable
+// condition.
 func (l *Limiter) Release() {
 	select {
 	case <-l.slots:

@@ -75,22 +75,6 @@ func TestLimiterAcquireCancellation(t *testing.T) {
 	}
 }
 
-func TestLimiterTryAcquire(t *testing.T) {
-	l := NewLimiter(2)
-	if !l.TryAcquire() || !l.TryAcquire() {
-		t.Fatal("TryAcquire failed with free slots")
-	}
-	if l.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full limiter")
-	}
-	l.Release()
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire failed after a release")
-	}
-	l.Release()
-	l.Release()
-}
-
 func TestLimiterReleaseWithoutAcquirePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,10 +1,10 @@
 // Package parallel is the sanctioned worker pool of the pipeline: a
 // bounded, context-aware fan-out over an index space with a deterministic
-// ordered merge. Post-campaign fan-outs over an index space (reprobe
-// validation) run through this package, so concurrency policy (worker
-// bounds, cancellation, telemetry accounting) lives in one place and the
-// goroutine-leak analyzer can treat its launch sites as the approved
-// idiom.
+// ordered merge. Post-campaign fan-outs over an index space (the MCL
+// component sweeps and reprobe validation) run through this package, so
+// concurrency policy (worker bounds, cancellation, telemetry accounting)
+// lives in one place and the goroutine-leak analyzer can treat its
+// launch sites as the approved idiom.
 //
 // The determinism contract: callers hand the pool an index space [0, n)
 // and a function whose result for index i depends only on i and on
@@ -108,59 +108,4 @@ func claim(ctx context.Context, wg *sync.WaitGroup, next *atomic.Int64, n int, f
 		}
 		fn(i)
 	}
-}
-
-// Shards splits [0, n) into at most Workers contiguous ranges and invokes
-// fn(shard, lo, hi) for each concurrently. Shards exists for stages whose
-// workers carry scratch state (MCL's dense column accumulator): allocating
-// once per shard instead of once per item keeps the per-item loop
-// allocation-free. The ranges partition [0, n) exactly, in order, so the
-// ordered-merge contract is the same as ForEach's. Cancellation is
-// checked before each shard starts; started shards run to completion.
-func (p Pool) Shards(ctx context.Context, n int, fn func(shard, lo, hi int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	k := p.workers()
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fn(0, 0, n)
-		p.count(n)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		lo, hi := s*n/k, (s+1)*n/k
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			fn(s, lo, hi)
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p.count(n)
-	return nil
-}
-
-// Map computes out[i] = fn(i) for every i in [0, n) on the pool and
-// returns the results in index order — the shard → ordered-merge contract
-// packaged for the common collect case. On cancellation it returns nil
-// and ctx.Err().
-func Map[T any](ctx context.Context, p Pool, n int, fn func(i int) T) ([]T, error) {
-	out := make([]T, n)
-	if err := p.ForEach(ctx, n, func(i int) { out[i] = fn(i) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

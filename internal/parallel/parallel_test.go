@@ -26,24 +26,6 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestMapOrderedMerge(t *testing.T) {
-	p := Pool{Workers: 7}
-	out, err := Map(context.Background(), p, 100, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	// Empty index space: empty result, no error.
-	out, err = Map(context.Background(), p, 0, func(i int) int { return i })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty map = %v, %v", out, err)
-	}
-}
-
 func TestForEachCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -63,62 +45,18 @@ func TestForEachCancellation(t *testing.T) {
 	}
 }
 
-func TestShardsPartitionExactly(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{n: 10, workers: 3}, {n: 3, workers: 10}, {n: 1, workers: 1},
-		{n: 64, workers: 8}, {n: 7, workers: 2}, {n: 100, workers: 0},
-	} {
-		p := Pool{Workers: tc.workers}
-		covered := make([]int32, tc.n)
-		if err := p.Shards(context.Background(), tc.n, func(shard, lo, hi int) {
-			if lo >= hi {
-				t.Errorf("n=%d workers=%d: empty shard [%d,%d)", tc.n, tc.workers, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&covered[i], 1)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("n=%d workers=%d: index %d covered %d times", tc.n, tc.workers, i, c)
-			}
-		}
-	}
-	// n = 0 is a no-op.
-	if err := (Pool{}).Shards(context.Background(), 0, func(_, _, _ int) {
-		t.Error("shard invoked for empty space")
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardsCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := Pool{Workers: 1}.Shards(ctx, 10, func(_, _, _ int) { ran = true })
-	if err != context.Canceled || ran {
-		t.Fatalf("err = %v, ran = %v", err, ran)
-	}
-}
-
 func TestPoolTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := Pool{Workers: 2, Telemetry: reg, Stage: "cluster"}
 	if err := p.ForEach(context.Background(), 40, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Shards(context.Background(), 10, func(_, _, _ int) {}); err != nil {
-		t.Fatal(err)
-	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["cluster.parallel_items"]; got != 50 {
-		t.Errorf("parallel_items = %d, want 50", got)
+	if got := snap.Counters["cluster.parallel_items"]; got != 40 {
+		t.Errorf("parallel_items = %d, want 40", got)
 	}
-	if got := snap.Counters["cluster.parallel_runs"]; got != 2 {
-		t.Errorf("parallel_runs = %d, want 2", got)
+	if got := snap.Counters["cluster.parallel_runs"]; got != 1 {
+		t.Errorf("parallel_runs = %d, want 1", got)
 	}
 
 	// Cancelled fan-outs are not counted: snapshots stay deterministic.
@@ -127,7 +65,7 @@ func TestPoolTelemetry(t *testing.T) {
 	if err := p.ForEach(ctx, 40, func(int) {}); err == nil {
 		t.Fatal("cancelled ForEach returned nil")
 	}
-	if got := reg.Snapshot().Counters["cluster.parallel_items"]; got != 50 {
+	if got := reg.Snapshot().Counters["cluster.parallel_items"]; got != 40 {
 		t.Errorf("cancelled run leaked into parallel_items: %d", got)
 	}
 }
