@@ -28,6 +28,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/probe"
+	"github.com/hobbitscan/hobbit/internal/rng"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
@@ -221,8 +222,9 @@ func responsiveDsts(b *testing.B, l *eval.Lab) []iputil.Addr {
 	return dsts
 }
 
-// BenchmarkMeasureBlock measures one /24 end to end and reports the probe
-// cost per block.
+// BenchmarkMeasureBlock measures a fixed, seed-derived sample of
+// eligible /24s end to end per op and reports the probe cost per block,
+// so probes/block is the same at any -benchtime.
 func BenchmarkMeasureBlock(b *testing.B) {
 	l := lab(b)
 	out, err := l.Pipeline()
@@ -231,14 +233,29 @@ func BenchmarkMeasureBlock(b *testing.B) {
 	}
 	counter := probe.NewCounter(l.Net)
 	m := &hobbit.Measurer{Net: counter, Seed: 1}
-	blocks := out.Eligible
+	blocks := sampleBlocks(out.Eligible, 32, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk := blocks[i%len(blocks)]
-		m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
+		for _, blk := range blocks {
+			m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
+		}
 	}
-	b.ReportMetric(float64(counter.Probes())/float64(b.N), "probes/block")
+	b.ReportMetric(float64(len(blocks)), "blocks/op")
+	b.ReportMetric(float64(counter.Probes())/float64(b.N*len(blocks)), "probes/block")
+}
+
+// sampleBlocks draws n of blocks without replacement, in draw order, by a
+// partial Fisher-Yates shuffle keyed by seed: a fixed sample that does
+// not depend on how many ops a benchmark runs.
+func sampleBlocks(blocks []iputil.Block24, n int, seed uint64) []iputil.Block24 {
+	pool := append([]iputil.Block24(nil), blocks...)
+	n = min(n, len(pool))
+	for i := 0; i < n; i++ {
+		j := i + rng.Intn(len(pool)-i, seed, uint64(i))
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	return pool[:n]
 }
 
 // BenchmarkCensus sweeps 500 blocks through the ZMap census

@@ -388,9 +388,7 @@ func (s *server) runSession(ctx context.Context, sess *session) {
 		Seed:      sess.world.Seed,
 		Options:   sess.opts,
 		Telemetry: sess.reg,
-		Progress: telemetry.SinkFunc(func(ev telemetry.ProgressEvent) {
-			sess.events.append(copyProgress(ev))
-		}),
+		Progress:  telemetry.SinkFunc(sess.events.append),
 	}
 	var out *core.Output
 	var monSum *api.MonitorSummaryV1
@@ -439,22 +437,6 @@ func (s *server) finishErr(sess *session, err error) {
 		s.reg.Counter("serve.campaigns_failed").Inc()
 	}
 	sess.finish(state, nil, err.Error(), s.nowMS())
-}
-
-// copyProgress converts a telemetry event to wire form with its class map
-// deep-copied: the campaign mutates one shared map between emissions, and
-// the event log outlives the emission.
-func copyProgress(ev telemetry.ProgressEvent) api.ProgressEventV1 {
-	out := api.Progress(ev)
-	out.Classes = nil
-	if len(ev.Classes) > 0 {
-		classes := make(map[string]int, len(ev.Classes))
-		for k, v := range ev.Classes {
-			classes[k] = v
-		}
-		out.Classes = classes
-	}
-	return out
 }
 
 func (s *server) lookup(w http.ResponseWriter, r *http.Request) *session {
@@ -557,8 +539,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	next := 0
 	for {
 		evs, closed, wake := sess.events.snapshot(next)
-		for _, ev := range evs {
-			if err := writeSSE(w, "progress", ev); err != nil {
+		for _, data := range evs {
+			if err := writeSSEData(w, "progress", data); err != nil {
 				return
 			}
 		}
@@ -585,7 +567,13 @@ func writeSSE(w http.ResponseWriter, event string, payload any) error {
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	return writeSSEData(w, event, data)
+}
+
+// writeSSEData writes one Server-Sent Event whose JSON data is already
+// encoded.
+func writeSSEData(w http.ResponseWriter, event string, data []byte) error {
+	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	return err
 }
 

@@ -372,6 +372,17 @@ func TestSSEEvents(t *testing.T) {
 			t.Errorf("done counts regressed: %+v -> %+v", progress[i-1], progress[i])
 		}
 	}
+	// Each event's class tallies are those of its own moment, although
+	// the campaign mutates one class map between emissions.
+	for _, ev := range progress {
+		n := 0
+		for _, c := range ev.Classes {
+			n += c
+		}
+		if n != ev.Done {
+			t.Errorf("event %+v: class tallies sum to %d, not done", ev, n)
+		}
+	}
 	// The census streams, so total is 0 until the campaign's feed closed
 	// and exact after that: only the last event may claim done == total.
 	last := progress[len(progress)-1]

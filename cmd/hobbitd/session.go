@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/api"
@@ -140,8 +141,13 @@ type eventLog struct {
 	// SSE volume on big campaigns (0 = keep all).
 	every int
 
-	mu     sync.Mutex
-	events []api.ProgressEventV1
+	mu sync.Mutex
+	// events holds each retained event already encoded as the JSON data
+	// of its SSE message. A finished session keeps its whole history for
+	// late subscribers, so every retained session holds one entry per
+	// measured block; the encoding is about half the size of the event
+	// with its own class map.
+	events [][]byte
 	closed bool
 	wake   chan struct{}
 }
@@ -151,18 +157,22 @@ func newEventLog() *eventLog {
 }
 
 // append records one progress event (subject to thinning) and wakes
-// subscribers. Events after close are dropped: the campaign's collector
-// may still be draining when cancellation finishes the session.
-func (l *eventLog) append(ev api.ProgressEventV1) {
+// subscribers. It encodes the event before returning, because the
+// campaign mutates the class map it shares between emissions. Events
+// after close are dropped: the campaign's collector may still be
+// draining when cancellation finishes the session.
+func (l *eventLog) append(ev telemetry.ProgressEvent) {
 	if l.every > 1 && ev.Done%l.every != 0 && ev.Done != ev.Total && ev.Done != 1 {
 		return
 	}
+	// Strings, integers and a map[string]int always encode.
+	data, _ := json.Marshal(api.Progress(ev))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	l.events = append(l.events, ev)
+	l.events = append(l.events, data)
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
@@ -179,10 +189,10 @@ func (l *eventLog) close() {
 	l.wake = make(chan struct{})
 }
 
-// snapshot returns the events at index >= from, whether the log is
-// sealed, and a channel that closes on the next append or close. The
+// snapshot returns the encoded events at index >= from, whether the log
+// is sealed, and a channel that closes on the next append or close. The
 // subscriber loop is: drain, then park on wake (or the client's context).
-func (l *eventLog) snapshot(from int) (evs []api.ProgressEventV1, closed bool, wake <-chan struct{}) {
+func (l *eventLog) snapshot(from int) (evs [][]byte, closed bool, wake <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from < len(l.events) {

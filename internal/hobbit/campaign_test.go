@@ -2,8 +2,12 @@ package hobbit
 
 import (
 	"context"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
@@ -227,7 +231,9 @@ func TestOrderCoversAllActives(t *testing.T) {
 
 // TestCampaignTelemetry runs an instrumented campaign with many workers —
 // the -race half of the concurrent-registry guarantee — and checks the
-// accounting against the result.
+// accounting against the result. Its faulted leg then checks that the
+// counts MeasureBlock publishes once per block equal a count taken on
+// every call.
 func TestCampaignTelemetry(t *testing.T) {
 	w, c, eligible := campaignWorld(t, 400)
 	if len(eligible) > 120 {
@@ -270,7 +276,98 @@ func TestCampaignTelemetry(t *testing.T) {
 	if last.Probes == 0 || last.Pings == 0 {
 		t.Errorf("final event missing probe load: %+v", last)
 	}
+
+	// The same blocks under a rate storm with adaptive probing, so every
+	// retry and degradation signal fires: once through a per-call
+	// counter, once through Instrumented.
+	sched, err := faultplan.CompileBuiltin("rate-storm", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetFaults(sched)
+	c.Measurer.Opts.Adaptive = true
+	c.Progress = nil
+	calls := &callCounter{net: probe.NewSimNetwork(w)}
+	c.Measurer.Net = calls
+	want, err := c.Run(context.Background(), eligible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = telemetry.NewRegistry()
+	c.Telemetry = reg
+	inst := probe.Instrument(probe.NewSimNetwork(w), reg, "measure")
+	c.Measurer.Net = inst
+	got, err := c.Run(context.Background(), eligible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("faulted campaign results differ between the two counters")
+	}
+	totals := []struct {
+		name      string
+		calls     int64
+		flatTotal int64
+	}{
+		{"pings", calls.pings.Load(), inst.Pings()},
+		{"probes", calls.probes.Load(), inst.Probes()},
+		{"ping_retries", calls.pingRetries.Load(), inst.PingRetries()},
+		{"probe_retries", calls.probeRetries.Load(), inst.ProbeRetries()},
+		{"degraded_windows", calls.degradedWindows.Load(), inst.DegradedWindows()},
+		{"degraded_retries", calls.degradedRetries.Load(), inst.DegradedRetries()},
+		{"degraded_exhausted", calls.degradedExhausted.Load(), inst.DegradedExhausted()},
+	}
+	counters := reg.Snapshot().Counters
+	measureCounters := 0
+	for name := range counters {
+		if strings.HasPrefix(name, "probe.measure.") {
+			measureCounters++
+		}
+	}
+	if measureCounters != len(totals) {
+		t.Errorf("%d probe.measure.* counters, want %d", measureCounters, len(totals))
+	}
+	for _, tc := range totals {
+		t.Logf("faulted %s: %d", tc.name, tc.calls)
+		if tc.calls == 0 {
+			t.Errorf("%s: the faulted campaign counted none", tc.name)
+		}
+		if tc.flatTotal != tc.calls {
+			t.Errorf("%s: flat total %d, per-call count %d", tc.name, tc.flatTotal, tc.calls)
+		}
+		if got := counters["probe.measure."+tc.name]; got != tc.calls {
+			t.Errorf("probe.measure.%s = %d, per-call count %d", tc.name, got, tc.calls)
+		}
+	}
 }
+
+// callCounter counts each packet, retry and degradation signal the
+// moment the prober reports it: the reference for the counts
+// Instrumented publishes once per measured block.
+type callCounter struct {
+	net probe.Network
+
+	pings, probes, pingRetries, probeRetries            atomic.Int64
+	degradedWindows, degradedRetries, degradedExhausted atomic.Int64
+}
+
+func (c *callCounter) Ping(dst iputil.Addr, seq int) (probe.PingResult, bool) {
+	c.pings.Add(1)
+	if seq > 0 {
+		c.pingRetries.Add(1)
+	}
+	return c.net.Ping(dst, seq)
+}
+
+func (c *callCounter) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
+	c.probes.Add(1)
+	return c.net.Probe(dst, ttl, flowID, salt)
+}
+
+func (c *callCounter) RecordProbeRetry()        { c.probeRetries.Add(1) }
+func (c *callCounter) RecordDegradedWindow()    { c.degradedWindows.Add(1) }
+func (c *callCounter) RecordDegradedRetry()     { c.degradedRetries.Add(1) }
+func (c *callCounter) RecordDegradedExhausted() { c.degradedExhausted.Add(1) }
 
 func TestCampaignCancellation(t *testing.T) {
 	_, c, eligible := campaignWorld(t, 400)

@@ -4,7 +4,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/rng"
-	"github.com/hobbitscan/hobbit/internal/trace"
 )
 
 // Terminator decides when enough destinations have been probed to call a
@@ -88,9 +87,6 @@ type BlockResult struct {
 	// criterion; SubBlocks holds their sub-prefixes.
 	VeryLikelyHetero bool
 	SubBlocks        []iputil.Prefix
-	// Paths aggregates every path suffix observed toward the block
-	// (used by dataset-building experiments; nil unless KeepPaths).
-	Paths []*trace.PathSet
 	// Degraded counts probed destinations whose measurement crossed the
 	// adaptive prober's loss threshold; BudgetExhausted those whose
 	// escalation budget ran dry (see probe.MDAOptions.Adaptive).
@@ -179,15 +175,19 @@ func deterministicPerm(n int, seed, k1, k2 uint64) []int {
 }
 
 // MeasureBlock classifies one /24 given its census-active addresses
-// grouped by /26.
+// grouped by /26. It probes through one probe.Batch view of Net, so an
+// instrumented Net counts the block's packets exactly but publishes them
+// once, when the block is done.
 func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockResult {
+	net, flush := probe.Batch(m.Net)
+	defer flush()
 	res := BlockResult{Block: b}
 	order := m.Order(b, by26)
 	gm := make(groupMap)
 	term := m.term()
 
 	for _, dst := range order {
-		lr := probe.FindLastHops(m.Net, dst, m.Opts)
+		lr := probe.FindLastHops(net, dst, m.Opts)
 		res.Probed++
 		if lr.Degraded {
 			res.Degraded++

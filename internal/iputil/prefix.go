@@ -3,7 +3,7 @@ package iputil
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -154,10 +154,10 @@ func EnclosingPrefix(addrs []Addr) Prefix {
 
 // SortAddrs sorts a slice of addresses in ascending numeric order.
 func SortAddrs(addrs []Addr) {
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 }
 
 // SortBlocks sorts a slice of /24 blocks in ascending numeric order.
 func SortBlocks(blocks []Block24) {
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
 }

@@ -1,0 +1,58 @@
+// The allocation assertions run only without -race: the race detector
+// instruments allocation sites and perturbs the counts AllocsPerRun sees.
+//
+//go:build !race
+
+package probe
+
+import (
+	"testing"
+
+	"github.com/hobbitscan/hobbit/internal/iputil"
+)
+
+// TestProberAllocBudget pins the allocations of one full MDA trace and
+// one last-hop search, averaged over one responsive destination in each
+// of the first 64 /24s that have one. What is left is the result itself:
+// the path set and its slice, a copy of each distinct path, and the
+// last-hop list. The TTL rows, the scratch path and every duplicate path
+// cost nothing, and so does counting through a Batch view.
+func TestProberAllocBudget(t *testing.T) {
+	w, net := simWorld(t, 300)
+	var dsts []iputil.Addr
+	for _, b := range w.Blocks() {
+		for i := 1; i < 255 && len(dsts) < 64; i++ {
+			if a := b.Addr(i); w.RespondsNow(a) {
+				dsts = append(dsts, a)
+				break
+			}
+		}
+	}
+	if len(dsts) < 64 {
+		t.Fatalf("only %d responsive destinations", len(dsts))
+	}
+	batched, flush := Batch(Instrument(net, nil, "measure"))
+	defer flush()
+	cases := []struct {
+		name   string
+		budget float64
+		fn     func(dst iputil.Addr)
+	}{
+		{"MDA", 10, func(dst iputil.Addr) { MDA(net, dst, MDAOptions{}) }},
+		{"FindLastHops", 5.1, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
+		{"FindLastHops/batched", 5.1, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			avg := testing.AllocsPerRun(5, func() {
+				for _, dst := range dsts {
+					tc.fn(dst)
+				}
+			}) / float64(len(dsts))
+			t.Logf("%s allocates %.2f times per destination", tc.name, avg)
+			if avg > tc.budget {
+				t.Errorf("%s allocates %.2f times per destination, budget %.1f", tc.name, avg, tc.budget)
+			}
+		})
+	}
+}

@@ -147,8 +147,6 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	opts = opts.withDefaults()
 	res := MDAResult{FirstTTL: opts.FirstTTL}
 
-	// hops[i][f] is the interface flow f observed at TTL FirstTTL+i.
-	var hopRows [][]trace.Hop
 	var salt uint32
 	retryObs, _ := net.(ProbeRetryObserver)
 	degObs, _ := net.(DegradedObserver)
@@ -205,14 +203,20 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 		}
 	}
 
-	// seen collects the distinct interfaces observed at the current TTL;
-	// a reused slice with a linear scan beats a per-TTL map at the small
-	// fan-outs real load balancers have, and keeps the driver off the
-	// allocator.
+	// hops holds every TTL's row back to back: the row of TTL FirstTTL+i
+	// ends at ends[i] and starts where the previous row ended, with flow
+	// f's interface at offset f. seen collects the distinct interfaces
+	// observed at the current TTL; a linear scan beats a per-TTL map at
+	// the small fan-outs real load balancers have. All three start in
+	// stack buffers that only a wide or long path outgrows, which keeps
+	// the walk off the allocator.
+	var hopBuf [256]trace.Hop
+	var endBuf [32]int
 	var seenBuf [16]iputil.Addr
+	hops, ends := hopBuf[:0], endBuf[:0]
 	maxFlowsUsed := 0
 	for ttl := opts.FirstTTL; ttl <= opts.MaxTTL; ttl++ {
-		row := make([]trace.Hop, 0, 8)
+		start := len(hops)
 		seen := seenBuf[:0]
 		echo := false
 		for probed := 0; ; probed++ {
@@ -225,12 +229,12 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 			case EchoReply:
 				echo = true
 			case TTLExceeded:
-				row = append(row, trace.R(r.From))
+				hops = append(hops, trace.R(r.From))
 				if !containsAddr(seen, r.From) {
 					seen = append(seen, r.From)
 				}
 			default:
-				row = append(row, trace.Star)
+				hops = append(hops, trace.Star)
 			}
 			if echo {
 				break
@@ -239,12 +243,11 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 		if echo {
 			res.DestReached = true
 			res.DestTTL = ttl
+			hops = hops[:start]
 			break
 		}
-		if len(row) > maxFlowsUsed {
-			maxFlowsUsed = len(row)
-		}
-		hopRows = append(hopRows, row)
+		maxFlowsUsed = max(maxFlowsUsed, len(hops)-start)
+		ends = append(ends, len(hops))
 	}
 
 	// Assemble per-flow paths over the hops before the destination. A
@@ -252,14 +255,20 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// with fewer probes there) is filled in so every enumerated path is
 	// complete.
 	res.Paths = trace.NewPathSet()
-	if len(hopRows) == 0 {
+	if len(ends) == 0 {
 		return res
 	}
-	// One scratch path is refilled per flow; PathSet.Add clones only the
-	// paths it actually keeps, so duplicate flows cost no allocation.
-	scratch := make(trace.Path, len(hopRows))
+	// One scratch path, in a stack buffer like the rows (a path over 32
+	// hops grows it onto the heap), is refilled per flow; PathSet.Add
+	// clones only the paths it actually keeps, so duplicate flows cost
+	// no allocation.
+	var scratchBuf [32]trace.Hop
+	scratch := append(scratchBuf[:0], make(trace.Path, len(ends))...)
 	for f := 0; f < maxFlowsUsed; f++ {
-		for i, row := range hopRows {
+		start := 0
+		for i, end := range ends {
+			row := hops[start:end]
+			start = end
 			if f < len(row) {
 				scratch[i] = row[f]
 				continue

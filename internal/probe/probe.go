@@ -63,6 +63,13 @@ type Network interface {
 // "probe.<stage>.probe_retries"), so census, measurement, and reprobe
 // validation load stay attributable after a run.
 //
+// Its own methods count each call as it happens; they serve callers that
+// probe it directly. The production prober (hobbit.Measurer) instead takes
+// one Batch view per measured /24, which publishes the block's counts
+// when the block is done, so live readers (progress events, a metrics
+// endpoint) see the counts advance a block at a time. Either way every
+// count is exact.
+//
 // Instrumented is safe for concurrent use whenever the wrapped Network is;
 // SetStage may be called between pipeline stages but not concurrently with
 // in-flight probes of the old stage.
@@ -195,6 +202,84 @@ func (n *Instrumented) PingRetries() int64 { return n.pingRetries.Load() }
 
 // ProbeRetries returns how many TTL-limited probes were retransmissions.
 func (n *Instrumented) ProbeRetries() int64 { return n.probeRetries.Load() }
+
+// Batch returns a counting view of net for one goroutine's unit of work,
+// and the flush that publishes what the view counted. When net is an
+// *Instrumented, the view forwards every packet to the Network under it
+// and counts packets, retries and degradation signals in plain fields;
+// flush adds those seven totals once to the flat totals and to the
+// per-stage counters of the stage current when Batch was called. A hot
+// prober thus pays no shared-memory write per packet, and every count
+// stays exact. Any other Network comes back unchanged, with a flush that
+// does nothing.
+//
+// The view must not be shared between goroutines, and flush must run
+// once, after its last packet (hobbit.Measurer defers it per block).
+func Batch(net Network) (Network, func()) {
+	n, ok := net.(*Instrumented)
+	if !ok {
+		return net, func() {}
+	}
+	b := &batch{net: n.net, owner: n, stage: n.stage.Load()}
+	return b, b.flush
+}
+
+// batch is Batch's view of an Instrumented: the same seven counts, in
+// plain fields owned by one goroutine.
+type batch struct {
+	net   Network
+	owner *Instrumented
+	stage *stageCounters
+
+	pings, probes, pingRetries, probeRetries            int64
+	degradedWindows, degradedRetries, degradedExhausted int64
+}
+
+// Ping implements Network, counting like Instrumented.Ping.
+func (b *batch) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
+	b.pings++
+	if seq > 0 {
+		b.pingRetries++
+	}
+	return b.net.Ping(dst, seq)
+}
+
+// Probe implements Network.
+func (b *batch) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Result {
+	b.probes++
+	return b.net.Probe(dst, ttl, flowID, salt)
+}
+
+// RecordProbeRetry implements ProbeRetryObserver.
+func (b *batch) RecordProbeRetry() { b.probeRetries++ }
+
+// RecordDegradedWindow implements DegradedObserver.
+func (b *batch) RecordDegradedWindow() { b.degradedWindows++ }
+
+// RecordDegradedRetry implements DegradedObserver.
+func (b *batch) RecordDegradedRetry() { b.degradedRetries++ }
+
+// RecordDegradedExhausted implements DegradedObserver.
+func (b *batch) RecordDegradedExhausted() { b.degradedExhausted++ }
+
+// flush adds the view's counts to its Instrumented.
+func (b *batch) flush() {
+	n, sc := b.owner, b.stage
+	n.pings.Add(b.pings)
+	sc.pings.Add(b.pings)
+	n.probes.Add(b.probes)
+	sc.probes.Add(b.probes)
+	n.pingRetries.Add(b.pingRetries)
+	sc.pingRetries.Add(b.pingRetries)
+	n.probeRetries.Add(b.probeRetries)
+	sc.probeRetries.Add(b.probeRetries)
+	n.degradedWindows.Add(b.degradedWindows)
+	sc.degradedWindows.Add(b.degradedWindows)
+	n.degradedRetries.Add(b.degradedRetries)
+	sc.degradedRetries.Add(b.degradedRetries)
+	n.degradedExhausted.Add(b.degradedExhausted)
+	sc.degradedExhausted.Add(b.degradedExhausted)
+}
 
 // ProbeRetryObserver is implemented by Networks that want to know when a
 // prober retransmits an unanswered TTL-limited probe; retries are

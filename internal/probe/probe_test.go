@@ -312,6 +312,62 @@ func TestInstrumented(t *testing.T) {
 	}
 }
 
+// TestBatch checks the per-block counting view: nothing is published
+// before flush, flush publishes every count to the flat totals and to
+// the stage current when the view was taken, and a Network that is not
+// an Instrumented comes back unchanged.
+func TestBatch(t *testing.T) {
+	_, net := simWorld(t, 100)
+	got, flush := Batch(net)
+	flush()
+	if got != Network(net) {
+		t.Errorf("Batch(%T) = %T, want the network itself", net, got)
+	}
+
+	reg := telemetry.NewRegistry()
+	c := Instrument(net, reg, "measure")
+	v, flush := Batch(c)
+	dst := iputil.MustParseAddr("1.0.0.1")
+	v.Ping(dst, 0)
+	v.Ping(dst, 1)
+	v.Probe(dst, 3, 1, 1)
+	v.(ProbeRetryObserver).RecordProbeRetry()
+	deg := v.(DegradedObserver)
+	deg.RecordDegradedWindow()
+	deg.RecordDegradedRetry()
+	deg.RecordDegradedRetry()
+	deg.RecordDegradedExhausted()
+	if c.Pings() != 0 || c.Probes() != 0 {
+		t.Errorf("published before flush: %d pings, %d probes", c.Pings(), c.Probes())
+	}
+	c.SetStage("validate")
+	flush()
+	flat := []struct {
+		name      string
+		got, want int64
+	}{
+		{"pings", c.Pings(), 2},
+		{"probes", c.Probes(), 1},
+		{"ping_retries", c.PingRetries(), 1},
+		{"probe_retries", c.ProbeRetries(), 1},
+		{"degraded_windows", c.DegradedWindows(), 1},
+		{"degraded_retries", c.DegradedRetries(), 2},
+		{"degraded_exhausted", c.DegradedExhausted(), 1},
+	}
+	snap := reg.Snapshot()
+	for _, f := range flat {
+		if f.got != f.want {
+			t.Errorf("flat %s = %d, want %d", f.name, f.got, f.want)
+		}
+		if got := snap.Counters["probe.measure."+f.name]; got != f.want {
+			t.Errorf("probe.measure.%s = %d, want %d", f.name, got, f.want)
+		}
+		if got := snap.Counters["probe.validate."+f.name]; got != 0 {
+			t.Errorf("probe.validate.%s = %d, want 0", f.name, got)
+		}
+	}
+}
+
 func TestNewCounterNoRegistry(t *testing.T) {
 	_, net := simWorld(t, 100)
 	c := NewCounter(net)

@@ -22,8 +22,11 @@ type ProgressEvent struct {
 	Done, Total int
 	// Classes are the running per-class block tallies.
 	Classes map[string]int
-	// Pings and Probes are the echo requests and TTL-limited probes
-	// emitted so far (0 when the probing surface is not instrumented).
+	// Pings and Probes are the echo requests and TTL-limited probes of
+	// the blocks measured so far (0 when the probing surface is not
+	// instrumented). The prober publishes its counts once per measured
+	// block, so they advance a block at a time and may include blocks
+	// other workers finished after this one.
 	Pings, Probes int64
 }
 

@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -147,33 +148,32 @@ type Link struct {
 
 // PathSet is the set of distinct routes observed toward one destination
 // (the output of Paris-traceroute MDA, which enumerates per-flow
-// load-balanced paths).
+// load-balanced paths), in insertion order. The zero value is an empty
+// set.
 type PathSet struct {
 	paths []Path
-	keys  map[string]struct{}
 }
 
 // NewPathSet builds a set from the given paths, deduplicating exact
 // duplicates.
 func NewPathSet(paths ...Path) *PathSet {
-	s := &PathSet{keys: make(map[string]struct{}, len(paths))}
+	s := &PathSet{}
 	for _, p := range paths {
 		s.Add(p)
 	}
 	return s
 }
 
-// Add inserts a path if an exactly equal path is not already present and
-// reports whether it was inserted.
+// Add inserts a copy of p if an exactly equal path is not already present
+// and reports whether it was inserted. Duplicates are found by scanning
+// the set: it holds at most the flows one MDA run used, so the scan is
+// short, and a duplicate costs no allocation.
 func (s *PathSet) Add(p Path) bool {
-	if s.keys == nil {
-		s.keys = make(map[string]struct{})
+	for _, q := range s.paths {
+		if q.Equal(p) {
+			return false
+		}
 	}
-	k := p.Key()
-	if _, dup := s.keys[k]; dup {
-		return false
-	}
-	s.keys[k] = struct{}{}
 	s.paths = append(s.paths, p.Clone())
 	return true
 }
@@ -206,15 +206,13 @@ func (s *PathSet) SharesRoute(o *PathSet, wildcard bool) bool {
 // LastHops returns the set of distinct responsive last-hop routers across
 // all paths, plus whether any path ended in an unresponsive hop.
 func (s *PathSet) LastHops() (hops []iputil.Addr, anyUnresponsive bool) {
-	seen := make(map[iputil.Addr]struct{})
 	for _, p := range s.paths {
 		a, ok := p.LastHop()
 		if !ok {
 			anyUnresponsive = true
 			continue
 		}
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
+		if !slices.Contains(hops, a) {
 			hops = append(hops, a)
 		}
 	}
