@@ -431,7 +431,9 @@ func BenchmarkAggregateIdentical(b *testing.B) {
 
 // BenchmarkAblationTermination compares the default MDA-rule terminator
 // with the empirical Figure-4 confidence table and with never terminating:
-// the trade-off between probing cost and verdicts.
+// the trade-off between probing cost and verdicts. Each op measures the
+// same seed-derived sample of eligible /24s, so probes/block and accuracy
+// are the same at any -benchtime.
 func BenchmarkAblationTermination(b *testing.B) {
 	l := lab(b)
 	out, err := l.Pipeline()
@@ -442,7 +444,7 @@ func BenchmarkAblationTermination(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blocks := out.Eligible
+	blocks := sampleBlocks(out.Eligible, 128, 1)
 	cases := []struct {
 		name string
 		term hobbit.Terminator
@@ -458,17 +460,19 @@ func BenchmarkAblationTermination(b *testing.B) {
 			m := &hobbit.Measurer{Net: counter, Term: c.term, Seed: 1}
 			correct, judged := 0, 0
 			for i := 0; i < b.N; i++ {
-				blk := blocks[i%len(blocks)]
-				br := m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
-				if br.Class.Analyzable() {
-					judged++
-					hom, _ := l.World.TrueHomogeneous(blk)
-					if br.Class.Homogeneous() == hom {
-						correct++
+				for _, blk := range blocks {
+					br := m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
+					if br.Class.Analyzable() {
+						judged++
+						hom, _ := l.World.TrueHomogeneous(blk)
+						if br.Class.Homogeneous() == hom {
+							correct++
+						}
 					}
 				}
 			}
-			b.ReportMetric(float64(counter.Probes())/float64(b.N), "probes/block")
+			b.ReportMetric(float64(len(blocks)), "blocks/op")
+			b.ReportMetric(float64(counter.Probes())/float64(b.N*len(blocks)), "probes/block")
 			if judged > 0 {
 				b.ReportMetric(float64(correct)/float64(judged), "accuracy")
 			}
@@ -484,7 +488,9 @@ func (neverEnough) Enough(int, int) bool { return false }
 // BenchmarkAblationOrder compares the Section 3.3 shuffled /26
 // round-robin destination order against naive ascending-address probing
 // over the planted heterogeneous blocks: covering the /26s early exposes
-// splits with fewer probes.
+// splits with fewer probes. Each op measures the same seed-derived sample
+// of them, so probes/block and flagged-hetero are the same at any
+// -benchtime.
 func BenchmarkAblationOrder(b *testing.B) {
 	l := lab(b)
 	out, err := l.Pipeline()
@@ -500,6 +506,7 @@ func BenchmarkAblationOrder(b *testing.B) {
 	if len(hetero) == 0 {
 		b.Skip("no eligible heterogeneous blocks")
 	}
+	hetero = sampleBlocks(hetero, 64, 1)
 	for _, c := range []struct {
 		name       string
 		sequential bool
@@ -513,16 +520,18 @@ func BenchmarkAblationOrder(b *testing.B) {
 			m := &hobbit.Measurer{Net: counter, Seed: 1, SequentialOrder: c.sequential}
 			flagged, analyzable := 0, 0
 			for i := 0; i < b.N; i++ {
-				blk := hetero[i%len(hetero)]
-				br := m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
-				if br.Class.Analyzable() {
-					analyzable++
-					if br.VeryLikelyHetero {
-						flagged++
+				for _, blk := range hetero {
+					br := m.MeasureBlock(blk, out.Dataset.ActivesBy26(blk))
+					if br.Class.Analyzable() {
+						analyzable++
+						if br.VeryLikelyHetero {
+							flagged++
+						}
 					}
 				}
 			}
-			b.ReportMetric(float64(counter.Probes())/float64(b.N), "probes/block")
+			b.ReportMetric(float64(len(hetero)), "blocks/op")
+			b.ReportMetric(float64(counter.Probes())/float64(b.N*len(hetero)), "probes/block")
 			if analyzable > 0 {
 				b.ReportMetric(float64(flagged)/float64(analyzable), "flagged-hetero")
 			}

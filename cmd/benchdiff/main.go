@@ -36,15 +36,17 @@
 // Benchmarks present in only one input are reported but never fail the
 // run (suites grow; baselines are refreshed by the PR that grows them).
 //
-// Deterministic work counts a benchmark reports with b.ReportMetric —
-// the units in exactUnits: probes/block, packets/op, blocks/op — are kept
-// too and gated exactly: when a benchmark carries the unit in both the
-// baseline and the run, any change at all is a regression. Probe counts
-// are the paper's own cost metric and, at a fixed iteration count (the
-// bench job's -benchtime=1x), a pure function of the seed, so a pure
-// speed change must leave them untouched. A row whose baseline lacks
-// the unit stays ungated for it until a baseline refresh records it.
-// Every other custom unit is dropped.
+// Deterministic work counts and verdict shares a benchmark reports with
+// b.ReportMetric — the units in exactUnits: probes/block, packets/op,
+// blocks/op, accuracy, flagged-hetero — are kept too and gated exactly:
+// when a benchmark carries the unit in both the baseline and the run, any
+// change at all is a regression. Probe counts are the paper's own cost
+// metric and, at a fixed iteration count (the bench job's -benchtime=1x),
+// a pure function of the seed, as are the ablations' verdict shares over
+// their fixed block samples, so a pure speed change must leave them
+// untouched. A row whose baseline lacks the unit stays ungated for it
+// until a baseline refresh records it. Every other custom unit is
+// dropped.
 package main
 
 import (
@@ -73,11 +75,13 @@ type Metrics struct {
 }
 
 // exactUnits are the b.ReportMetric units benchdiff keeps and gates
-// exactly: deterministic work counts, not timings.
+// exactly: deterministic work counts and verdict shares, not timings.
 var exactUnits = map[string]bool{
-	"probes/block": true,
-	"packets/op":   true,
-	"blocks/op":    true,
+	"probes/block":   true,
+	"packets/op":     true,
+	"blocks/op":      true,
+	"accuracy":       true,
+	"flagged-hetero": true,
 }
 
 // File is the JSON baseline shape.

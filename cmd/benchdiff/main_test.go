@@ -251,13 +251,15 @@ func TestProcSuffixCrossMatch(t *testing.T) {
 }
 
 // TestParseExactCounts pins which b.ReportMetric units survive parsing:
-// the exactly-gated work counts do (reduced to the per-unit minimum over
-// repeated runs, like every other metric, and kept through a JSON round
-// trip); timing-like custom units do not.
+// the exactly-gated work counts and verdict shares do (reduced to the
+// per-unit minimum over repeated runs, like every other metric, and kept
+// through a JSON round trip); timing-like custom units do not.
 func TestParseExactCounts(t *testing.T) {
 	const text = `BenchmarkCampaign/workers-1-8	1	9000 ns/op	1200 blocks/op	41.5 probes/block	12 B/op	3 allocs/op
 BenchmarkCampaign/workers-1-8	1	8000 ns/op	1200 blocks/op	41.5 probes/block	12 B/op	3 allocs/op
-BenchmarkStages-8	1	5000 ns/op	3.2 census-ms/op	99 packets/op	0.97 accuracy
+BenchmarkStages-8	1	5000 ns/op	3.2 census-ms/op	99 packets/op	7.5 paths/run
+BenchmarkAblationTermination/mda-rule-8	1	7000 ns/op	0.9398 accuracy	128.0 blocks/op	204.9 probes/block
+BenchmarkAblationOrder/rr-26-8	1	3000 ns/op	32.00 blocks/op	1.000 flagged-hetero	201.1 probes/block
 BenchmarkPlain-8	1	100 ns/op
 `
 	set, err := Parse([]byte(text))
@@ -271,6 +273,12 @@ BenchmarkPlain-8	1	100 ns/op
 	stages := set["BenchmarkStages"]
 	if len(stages.Counts) != 1 || stages.Counts["packets/op"] != 99 {
 		t.Errorf("Stages counts = %v, want only packets/op 99", stages.Counts)
+	}
+	if got := set["BenchmarkAblationTermination/mda-rule"].Counts; len(got) != 3 || got["accuracy"] != 0.9398 {
+		t.Errorf("Termination counts = %v, want accuracy 0.9398 beside blocks/op and probes/block", got)
+	}
+	if got := set["BenchmarkAblationOrder/rr-26"].Counts; len(got) != 3 || got["flagged-hetero"] != 1 {
+		t.Errorf("Order counts = %v, want flagged-hetero 1 beside blocks/op and probes/block", got)
 	}
 	if set["BenchmarkPlain"].Counts != nil {
 		t.Errorf("Plain grew counts %v", set["BenchmarkPlain"].Counts)
@@ -291,7 +299,10 @@ BenchmarkPlain-8	1	100 ns/op
 	if got := back["BenchmarkCampaign/workers-1"].Counts; got["probes/block"] != 41.5 || got["blocks/op"] != 1200 {
 		t.Errorf("JSON round trip counts = %v", got)
 	}
-	if strings.Contains(string(data), "accuracy") || strings.Contains(string(data), "census-ms") {
+	if got := back["BenchmarkAblationTermination/mda-rule"].Counts; got["accuracy"] != 0.9398 {
+		t.Errorf("JSON round trip lost accuracy: %v", got)
+	}
+	if strings.Contains(string(data), "paths/run") || strings.Contains(string(data), "census-ms") {
 		t.Errorf("ungated units leaked into the baseline:\n%s", data)
 	}
 }
@@ -320,6 +331,9 @@ func TestCompareExactCounts(t *testing.T) {
 		{"baseline lacks unit", nil, counts("probes/block", 40), nil},
 		{"run lacks unit", counts("probes/block", 40), nil, nil},
 		{"disjoint units", counts("blocks/op", 10), counts("packets/op", 99), nil},
+		{"accuracy moved", map[string]float64{"accuracy": 0.9398}, map[string]float64{"accuracy": 0.9399}, []string{"accuracy"}},
+		{"flagged-hetero moved", map[string]float64{"flagged-hetero": 0.2812}, map[string]float64{"flagged-hetero": 0.2813}, []string{"flagged-hetero"}},
+		{"shares held", map[string]float64{"accuracy": 1, "flagged-hetero": 0.2812}, map[string]float64{"accuracy": 1, "flagged-hetero": 0.2812}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

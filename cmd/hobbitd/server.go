@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -236,15 +237,23 @@ func (s *server) timeout(req api.SubmitRequestV1) time.Duration {
 // an unbounded body.
 const maxSubmitBytes = 1 << 20
 
+// decodeSubmit decodes a submission body strictly: at most
+// maxSubmitBytes, and no field v1 does not define.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser) (api.SubmitRequestV1, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	var req api.SubmitRequestV1
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // handleSubmit is POST /v1/campaigns: validate, consult the result
 // cache, and either finish the session instantly (hit), run it inline
 // (wait: true, tied to the request context), or hand it to a runner
 // goroutine (async, tied to the server context).
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	var req api.SubmitRequestV1
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSubmit(w, r.Body)
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

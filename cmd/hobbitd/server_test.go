@@ -149,6 +149,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative timeout", `{"timeout_ms": -4}`},
 		{"negative workers", `{"options": {"workers": -1}}`},
 		{"bad confidence", `{"options": {"mda": {"confidence": 7}}}`},
+		{"max_ttl past the TTL field", `{"options": {"mda": {"max_ttl": 256}}}`},
+		{"max_ttl int32 max", `{"options": {"mda": {"max_ttl": 2147483647}}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))
@@ -292,9 +294,18 @@ func TestCacheHitDeterminism(t *testing.T) {
 		t.Error("cache hit returned different bytes than the cold run")
 	}
 
+	// mda.first_ttl shares the key too: FindLastHops replaces it with the
+	// echo-TTL estimate before every MDA run.
+	_, ttl := postCampaign(t, ts, submitBody(7, func(r *api.SubmitRequestV1) {
+		r.Options.MDA.FirstTTL = 9
+	}))
+	if !ttl.CacheHit {
+		t.Errorf("a first_ttl-only resubmission missed the cache: %+v", ttl)
+	}
+
 	after := counters(t, ts)
-	if after["serve.cache_hits"] != 1 {
-		t.Errorf("cache_hits = %d, want 1", after["serve.cache_hits"])
+	if after["serve.cache_hits"] != 2 {
+		t.Errorf("cache_hits = %d, want 2", after["serve.cache_hits"])
 	}
 	if after["serve.probes_total"] != before["serve.probes_total"] ||
 		after["serve.pings_total"] != before["serve.pings_total"] {

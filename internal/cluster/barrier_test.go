@@ -82,9 +82,9 @@ func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
 	// Parameter sweep: minimize the fraction of intra-cluster edges
 	// whose weight is below the median of all edge weights.
 	median, hasEdges := g.MedianWeight()
-	best := p.inflations()[0]
+	best := inflations[0]
 	bestScore := 2.0
-	for _, inf := range p.inflations() {
+	for _, inf := range inflations {
 		score := 0.0
 		if hasEdges {
 			score = p.sweepObjective(g, multi, inf, median)
@@ -98,7 +98,7 @@ func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
 	res.ChosenInflation = best
 
 	// Final clustering at the chosen inflation.
-	opts := p.mclOpts(best)
+	opts := mcl.Options{Inflation: best, Workers: p.Workers}
 	clustered := make(map[int]bool)
 	for _, comp := range multi {
 		sub, back := g.Subgraph(comp)
@@ -135,7 +135,7 @@ func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
 // sweepObjective runs MCL at one inflation and scores it: the fraction of
 // intra-cluster edges with weight below the global median.
 func (p *Pipeline) sweepObjective(g *graph.Graph, comps [][]int, inflation, median float64) float64 {
-	opts := p.mclOpts(inflation)
+	opts := mcl.Options{Inflation: inflation, Workers: p.Workers}
 	below, total := 0, 0
 	for _, comp := range comps {
 		sub, _ := g.Subgraph(comp)

@@ -13,7 +13,6 @@ import (
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/graph"
 	"github.com/hobbitscan/hobbit/internal/iputil"
-	"github.com/hobbitscan/hobbit/internal/mcl"
 	"github.com/hobbitscan/hobbit/internal/rng"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
@@ -60,11 +59,6 @@ func BuildGraph(blocks []*aggregate.Block) *graph.Graph {
 
 // Pipeline configures the clustering run.
 type Pipeline struct {
-	// Inflations are the sweep candidates; empty uses a standard range.
-	Inflations []float64
-	// MCL carries the remaining MCL options (inflation is overridden by
-	// the sweep).
-	MCL mcl.Options
 	// Seed drives deterministic pair sampling during validation.
 	Seed uint64
 	// Workers bounds the concurrency of the clustering: the MCL runs
@@ -92,12 +86,8 @@ type Result struct {
 	Components int
 }
 
-func (p *Pipeline) inflations() []float64 {
-	if len(p.Inflations) > 0 {
-		return p.Inflations
-	}
-	return []float64{1.4, 1.8, 2.0, 2.4, 3.0}
-}
+// inflations are the MCL inflation sweep's candidates, in sweep order.
+var inflations = []float64{1.4, 1.8, 2.0, 2.4, 3.0}
 
 // Run executes the full Section 6.3-6.4 procedure. It is the batch form
 // of the streaming clusterer: every aggregate is observed as a fresh
@@ -112,18 +102,6 @@ func (p *Pipeline) Run(blocks []*aggregate.Block) *Result {
 		s.Observe(b, true)
 	}
 	return s.Finish()
-}
-
-// mclOpts derives the per-run MCL options: the sweep's inflation wins,
-// and the pipeline's worker bound applies unless the caller pinned one on
-// MCL directly.
-func (p *Pipeline) mclOpts(inflation float64) mcl.Options {
-	opts := p.MCL
-	opts.Inflation = inflation
-	if opts.Workers == 0 {
-		opts.Workers = p.Workers
-	}
-	return opts
 }
 
 // SimilarityDistribution returns the weighted distribution of pairwise

@@ -216,21 +216,20 @@ func (s *Streamer) newJob(members []int) *mclJob {
 // and Epoch take no context, and ForEach fails only on cancellation, so
 // its error is always nil here.
 func (p *Pipeline) computeJobs(jobs []*mclJob) {
-	infl := p.inflations()
 	for _, j := range jobs {
-		j.clusterings = make([][][]int, len(infl))
-		j.intra = make([][]float64, len(infl))
+		j.clusterings = make([][][]int, len(inflations))
+		j.intra = make([][]float64, len(inflations))
 	}
-	_ = parallel.Pool{Workers: p.Workers}.ForEach(context.TODO(), len(jobs)*len(infl), func(i int) {
-		p.sweepJob(jobs[i/len(infl)], i%len(infl))
+	_ = parallel.Pool{Workers: p.Workers}.ForEach(context.TODO(), len(jobs)*len(inflations), func(i int) {
+		p.sweepJob(jobs[i/len(inflations)], i%len(inflations))
 	})
 }
 
-// sweepJob clusters the job at inflations()[k] and keeps the clustering
+// sweepJob clusters the job at inflations[k] and keeps the clustering
 // and its sorted intra-cluster weights. Scoring against the global
 // median — the only cross-component input — is left to mergeSweep.
 func (p *Pipeline) sweepJob(j *mclJob, k int) {
-	clusters := mcl.Cluster(j.sub, p.mclOpts(p.inflations()[k]))
+	clusters := mcl.Cluster(j.sub, mcl.Options{Inflation: inflations[k], Workers: p.Workers})
 	cid := make([]int, j.sub.Len())
 	for id, cl := range clusters {
 		for _, v := range cl {
@@ -258,10 +257,9 @@ func (p *Pipeline) sweepJob(j *mclJob, k int) {
 // res.SweepScores and res.ChosenInflation and returns the winning
 // inflation's index, with exactly the barrier path's tie-breaking.
 func (p *Pipeline) mergeSweep(res *Result, jobs []*mclJob, median float64, hasEdges bool) int {
-	infl := p.inflations()
-	best := infl[0]
+	best := inflations[0]
 	bestScore := 2.0
-	for k, inf := range infl {
+	for k, inf := range inflations {
 		score := 0.0
 		if hasEdges {
 			below, total := 0, 0
@@ -287,7 +285,7 @@ func (p *Pipeline) mergeSweep(res *Result, jobs []*mclJob, median float64, hasEd
 	}
 	res.ChosenInflation = best
 	bestIdx := 0
-	for k, inf := range infl {
+	for k, inf := range inflations {
 		if inf == best {
 			bestIdx = k
 		}

@@ -79,11 +79,20 @@ func (o Options) Validate() error {
 	if o.MDA.Confidence < 0 || o.MDA.Confidence >= 1 {
 		return fmt.Errorf("core: options: mda.confidence must be in [0, 1), got %v", o.MDA.Confidence)
 	}
+	if o.MDA.MaxTTL > maxTTL {
+		return fmt.Errorf("core: options: mda.max_ttl must be <= %d (the IPv4 TTL field is 8 bits), got %d", maxTTL, o.MDA.MaxTTL)
+	}
 	if o.MDA.FirstTTL > 0 && o.MDA.MaxTTL > 0 && o.MDA.FirstTTL > o.MDA.MaxTTL {
 		return fmt.Errorf("core: options: mda.first_ttl %d exceeds mda.max_ttl %d", o.MDA.FirstTTL, o.MDA.MaxTTL)
 	}
 	return nil
 }
+
+// maxTTL is the largest TTL an IPv4 header can carry. A larger mda.max_ttl
+// names no probe that can be sent, and toward a destination that drops
+// every TTL-limited probe the MDA walk would record one empty row per
+// TTL up to it.
+const maxTTL = 255
 
 // MaxStreamChunk bounds Pipeline.StreamChunk. The cap is a sanity rail,
 // not a tuning knob: one chunk of 2^20 /24s already covers the full
@@ -111,11 +120,14 @@ func ValidateStreamChunk(n int) error {
 // determinism contract (DESIGN.md §4d) guarantees output is byte-identical
 // at any worker count, so they must never split a cache — implicit
 // defaults become explicit, and the MDA options collapse via
-// probe.MDAOptions.Canonical. Two Options with equal Canonical forms
-// drive behaviourally identical runs over the same surface.
+// probe.MDAOptions.Canonical. mda.first_ttl folds to 1: the pipeline
+// reaches MDA only through probe.FindLastHops, which replaces it with the
+// echo-TTL estimate before every run. Two Options with equal Canonical
+// forms drive behaviourally identical runs over the same surface.
 func (o Options) Canonical() Options {
 	o.Workers, o.CensusWorkers, o.ClusterWorkers = 0, 0, 0
 	o.MDA = o.MDA.Canonical()
+	o.MDA.FirstTTL = 1
 	if o.MinActive == 0 {
 		o.MinActive = 4
 	}
@@ -124,8 +136,7 @@ func (o Options) Canonical() Options {
 
 // CanonicalJSON renders the canonical form as compact JSON with every
 // field present (no omitempty anywhere in the schema), so equal behaviour
-// classes serialize to equal bytes — the options half of hobbitd's result
-// cache key.
+// classes serialize to equal bytes.
 func (o Options) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(o.Canonical())
 }

@@ -16,6 +16,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 8, CensusWorkers: 1, ClusterWorkers: 2, ValidatePairs: 20000},
 		{MDA: probe.MDAOptions{Retries: -1, AdaptiveBudget: -1}},
 		{MDA: probe.MDAOptions{FirstTTL: 3, MaxTTL: 3}},
+		{MDA: probe.MDAOptions{FirstTTL: 255, MaxTTL: 255}},
 	}
 	for _, o := range ok {
 		if err := o.Validate(); err != nil {
@@ -33,6 +34,9 @@ func TestOptionsValidate(t *testing.T) {
 		{Options{ValidatePairs: -1}, "validate_pairs"},
 		{Options{MDA: probe.MDAOptions{Confidence: 1.5}}, "confidence"},
 		{Options{MDA: probe.MDAOptions{FirstTTL: 9, MaxTTL: 4}}, "first_ttl"},
+		// The IPv4 TTL field is 8 bits.
+		{Options{MDA: probe.MDAOptions{MaxTTL: 256}}, "max_ttl"},
+		{Options{MDA: probe.MDAOptions{MaxTTL: 1<<31 - 1}}, "max_ttl"},
 	}
 	for _, tc := range bad {
 		err := tc.o.Validate()
@@ -95,8 +99,8 @@ func TestPipelineRejectsInvalidStreamChunk(t *testing.T) {
 
 // TestOptionsCanonical pins the cache-key equivalence classes: worker
 // counts never split a key (the §4d determinism contract makes them pure
-// scheduling), implicit defaults match their explicit spellings, and the
-// negative sentinels collapse.
+// scheduling), implicit defaults match their explicit spellings, the
+// negative sentinels collapse, and mda.first_ttl folds away.
 func TestOptionsCanonical(t *testing.T) {
 	equal := [][2]Options{
 		{{Workers: 1}, {Workers: 8, CensusWorkers: 3, ClusterWorkers: 2}},
@@ -106,6 +110,9 @@ func TestOptionsCanonical(t *testing.T) {
 		// A non-adaptive run never consults the budget.
 		{{MDA: probe.MDAOptions{AdaptiveBudget: 9}}, {MDA: probe.MDAOptions{AdaptiveBudget: -1}}},
 		{{}, DefaultOptions()},
+		// FindLastHops replaces first_ttl before every MDA run.
+		{{}, {MDA: probe.MDAOptions{FirstTTL: 9}}},
+		{{MDA: probe.MDAOptions{FirstTTL: 2, MaxTTL: 16}}, {MDA: probe.MDAOptions{FirstTTL: 16, MaxTTL: 16}}},
 	}
 	for _, pair := range equal {
 		a, _ := pair[0].CanonicalJSON()
@@ -130,7 +137,7 @@ func TestOptionsCanonical(t *testing.T) {
 		}
 	}
 	// Idempotence: canonicalizing a canonical form is the identity.
-	for _, o := range []Options{{}, {MDA: probe.MDAOptions{Retries: -3, Adaptive: true, AdaptiveBudget: -2}}} {
+	for _, o := range []Options{{}, {MDA: probe.MDAOptions{FirstTTL: 5, Retries: -3, Adaptive: true, AdaptiveBudget: -2}}} {
 		c := o.Canonical()
 		if c != c.Canonical() {
 			t.Errorf("Canonical not idempotent: %+v -> %+v -> %+v", o, c, c.Canonical())

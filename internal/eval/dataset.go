@@ -131,7 +131,7 @@ func (l *Lab) TraceDataset() (*TraceDataset, error) {
 		}
 		jobs = append(jobs, job{block: b, detected: br.Class.Homogeneous(), probed: br.Probed})
 	}
-	jobs = strideSample(jobs, l.traceBlockCap())
+	jobs = strideSample(jobs, traceBlocks)
 
 	ds := &TraceDataset{Blocks: make([]*BlockTraces, len(jobs))}
 	var wg sync.WaitGroup

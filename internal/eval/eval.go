@@ -39,9 +39,6 @@ type LabConfig struct {
 	BigBlockScale float64
 	// Seed defaults to the netsim default seed.
 	Seed uint64
-	// TraceBlocks bounds the homogeneous blocks fully traced for the
-	// dataset-driven experiments (default 250).
-	TraceBlocks int
 }
 
 func (c LabConfig) withDefaults() LabConfig {
@@ -50,9 +47,6 @@ func (c LabConfig) withDefaults() LabConfig {
 	}
 	if c.BigBlockScale <= 0 {
 		c.BigBlockScale = 0.05
-	}
-	if c.TraceBlocks <= 0 {
-		c.TraceBlocks = 250
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x40bb17
@@ -77,8 +71,9 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 	}, nil
 }
 
-// traceBlockCap returns the block budget for full-trace datasets.
-func (l *Lab) traceBlockCap() int { return 250 }
+// traceBlocks bounds the homogeneous blocks fully traced for the
+// dataset-driven experiments.
+const traceBlocks = 250
 
 // strideSample picks up to n elements spread evenly across a slice, so
 // bounded experiment samples stay representative of the whole universe

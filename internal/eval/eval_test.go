@@ -20,7 +20,7 @@ func sharedLab(t *testing.T) *Lab {
 		t.Skip("eval experiments are slow")
 	}
 	labOnce.Do(func() {
-		sharedL, labErr = NewLab(LabConfig{NumBlocks: 3000, BigBlockScale: 0.04, TraceBlocks: 200})
+		sharedL, labErr = NewLab(LabConfig{NumBlocks: 3000, BigBlockScale: 0.04})
 	})
 	if labErr != nil {
 		t.Fatal(labErr)
@@ -54,7 +54,7 @@ func metricBetween(t *testing.T, r *Report, key string, lo, hi float64) {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"bgpmix", "coverage", "fig10", "fig11", "fig12", "fig3a",
+		"bgpmix", "coverage", "dhcp", "fig10", "fig11", "fig12", "fig3a",
 		"fig3b", "fig3c", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"longitudinal", "mclstats", "outage", "prelim", "table1",
 		"table2", "table3", "table4", "table5", "vantage",
@@ -317,6 +317,18 @@ func TestOutage(t *testing.T) {
 			r.Metrics["recall_block"], r.Metrics["recall_per24"])
 	}
 	metricBetween(t, r, "precision_block", 0.7, 1.0)
+}
+
+func TestDHCP(t *testing.T) {
+	r := runExp(t, "dhcp")
+	metricBetween(t, r, "hosts", 20, 200)
+	// Re-leased hosts stay inside their homogeneous block, so the
+	// block-wide search must recover more of them than the old /24.
+	if r.Metrics["recovered_block"] <= r.Metrics["recovered_24"] {
+		t.Errorf("block-wide recovery %v should beat old-/24 recovery %v",
+			r.Metrics["recovered_block"], r.Metrics["recovered_24"])
+	}
+	metricBetween(t, r, "recovered_block", 0.5, 1.0)
 }
 
 func TestMCLStats(t *testing.T) {

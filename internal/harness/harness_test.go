@@ -2,14 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/core"
+	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
+	"github.com/hobbitscan/hobbit/internal/probe"
 )
 
 // snapshot serializes everything an operator would diff between runs:
@@ -259,5 +262,41 @@ func TestRunBadWorld(t *testing.T) {
 	opt.Blocks = -1
 	if _, _, err := Run(Scenario{Plan: "baseline"}, opt); err == nil {
 		t.Fatal("negative universe accepted")
+	}
+}
+
+// TestFirstTTLNeverChangesOutput backs core.Options.Canonical folding
+// mda.first_ttl out of hobbitd's cache key: probe.FindLastHops replaces
+// it with the echo-TTL estimate before every MDA run, so runs differing
+// only in first_ttl produce byte-identical artifacts. The rate-storm
+// world makes the adaptive retrace paths run too.
+func TestFirstTTLNeverChangesOutput(t *testing.T) {
+	cfg := netsim.DefaultConfig(300)
+	cfg.BigBlockScale = 0.02
+	w := netsim.MustNew(cfg)
+	sched, err := faultplan.CompileBuiltin("rate-storm", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetFaults(sched)
+	var ref []byte
+	for _, first := range []int{0, 1, 9, 32} {
+		p := &core.Pipeline{
+			Net:     probe.NewSimNetwork(w),
+			Scanner: w,
+			Blocks:  w.Blocks(),
+			Seed:    7,
+			Options: core.Options{MDA: probe.MDAOptions{FirstTTL: first, Adaptive: true}},
+		}
+		out, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := EncodeOutput(out)
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(got, ref) {
+			t.Errorf("first_ttl %d changed the pipeline output", first)
+		}
 	}
 }

@@ -53,10 +53,6 @@ type Measurer struct {
 	// MinActive is the minimum number of responsive destinations for a
 	// block to be analyzable (the paper requires 4).
 	MinActive int
-	// SingleLastHopProbes is how many responsive destinations with a
-	// common single last hop suffice to call the block homogeneous (the
-	// paper adopts the 6-probe / 95% MDA rule).
-	SingleLastHopProbes int
 	// Exhaustive disables early termination (the Section 6.5 reprobing
 	// strategy): probing continues past non-hierarchical findings and
 	// the last-hop enumeration bound replaces the hierarchy bound.
@@ -117,12 +113,10 @@ func (m *Measurer) minActive() int {
 	return 4
 }
 
-func (m *Measurer) singleRule() int {
-	if m.SingleLastHopProbes > 0 {
-		return m.SingleLastHopProbes
-	}
-	return 6
-}
+// singleLastHopProbes is how many responsive destinations with a common
+// single last hop suffice to call the block homogeneous (the paper adopts
+// the 6-probe / 95% MDA rule).
+const singleLastHopProbes = 6
 
 // Order produces the probing order of Section 3.3: the block's active
 // addresses grouped by /26, visited round-robin with the /26 order
@@ -211,12 +205,12 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 			// Reprobing strategy: enumerate last hops to the MDA
 			// bound rather than the hierarchy bound, and never
 			// stop on a non-hierarchical finding.
-			if term.Enough(len(gm), res.Responded) && res.Responded >= m.singleRule() {
+			if term.Enough(len(gm), res.Responded) && res.Responded >= singleLastHopProbes {
 				break
 			}
 			continue
 		}
-		if len(gm) == 1 && res.Responded >= m.singleRule() {
+		if len(gm) == 1 && res.Responded >= singleLastHopProbes {
 			break
 		}
 		if len(gm) > 1 {
@@ -254,7 +248,7 @@ func (m *Measurer) classify(res *BlockResult, term Terminator) Class {
 	case len(res.Groups) == 0:
 		return ClassUnresponsiveLastHop
 	case len(res.Groups) == 1:
-		if res.Responded-res.UnrespLastHop >= m.singleRule() {
+		if res.Responded-res.UnrespLastHop >= singleLastHopProbes {
 			return ClassSameLastHop
 		}
 		return ClassTooFewActive

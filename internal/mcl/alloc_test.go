@@ -20,9 +20,9 @@ func TestStepZeroAlloc(t *testing.T) {
 	g := bridgedFamilies(3, 20) // 60 vertices: serial fallback path
 	opts := Options{Workers: 1}.withDefaults()
 	e := newEngine(g, opts)
-	for i := 0; i < opts.MaxIter; i++ {
+	for i := 0; i < maxIter; i++ {
 		e.step()
-		if delta(&e.nxt, &e.cur) < opts.Epsilon {
+		if delta(&e.nxt, &e.cur) < epsilon {
 			break
 		}
 	}

@@ -34,18 +34,6 @@ type Options struct {
 	// Inflation is the granularity parameter r (entrywise power);
 	// larger values produce finer clusters. Default 2.0.
 	Inflation float64
-	// MaxIter bounds the expansion/inflation rounds. Default 60.
-	MaxIter int
-	// Prune drops matrix entries below this value after each round to
-	// keep the matrix sparse. Default 1e-5.
-	Prune float64
-	// SelfLoop is the loop weight added to each vertex before
-	// normalization, the standard regularization that guarantees
-	// convergence. Default 1.0.
-	SelfLoop float64
-	// Epsilon is the convergence threshold on the largest entry change
-	// between rounds. Default 1e-6.
-	Epsilon float64
 	// Workers bounds the column shards of the expansion/inflation rounds
 	// (0 = GOMAXPROCS, 1 = serial). Every output column of M*M is
 	// independent, so sharding cannot change the result; matrices smaller
@@ -63,21 +51,24 @@ type Options struct {
 // stitched back in shard order.
 const parallelMinColumns = 128
 
+const (
+	// maxIter bounds the expansion/inflation rounds.
+	maxIter = 60
+	// prune drops matrix entries below this value after each round to
+	// keep the matrix sparse.
+	prune = 1e-5
+	// selfLoop is the loop weight added to each vertex before
+	// normalization, the standard regularization that guarantees
+	// convergence.
+	selfLoop = 1.0
+	// epsilon is the convergence threshold on the largest entry change
+	// between rounds.
+	epsilon = 1e-6
+)
+
 func (o Options) withDefaults() Options {
 	if o.Inflation <= 1 {
 		o.Inflation = 2.0
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 60
-	}
-	if o.Prune <= 0 {
-		o.Prune = 1e-5
-	}
-	if o.SelfLoop <= 0 {
-		o.SelfLoop = 1.0
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-6
 	}
 	return o
 }
@@ -138,7 +129,7 @@ func newEngine(g *graph.Graph, opts Options) *engine {
 	var col []entry
 	for v := 0; v < n; v++ {
 		col = col[:0]
-		col = append(col, entry{row: int32(v), val: opts.SelfLoop})
+		col = append(col, entry{row: int32(v), val: selfLoop})
 		for _, ed := range g.Neighbors(v) {
 			col = append(col, entry{row: int32(ed.To), val: ed.Weight})
 		}
@@ -214,7 +205,7 @@ func (e *engine) expandInflateColumn(st *shardState, dst *csr, j int) {
 		var sum2 float64
 		for i := start; i < len(dst.vals); i++ {
 			v := dst.vals[i] / sum
-			if v >= e.opts.Prune {
+			if v >= prune {
 				dst.rows[w] = dst.rows[i]
 				dst.vals[w] = v
 				sum2 += v
@@ -340,10 +331,10 @@ func Cluster(g *graph.Graph, opts Options) [][]int {
 		return nil
 	}
 	e := newEngine(g, opts)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		e.step()
 		// After the swap, nxt holds the previous round's matrix.
-		if delta(&e.nxt, &e.cur) < opts.Epsilon {
+		if delta(&e.nxt, &e.cur) < epsilon {
 			break
 		}
 	}

@@ -189,13 +189,26 @@ func (w *World) popPermFwd(p *pop, n int) []int {
 }
 
 // popPerm returns the inverse permutation: active-address index ->
-// subscriber index.
+// subscriber index, cached per (pop, epoch) so HostFingerprint costs a
+// lookup rather than a fresh O(n) shuffle per address.
 func (w *World) popPerm(p *pop, n int) []int {
-	fwd := w.popPermFwd(p, n)
-	inv := make([]int, n)
-	for k, idx := range fwd {
+	key := popEpochKey{pop: p.id, epoch: w.epoch}
+	w.epochMu.Lock()
+	inv, ok := w.popPermCache[key]
+	w.epochMu.Unlock()
+	if ok {
+		return inv
+	}
+	inv = make([]int, n)
+	for k, idx := range w.popPermFwd(p, n) {
 		inv[idx] = k
 	}
+	w.epochMu.Lock()
+	if w.popPermCache == nil {
+		w.popPermCache = make(map[popEpochKey][]int)
+	}
+	w.popPermCache[key] = inv
+	w.epochMu.Unlock()
 	return inv
 }
 

@@ -46,12 +46,13 @@ type World struct {
 	// heteroBlocks lists the planted heterogeneous /24s (ground truth).
 	heteroBlocks []iputil.Block24
 
-	// epoch is the current measurement epoch (see epoch.go); the cache
-	// holds per-(pop, epoch) responsive-address lists for the
-	// subscriber model.
+	// epoch is the current measurement epoch (see epoch.go); the caches
+	// hold per-(pop, epoch) responsive-address lists and their inverse
+	// subscriber permutations for the subscriber model.
 	epoch          int
 	epochMu        sync.Mutex
 	popActiveCache map[popEpochKey][]iputil.Addr
+	popPermCache   map[popEpochKey][]int
 
 	// faultEpoch, when pinned via SetFaultEpoch, is the epoch the fault
 	// plan is evaluated at — decoupled from the measurement epoch so the

@@ -26,11 +26,6 @@ type StreamOptions struct {
 	// ChunkSize is the number of blocks per emitted chunk (0 = a size
 	// derived from the input, see chunkSize).
 	ChunkSize int
-	// Window bounds the chunks in flight — claimed by a worker but not
-	// yet received by the consumer (0 = 2× workers, minimum 2). The
-	// sweep's peak memory is one Dataset per in-flight chunk, so the
-	// window is what keeps a million-block census from materializing.
-	Window int
 	// Telemetry receives the "census.…" counters; nil disables them.
 	Telemetry *telemetry.Registry
 }
@@ -54,17 +49,6 @@ func (o StreamOptions) chunkSize(n, workers int) int {
 	return min(1024, max(16, (n+4*workers-1)/(4*workers)))
 }
 
-func (o StreamOptions) window(workers int) int {
-	w := o.Window
-	if w <= 0 {
-		w = 2 * workers
-	}
-	if w < 2 {
-		w = 2
-	}
-	return w
-}
-
 // Stream is the census: it sweeps every address of the given blocks
 // through the scanner and emits the responders as block-ordered chunks
 // over the returned channel, never materializing the full sweep (Collect
@@ -77,8 +61,10 @@ func (o StreamOptions) window(workers int) int {
 //
 // A worker may only claim a chunk after taking a window token, and the
 // emitter returns the token once the consumer has received the chunk, so
-// at most Window chunk datasets exist at a time: a slow consumer stalls
-// the sweep instead of buffering it.
+// at most 2× workers (minimum 2) chunk datasets exist at a time: a slow
+// consumer stalls the sweep instead of buffering it. The sweep's peak
+// memory is one Dataset per in-flight chunk, so the window is what keeps
+// a million-block census from materializing.
 //
 // The channel is closed when the sweep completes or ctx is cancelled;
 // on cancellation the already-scanned prefix may be partially emitted.
@@ -103,7 +89,7 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 		// gate holds one token per in-flight chunk; workers must place a
 		// token before claiming a chunk and the emitter removes it after
 		// the consumer receives the chunk.
-		gate := make(chan struct{}, opts.window(workers))
+		gate := make(chan struct{}, max(2, 2*workers))
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
