@@ -2,18 +2,26 @@
 // when any benchmark regresses. It is the CI gate that keeps the
 // BENCH_*.json baselines honest: the bench job reruns the suite and
 // benchdiff exits non-zero if any benchmark's ns/op, B/op, or allocs/op
-// grew beyond the allowed fraction over the checked-in baseline.
+// grew by more than 20% over the checked-in baseline.
 //
 // Usage:
 //
-//	benchdiff [-max-regress F] [-max-regress-bytes F] [-max-regress-allocs F]
-//	          [-write FILE] OLD [NEW]
+//	benchdiff [-write FILE] OLD [NEW]
 //
 // OLD and NEW are each either raw `go test -bench` output or a JSON file
 // previously produced by -write (detected by content, not extension).
 // With both OLD and NEW, benchdiff prints a comparison and exits 1 on
 // regression. With only OLD and -write, it converts OLD to the JSON
 // baseline format — how BENCH_<pr>.json baselines are produced.
+//
+// A baseline records the host it was measured on: goos, goarch, and cpu
+// from go test's header lines, GOMAXPROCS from the benchmark names'
+// common -N suffix (none means 1), and the Go version benchdiff itself
+// was built with (the bench job builds it with the toolchain that just
+// ran the benchmarks). A comparison prints both hosts and warns with a
+// HOST MISMATCH line when they differ, because ns/op then compares
+// machines as well as code; the warning never fails the run. A baseline
+// written before hosts were recorded reads as "not recorded".
 //
 // Repeated runs of the same benchmark (go test -count=N) keep the
 // per-metric minimum, not the mean: the minimum is the least-noise
@@ -57,6 +65,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,20 +93,37 @@ var exactUnits = map[string]bool{
 	"flagged-hetero": true,
 }
 
+// maxRegress is the fractional growth of ns/op, B/op, or allocs/op that
+// still passes (0.20 = +20%).
+const maxRegress = 0.20
+
 // File is the JSON baseline shape.
 type File struct {
+	// Host is nil for a baseline written before hosts were recorded.
+	Host       *Host              `json:"host,omitempty"`
 	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
 
+// Host identifies the machine and toolchain a result set was measured on.
+type Host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (h *Host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s/%s, cpu %q, GOMAXPROCS %d, %s", h.GOOS, h.GOARCH, h.CPU, h.GOMAXPROCS, h.Go)
+}
+
 func main() {
-	var (
-		maxRegress = flag.Float64("max-regress", 0.20, "maximum allowed fractional ns/op growth before failing (0.20 = +20%)")
-		maxBytes   = flag.Float64("max-regress-bytes", 0.20, "maximum allowed fractional B/op growth (zero baselines allow no growth at all)")
-		maxAllocs  = flag.Float64("max-regress-allocs", 0.20, "maximum allowed fractional allocs/op growth (zero baselines allow no growth at all)")
-		write      = flag.String("write", "", "write the last input's parsed results to this JSON file")
-	)
+	write := flag.String("write", "", "write the last input's parsed results to this JSON file")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-max-regress F] [-max-regress-bytes F] [-max-regress-allocs F] [-write FILE] OLD [NEW]")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-write FILE] OLD [NEW]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -106,7 +132,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sets := make([]map[string]Metrics, flag.NArg())
+	sets := make([]File, flag.NArg())
 	for i, path := range flag.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -122,7 +148,7 @@ func main() {
 		}
 	}
 	if flag.NArg() == 2 {
-		report := Compare(sets[0], sets[1], Limits{NsPerOp: *maxRegress, BytesPerOp: *maxBytes, AllocsPerOp: *maxAllocs})
+		report := Compare(sets[0], sets[1])
 		fmt.Print(report.String())
 		if len(report.Regressions) > 0 {
 			os.Exit(1)
@@ -137,17 +163,17 @@ func fatal(err error) {
 
 // Parse reads either raw `go test -bench` output or the JSON baseline
 // format, detected by content.
-func Parse(data []byte) (map[string]Metrics, error) {
+func Parse(data []byte) (File, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '{' {
 		var f File
 		if err := json.Unmarshal(trimmed, &f); err != nil {
-			return nil, err
+			return File{}, err
 		}
 		if f.Benchmarks == nil {
-			return nil, fmt.Errorf("JSON input has no \"benchmarks\" object")
+			return File{}, fmt.Errorf("JSON input has no \"benchmarks\" object")
 		}
-		return f.Benchmarks, nil
+		return f, nil
 	}
 	return parseBenchText(data)
 }
@@ -167,12 +193,24 @@ type rawLine struct {
 // stripped, so baselines recorded at GOMAXPROCS=1 (no suffix) line up with
 // CI runs at GOMAXPROCS=N. A trailing -N that varies across lines is part
 // of real sub-benchmark names (workers-1, samples-1000) and is kept.
-func parseBenchText(data []byte) (map[string]Metrics, error) {
+// The host comes from the goos/goarch/cpu header lines, that suffix, and
+// runtime.Version (see the package comment).
+func parseBenchText(data []byte) (File, error) {
 	var lines []rawLine
+	host := Host{Go: runtime.Version()}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		switch key, val, _ := strings.Cut(line, ": "); key {
+		case "goos":
+			host.GOOS = val
+		case "goarch":
+			host.GOARCH = val
+		case "cpu":
+			host.CPU = val
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -208,12 +246,17 @@ func parseBenchText(data []byte) (map[string]Metrics, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return File{}, err
 	}
 	if len(lines) == 0 {
-		return nil, fmt.Errorf("no benchmark result lines found")
+		return File{}, fmt.Errorf("no benchmark result lines found")
 	}
 	suffix := commonProcSuffix(lines)
+	host.GOMAXPROCS = 1
+	if suffix != "" {
+		// commonProcSuffix only returns a suffix whose digits parse.
+		host.GOMAXPROCS, _ = strconv.Atoi(suffix[1:])
+	}
 	out := make(map[string]Metrics)
 	for _, l := range lines {
 		name := strings.TrimSuffix(l.name, suffix)
@@ -236,7 +279,7 @@ func parseBenchText(data []byte) (map[string]Metrics, error) {
 		m.runs++
 		out[name] = m
 	}
-	return out, nil
+	return File{Host: &host, Benchmarks: out}, nil
 }
 
 // commonProcSuffix returns the trailing "-N" shared by every benchmark
@@ -276,30 +319,24 @@ func (d Delta) Ratio() float64 {
 	return d.New / d.Old
 }
 
-// Limits holds the per-metric fractional growth allowances.
-type Limits struct {
-	NsPerOp     float64
-	BytesPerOp  float64
-	AllocsPerOp float64
-}
-
 // Report is the outcome of a comparison.
 type Report struct {
-	Regressions []Delta // any metric grew beyond its threshold
-	Compared    []Delta // ns/op of every benchmark present in both sets
-	OnlyOld     []string
-	OnlyNew     []string
-	Limits      Limits
+	OldHost, NewHost *Host
+	Regressions      []Delta // any metric grew beyond its threshold
+	Compared         []Delta // ns/op of every benchmark present in both sets
+	OnlyOld          []string
+	OnlyNew          []string
 }
 
-// Compare evaluates new against old. A benchmark regresses when any gated
-// metric grew by more than its fractional limit — and, for B/op and
+// Compare evaluates new against old. A benchmark regresses when ns/op,
+// B/op, or allocs/op grew by more than maxRegress — and, for B/op and
 // allocs/op, when a zero baseline grew at all: zero-alloc paths are a
 // contract, and a fractional threshold over zero would allow anything —
 // or when an exact count present on both sides changed in either
 // direction.
-func Compare(old, new map[string]Metrics, lim Limits) Report {
-	r := Report{Limits: lim}
+func Compare(oldFile, newFile File) Report {
+	old, new := oldFile.Benchmarks, newFile.Benchmarks
+	r := Report{OldHost: oldFile.Host, NewHost: newFile.Host}
 	names := make([]string, 0, len(old))
 	for name := range old {
 		names = append(names, name)
@@ -316,15 +353,14 @@ func Compare(old, new map[string]Metrics, lim Limits) Report {
 		checks := []struct {
 			metric    string
 			old, new  float64
-			limit     float64
 			gateZeros bool
 		}{
-			{"ns/op", o.NsPerOp, n.NsPerOp, lim.NsPerOp, false},
-			{"B/op", o.BytesPerOp, n.BytesPerOp, lim.BytesPerOp, true},
-			{"allocs/op", o.AllocsPerOp, n.AllocsPerOp, lim.AllocsPerOp, true},
+			{"ns/op", o.NsPerOp, n.NsPerOp, false},
+			{"B/op", o.BytesPerOp, n.BytesPerOp, true},
+			{"allocs/op", o.AllocsPerOp, n.AllocsPerOp, true},
 		}
 		for _, c := range checks {
-			grew := (c.old > 0 && c.new > c.old*(1+c.limit)) ||
+			grew := (c.old > 0 && c.new > c.old*(1+maxRegress)) ||
 				(c.gateZeros && c.old == 0 && c.new > 0)
 			if grew {
 				r.Regressions = append(r.Regressions, Delta{Name: name, Metric: c.metric, Old: c.old, New: c.new})
@@ -350,22 +386,14 @@ func Compare(old, new map[string]Metrics, lim Limits) Report {
 	return r
 }
 
-// limitFor returns the allowance that applied to the delta's metric.
-func (r Report) limitFor(metric string) float64 {
-	switch metric {
-	case "B/op":
-		return r.Limits.BytesPerOp
-	case "allocs/op":
-		return r.Limits.AllocsPerOp
-	default:
-		return r.Limits.NsPerOp
-	}
-}
-
-// String renders the report for the CI log: regressions first, then the
-// full comparison, then coverage differences.
+// String renders the report for the CI log: both hosts, regressions,
+// then the full comparison, then coverage differences.
 func (r Report) String() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "host old: %s\nhost new: %s\n", r.OldHost, r.NewHost)
+	if r.OldHost != nil && r.NewHost != nil && *r.OldHost != *r.NewHost {
+		b.WriteString("HOST MISMATCH: old and new ran on different hosts, so ns/op compares machines as well as code\n")
+	}
 	for _, d := range r.Regressions {
 		if exactUnits[d.Metric] {
 			fmt.Fprintf(&b, "REGRESSION %-60s %14.4g -> %14.4g %s (exact count must not change)\n",
@@ -378,7 +406,7 @@ func (r Report) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "REGRESSION %-60s %14.1f -> %14.1f %s (%.2fx > allowed %.2fx)\n",
-			d.Name, d.Old, d.New, d.Metric, d.Ratio(), 1+r.limitFor(d.Metric))
+			d.Name, d.Old, d.New, d.Metric, d.Ratio(), 1+maxRegress)
 	}
 	for _, d := range r.Compared {
 		fmt.Fprintf(&b, "ok         %-60s %14.1f -> %14.1f ns/op (%.2fx)\n", d.Name, d.Old, d.New, d.Ratio())
@@ -395,8 +423,8 @@ func (r Report) String() string {
 
 // writeJSON writes the parsed set in the JSON baseline format with sorted
 // keys (json.Marshal sorts map keys) and a trailing newline.
-func writeJSON(path string, set map[string]Metrics) error {
-	data, err := json.MarshalIndent(File{Benchmarks: set}, "", "  ")
+func writeJSON(path string, f File) error {
+	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}

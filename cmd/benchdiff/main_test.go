@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,10 +23,11 @@ ok  	github.com/hobbitscan/hobbit	1.234s
 `
 
 func TestParseBenchText(t *testing.T) {
-	set, err := Parse([]byte(benchText))
+	f, err := Parse([]byte(benchText))
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := f.Benchmarks
 	if len(set) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(set), set)
 	}
@@ -47,12 +49,12 @@ func TestParseBenchText(t *testing.T) {
 }
 
 func TestParseJSONRoundTrip(t *testing.T) {
-	set, err := Parse([]byte(benchText))
+	parsed, err := Parse([]byte(benchText))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "base.json")
-	if err := writeJSON(path, set); err != nil {
+	if err := writeJSON(path, parsed); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -63,13 +65,17 @@ func TestParseJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(set) {
-		t.Fatalf("round trip lost benchmarks: %d -> %d", len(set), len(back))
+	set := parsed.Benchmarks
+	if len(back.Benchmarks) != len(set) {
+		t.Fatalf("round trip lost benchmarks: %d -> %d", len(set), len(back.Benchmarks))
 	}
 	for name, m := range set {
-		if b := back[name]; math.Abs(b.NsPerOp-m.NsPerOp) > 1e-9 {
+		if b := back.Benchmarks[name]; math.Abs(b.NsPerOp-m.NsPerOp) > 1e-9 {
 			t.Errorf("%s ns/op %v -> %v", name, m.NsPerOp, b.NsPerOp)
 		}
+	}
+	if back.Host == nil || *back.Host != *parsed.Host {
+		t.Errorf("round trip host = %v, want %v", back.Host, parsed.Host)
 	}
 	// The file is stable, valid JSON with the documented shape.
 	var f File
@@ -108,7 +114,7 @@ func TestCompare(t *testing.T) {
 		"BenchmarkAtLimit": {NsPerOp: 1200}, // exactly +20% passes
 		"BenchmarkNew":     {NsPerOp: 99},
 	}
-	r := Compare(old, new, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+	r := Compare(File{Benchmarks: old}, File{Benchmarks: new})
 	if len(r.Regressions) != 1 || r.Regressions[0].Name != "BenchmarkSlower" {
 		t.Errorf("regressions = %+v, want exactly BenchmarkSlower", r.Regressions)
 	}
@@ -132,11 +138,11 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareNoRegressionsAgainstSelf(t *testing.T) {
-	set, err := Parse([]byte(benchText))
+	f, err := Parse([]byte(benchText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Compare(set, set, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+	r := Compare(f, f)
 	if len(r.Regressions) != 0 {
 		t.Errorf("self-comparison regressed: %+v", r.Regressions)
 	}
@@ -165,7 +171,7 @@ func TestCompareMemoryMetrics(t *testing.T) {
 		"BenchmarkShrink":   {NsPerOp: 100, BytesPerOp: 100, AllocsPerOp: 1},   // improvements pass
 		"BenchmarkMultiBad": {NsPerOp: 200, BytesPerOp: 2000, AllocsPerOp: 20}, // all three regress
 	}
-	r := Compare(old, new, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+	r := Compare(File{Benchmarks: old}, File{Benchmarks: new})
 	got := map[string]bool{}
 	for _, d := range r.Regressions {
 		got[d.Name+" "+d.Metric] = true
@@ -211,10 +217,11 @@ BenchmarkBeta/workers-1	      50	    2000.0 ns/op
 BenchmarkBeta/workers-8	      50	     500.0 ns/op
 BenchmarkTable/samples-1000	      10	    9000.0 ns/op
 `
-	set, err := Parse([]byte(text))
+	f, err := Parse([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := f.Benchmarks
 	for _, want := range []string{
 		"BenchmarkPlain",
 		"BenchmarkBeta/workers-1",
@@ -227,6 +234,9 @@ BenchmarkTable/samples-1000	      10	    9000.0 ns/op
 	}
 	if len(set) != 4 {
 		t.Errorf("parsed %d benchmarks, want 4", len(set))
+	}
+	if f.Host.GOMAXPROCS != 1 {
+		t.Errorf("GOMAXPROCS = %d without a common suffix, want 1", f.Host.GOMAXPROCS)
 	}
 }
 
@@ -244,7 +254,7 @@ func TestProcSuffixCrossMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Compare(old, new, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+	r := Compare(old, new)
 	if len(r.Compared) != 2 || len(r.OnlyOld)+len(r.OnlyNew) != 0 {
 		t.Errorf("cross-GOMAXPROCS names did not line up: %+v", r)
 	}
@@ -262,10 +272,11 @@ BenchmarkAblationTermination/mda-rule-8	1	7000 ns/op	0.9398 accuracy	128.0 block
 BenchmarkAblationOrder/rr-26-8	1	3000 ns/op	32.00 blocks/op	1.000 flagged-hetero	201.1 probes/block
 BenchmarkPlain-8	1	100 ns/op
 `
-	set, err := Parse([]byte(text))
+	parsed, err := Parse([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := parsed.Benchmarks
 	camp := set["BenchmarkCampaign/workers-1"]
 	if camp.NsPerOp != 8000 || camp.Counts["blocks/op"] != 1200 || camp.Counts["probes/block"] != 41.5 || len(camp.Counts) != 2 {
 		t.Errorf("Campaign parsed as %+v", camp)
@@ -285,17 +296,18 @@ BenchmarkPlain-8	1	100 ns/op
 	}
 
 	path := filepath.Join(t.TempDir(), "base.json")
-	if err := writeJSON(path, set); err != nil {
+	if err := writeJSON(path, parsed); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(data)
+	f, err := Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := f.Benchmarks
 	if got := back["BenchmarkCampaign/workers-1"].Counts; got["probes/block"] != 41.5 || got["blocks/op"] != 1200 {
 		t.Errorf("JSON round trip counts = %v", got)
 	}
@@ -339,7 +351,7 @@ func TestCompareExactCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			old := map[string]Metrics{"BenchmarkX": {NsPerOp: 100, Counts: tc.old}}
 			new := map[string]Metrics{"BenchmarkX": {NsPerOp: 50, Counts: tc.new}}
-			r := Compare(old, new, Limits{NsPerOp: 0.20, BytesPerOp: 0.20, AllocsPerOp: 0.20})
+			r := Compare(File{Benchmarks: old}, File{Benchmarks: new})
 			var got []string
 			for _, d := range r.Regressions {
 				got = append(got, d.Metric)
@@ -349,6 +361,64 @@ func TestCompareExactCounts(t *testing.T) {
 			}
 			if len(tc.want) > 0 && !strings.Contains(r.String(), "exact count must not change") {
 				t.Errorf("report does not explain the exact gate:\n%s", r.String())
+			}
+		})
+	}
+}
+
+// TestParseHost pins where a text run's host comes from: the goos,
+// goarch and cpu header lines (repeated per package and per -count run),
+// the common GOMAXPROCS suffix of the benchmark names, and the Go
+// version benchdiff was built with.
+func TestParseHost(t *testing.T) {
+	f, err := Parse([]byte(benchText + "goos: linux\ngoarch: amd64\ncpu: Test CPU\nBenchmarkGamma-8	1	10 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Test CPU", GOMAXPROCS: 8, Go: runtime.Version()}
+	if f.Host == nil || *f.Host != want {
+		t.Errorf("host = %v, want %v", f.Host, &want)
+	}
+	base, err := Parse([]byte(`{"benchmarks": {"BenchmarkAlpha": {"ns_per_op": 1}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Host != nil {
+		t.Errorf("baseline without a host block parsed host %v, want nil", base.Host)
+	}
+}
+
+// TestReportHosts pins the three ways a comparison prints its hosts: the
+// same host twice, two different hosts with a HOST MISMATCH warning, and
+// a baseline that never recorded one. None of them is a regression.
+func TestReportHosts(t *testing.T) {
+	host := &Host{GOOS: "linux", GOARCH: "amd64", CPU: "Test CPU", GOMAXPROCS: 2, Go: "go1.24.0"}
+	other := *host
+	other.GOMAXPROCS = 8
+	set := map[string]Metrics{"BenchmarkAlpha": {NsPerOp: 100}}
+	line := `linux/amd64, cpu "Test CPU", GOMAXPROCS 2, go1.24.0`
+	cases := []struct {
+		name     string
+		old, new *Host
+		want     string
+		mismatch bool
+	}{
+		{"match", host, host, "host old: " + line + "\nhost new: " + line + "\n", false},
+		{"mismatch", host, &other, "host old: " + line + "\nhost new: " + strings.Replace(line, "GOMAXPROCS 2", "GOMAXPROCS 8", 1) + "\n", true},
+		{"not recorded", nil, host, "host old: not recorded\nhost new: " + line + "\n", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := Compare(File{Host: tc.old, Benchmarks: set}, File{Host: tc.new, Benchmarks: set})
+			out := r.String()
+			if !strings.HasPrefix(out, tc.want) {
+				t.Errorf("report does not open with the hosts:\n%s\nwant prefix:\n%s", out, tc.want)
+			}
+			if got := strings.Contains(out, "HOST MISMATCH"); got != tc.mismatch {
+				t.Errorf("HOST MISMATCH printed = %v, want %v:\n%s", got, tc.mismatch, out)
+			}
+			if len(r.Regressions) != 0 {
+				t.Errorf("host difference counted as regression: %+v", r.Regressions)
 			}
 		})
 	}

@@ -190,7 +190,6 @@ func run(ctx context.Context, rc runConfig) error {
 			// runs, the run context is typically already cancelled, and a
 			// shutdown scoped to it would abort in-flight snapshot reads
 			// instead of letting them finish.
-			//lint:ignore ctx-propagation shutdown window must survive run-context cancellation
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := msrv.Shutdown(sctx); err != nil {

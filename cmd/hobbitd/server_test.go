@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -622,6 +623,58 @@ func TestShutdownRefusesSubmissions(t *testing.T) {
 	}
 	if code := errorCode(t, resp); code != api.CodeShuttingDown {
 		t.Errorf("code = %q, want %q", code, api.CodeShuttingDown)
+	}
+}
+
+// TestCloseJoinsSessions pins the shutdown contract of asynchronous
+// sessions: runners live on the server context, so Close cancels the
+// running and the queued ones alike and joins them through the server's
+// WaitGroup, and an open SSE stream ends with its session. Once the
+// server and the client let go, no goroutine started since the server
+// was built survives.
+func TestCloseJoinsSessions(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, ts := newTestServer(t, func(c *serverConfig) { c.MaxCampaigns = 1 })
+	client := &http.Client{Transport: &http.Transport{}}
+
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json", submitBody(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit seed %d: %s, want 202", seed, resp.Status)
+		}
+		ids = append(ids, decodeJSON[api.SessionV1](t, resp.Body).ID)
+		resp.Body.Close()
+	}
+	stream, err := client.Get(ts.URL + "/v1/campaigns/" + ids[len(ids)-1] + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(stream.Body).ReadString('\n'); err != nil {
+		t.Fatalf("reading the event stream: %v", err)
+	}
+
+	srv.Close()
+	srv.mu.Lock()
+	for _, id := range ids {
+		if state, _, _, ok := srv.sessions[id].terminal(); !ok {
+			t.Errorf("session %s is %s after Close, want a terminal state", id, state)
+		}
+	}
+	srv.mu.Unlock()
+	ts.Close()
+	stream.Body.Close()
+	client.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Close, %d before the server was built", n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

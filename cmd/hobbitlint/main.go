@@ -1,13 +1,11 @@
 // Command hobbitlint runs the repo's static-analysis suite (internal/lint)
 // over the given package patterns and reports every violated determinism,
-// concurrency, or wire-format invariant as "file:line: [analyzer] message".
+// hot-path, or wire-format invariant as "file:line: [analyzer] message".
 //
 // Usage:
 //
 //	hobbitlint [flags] [patterns...]       (default ./...)
 //
-//	-fix            apply suggested fixes (gofmt-clean), then report
-//	                what remains
 //	-format=github  emit GitHub Actions annotations instead of plain text
 //	-write-compat   regenerate compat.lock for packages with versioned
 //	                wire structs (the api-compat freeze; see DESIGN.md §4c)
@@ -30,14 +28,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/hobbitscan/hobbit/internal/lint"
 )
 
 func main() {
-	fix := flag.Bool("fix", false, "apply suggested fixes in place (result is gofmt-formatted)")
 	format := flag.String("format", "text", "output format: text or github (GitHub Actions annotations)")
 	writeCompat := flag.Bool("write-compat", false, "regenerate compat.lock for packages declaring versioned wire structs")
 	flag.Parse()
@@ -75,14 +71,6 @@ func main() {
 	}
 
 	diags := lint.Run(loader, pkgs, lint.Suite())
-
-	if *fix {
-		diags, err = applyFixes(loader, pkgs, diags)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	for _, d := range diags {
 		switch *format {
 		case "github":
@@ -94,45 +82,6 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// applyFixes writes every suggested fix to disk and re-runs the suite so
-// the caller sees only what still stands (a fix may also have unblocked
-// or invalidated other findings' positions).
-func applyFixes(loader *lint.Loader, pkgs []*lint.Package, diags []lint.Diagnostic) ([]lint.Diagnostic, error) {
-	if lint.FixableCount(diags) == 0 {
-		return diags, nil
-	}
-	fixed, err := lint.ApplyFixes(loader.Fset, diags)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]string, 0, len(fixed))
-	for file := range fixed {
-		files = append(files, file)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		if err := os.WriteFile(file, fixed[file], 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "hobbitlint: fixed %s\n", file)
-	}
-	// Reload from the rewritten sources: positions in the old diags no
-	// longer line up with the files on disk.
-	fresh, err := lint.NewLoader(loader.ModuleRoot)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	for _, p := range pkgs {
-		dirs = append(dirs, p.Dir)
-	}
-	repkgs, err := fresh.Load(dirs...)
-	if err != nil {
-		return nil, err
-	}
-	return lint.Run(fresh, repkgs, lint.Suite()), nil
 }
 
 // writeCompatLocks regenerates the api-compat freeze file for every

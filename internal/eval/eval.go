@@ -108,7 +108,6 @@ func (l *Lab) Pipeline() (*core.Output, error) {
 	// concurrent experiments sharing a Lab must see a single memoized
 	// output, and the double-check pattern would instead run the
 	// campaign once per racer.
-	//lint:ignore lock-discipline memoization lock intentionally covers the single pipeline run
 	out, err := p.Run(context.Background())
 	if err != nil {
 		return nil, err

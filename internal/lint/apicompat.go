@@ -291,8 +291,9 @@ func CompatLock(p *Pass) string {
 	return b.String()
 }
 
-// PassFor builds a bare analysis pass over one loaded package, for
-// tooling (like -write-compat) that needs package facts outside Run.
+// PassFor builds a bare analysis pass over one loaded package: Run wires
+// its reporter, and tooling (like -write-compat) reads package facts
+// from it outside Run.
 func (l *Loader) PassFor(pkg *Package) *Pass {
 	return &Pass{
 		Fset:       l.Fset,

@@ -2,23 +2,16 @@
 // on the standard library's go/parser, go/ast, and go/types (the repo's
 // zero-dependency rule keeps golang.org/x/tools out). Its analyzers
 // machine-check the invariants the reproduction depends on — same-seed
-// runs must stay byte-identical, goroutines must be joined or
-// cancellable, locks must never be held across blocking work, and the
-// versioned wire format must stay frozen — so regressions fail the
-// tier-1 gate instead of waiting for review.
-//
-// Beyond the original per-statement pattern matchers, the suite carries a
-// lightweight intra-procedural dataflow layer (dataflow.go): CFG-free
-// def-use over the AST, resolved through go/types, giving analyzers
-// object identity ("is this the same WaitGroup that is Waited on?"),
-// linear lock-held tracking, and callee signatures.
+// runs must stay byte-identical, the probe hot path must stay off the
+// allocator, and the versioned wire format must stay frozen — so
+// regressions fail the tier-1 gate instead of waiting for review.
 //
 // A finding can be silenced in place with a directive comment on, or
 // immediately above, the offending line:
 //
 //	//lint:ignore <analyzer-name> <reason>
 //
-// or for a whole file (used sparingly, e.g. the raw-socket backend):
+// or for a whole file (used sparingly):
 //
 //	//lint:file-ignore <analyzer-name> <reason>
 //
@@ -40,35 +33,12 @@ import (
 	"strings"
 )
 
-// TextEdit is one replacement of a source range.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is a mechanically safe rewrite that resolves a finding;
-// cmd/hobbitlint -fix applies them and gofmts the result.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// Finding is what an analyzer reports: a position, a message, and any
-// suggested fixes. Pass.Reportf covers the common fix-less case.
-type Finding struct {
-	Pos     token.Pos
-	Message string
-	Fixes   []SuggestedFix
-}
-
 // Diagnostic is one surviving finding, rendered as
 // "file:line: [name] message".
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -81,7 +51,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description DESIGN.md mirrors.
 	Doc string
 	// Run inspects the package and reports findings through
-	// Pass.Report/Pass.Reportf.
+	// Pass.Reportf.
 	Run func(p *Pass)
 }
 
@@ -100,20 +70,13 @@ type Pass struct {
 	Pkg       *types.Package
 	Info      *types.Info
 
-	// analyzer and report are wired by the driver before each Run.
-	analyzer string
-	report   func(Finding)
-	// facts is the lazily built dataflow index shared by the analyzers of
-	// one pass (see dataflow.go).
-	facts *dataFacts
+	// report is wired by the driver before each analyzer's Run.
+	report func(pos token.Pos, msg string)
 }
 
-// Report emits a finding for the currently running analyzer.
-func (p *Pass) Report(f Finding) { p.report(f) }
-
-// Reportf emits a fix-less finding.
+// Reportf emits a finding for the currently running analyzer.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(pos, fmt.Sprintf(format, args...))
 }
 
 // TypeOf returns the type of an expression, or nil when unknown (test
@@ -180,12 +143,8 @@ func Suite() []*Analyzer {
 		AnalyzerNondetermRand,
 		AnalyzerNondetermMapRange,
 		AnalyzerWallclock,
-		AnalyzerCtxLoop,
 		AnalyzerTelemetryNames,
-		AnalyzerGoroutineLeak,
 		AnalyzerHotpathAlloc,
-		AnalyzerLockDiscipline,
-		AnalyzerCtxPropagation,
 		AnalyzerAPICompat,
 	}
 }
@@ -197,31 +156,15 @@ func Suite() []*Analyzer {
 func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		pass := &Pass{
-			Fset:       l.Fset,
-			Path:       pkg.Path,
-			Dir:        pkg.Dir,
-			ModulePath: l.ModulePath,
-			Files:      pkg.Files,
-			TestFiles:  pkg.TestFiles,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-		}
+		pass := l.PassFor(pkg)
 		sup := newSuppressions(l.Fset, append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...))
 		diags = append(diags, sup.malformed...)
 		for _, a := range analyzers {
-			pass.analyzer = a.Name
-			pass.report = func(f Finding) {
-				position := l.Fset.Position(f.Pos)
-				if sup.suppressed(pass.analyzer, position) {
-					return
+			pass.report = func(pos token.Pos, msg string) {
+				position := l.Fset.Position(pos)
+				if !sup.suppressed(a.Name, position) {
+					diags = append(diags, Diagnostic{Pos: position, Analyzer: a.Name, Message: msg})
 				}
-				diags = append(diags, Diagnostic{
-					Pos:      position,
-					Analyzer: pass.analyzer,
-					Message:  f.Message,
-					Fixes:    f.Fixes,
-				})
 			}
 			a.Run(pass)
 		}
@@ -257,8 +200,6 @@ func sortDiagnostics(diags []Diagnostic) {
 // directive is one parsed //lint:ignore or //lint:file-ignore comment.
 type directive struct {
 	pos      token.Position
-	start    token.Pos // comment extent, for the deletion fix
-	end      token.Pos
 	analyzer string
 	fileWide bool
 	used     bool
@@ -307,13 +248,7 @@ func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 					})
 					continue
 				}
-				d := &directive{
-					pos:      pos,
-					start:    c.Pos(),
-					end:      c.End(),
-					analyzer: fields[0],
-					fileWide: fileWide,
-				}
+				d := &directive{pos: pos, analyzer: fields[0], fileWide: fileWide}
 				s.directives = append(s.directives, d)
 				if fileWide {
 					byName := s.files[pos.Filename]
@@ -361,33 +296,33 @@ func (s *suppressions) suppressed(analyzer string, pos token.Position) bool {
 // stale reports every well-formed directive that suppressed nothing in
 // this run. Directives naming an analyzer outside the run's set are
 // reported too — a typo in the name would otherwise silence nothing,
-// forever, invisibly. The suggested fix deletes the directive.
+// forever, invisibly. A stale-suppression directive excuses the dormant
+// directives it covers, but never itself: one that excused none is
+// reported like any other directive that suppressed nothing.
 func (s *suppressions) stale(analyzers []*Analyzer) []Diagnostic {
 	known := map[string]bool{"lint-directive": true, "stale-suppression": true}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 	var diags []Diagnostic
-	for _, d := range s.directives {
-		if d.used {
-			continue
-		}
+	report := func(d *directive) {
 		msg := fmt.Sprintf("directive suppresses no %s finding; delete it or fix the justification", d.analyzer)
 		if !known[d.analyzer] {
 			msg = fmt.Sprintf("directive names unknown analyzer %q and can never suppress anything", d.analyzer)
 		}
-		if s.suppressed("stale-suppression", d.pos) {
-			continue
+		diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "stale-suppression", Message: msg})
+	}
+	for _, d := range s.directives {
+		if !d.used && d.analyzer != "stale-suppression" && !s.suppressed("stale-suppression", d.pos) {
+			report(d)
 		}
-		diags = append(diags, Diagnostic{
-			Pos:      d.pos,
-			Analyzer: "stale-suppression",
-			Message:  msg,
-			Fixes: []SuggestedFix{{
-				Message: "delete the stale directive",
-				Edits:   []TextEdit{{Pos: d.start, End: d.end}},
-			}},
-		})
+	}
+	// Meta directives are judged only now, after the loop above marked
+	// each one that excused a dormant directive.
+	for _, d := range s.directives {
+		if !d.used && d.analyzer == "stale-suppression" {
+			report(d)
+		}
 	}
 	return diags
 }

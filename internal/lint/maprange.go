@@ -193,6 +193,17 @@ func isSortCall(p *Pass, f *ast.File, call *ast.CallExpr) bool {
 	return strings.HasPrefix(calleeName(call), "Sort")
 }
 
+// calleeName extracts the called function or method name.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
 // exprMentions reports whether the expression contains the rendered
 // target, either as a bare identifier or as a selector path.
 func exprMentions(arg ast.Expr, target string) bool {

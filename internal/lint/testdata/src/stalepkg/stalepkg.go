@@ -1,7 +1,7 @@
 // Package stalepkg is a lint fixture for stale-suppression: a directive
-// that suppresses nothing is itself a finding, a typo'd analyzer name
-// can never suppress anything, and a deliberate
-// //lint:ignore stale-suppression directive excuses a known-dormant one.
+// that suppresses nothing is itself a finding, a typo'd analyzer name can
+// never suppress anything, and a //lint:ignore stale-suppression directive
+// excuses a known-dormant one but is reported when it excuses none.
 package stalepkg
 
 import "time"
@@ -34,4 +34,20 @@ func Excused() int {
 	//lint:ignore stale-suppression kept dormant while the caller migrates off the clock
 	//lint:ignore wallclock the migration will reintroduce time.Now here
 	return 9
+}
+
+// Needless stacks a stale-suppression directive over a live wallclock
+// directive: nothing it covers is dormant, so the meta directive
+// excuses nothing and is itself reported.
+func Needless() time.Time {
+	//lint:ignore stale-suppression the directive below is live, so this excuses nothing
+	//lint:ignore wallclock fixture keeps this suppression live
+	return time.Now()
+}
+
+// Lonely carries a stale-suppression directive over no directive at
+// all: reported.
+func Lonely() int {
+	//lint:ignore stale-suppression nothing on the next line is a directive
+	return 11
 }

@@ -1,17 +1,17 @@
 package suppresspkg
 
 import (
-	"context"
+	"math/rand"
 	"time"
 )
 
-// Busy triggers two analyzers on one line — ctx-propagation (a detached
-// Background despite the ctx parameter) and wallclock (time.Now) — and
-// both are excused by a stacked standalone directive group above it.
-func Busy(ctx context.Context) time.Time {
-	//lint:ignore ctx-propagation fixture stacks two directives over one line
+// Busy triggers two analyzers on one line — nondeterm-rand (a draw from
+// math/rand's global state) and wallclock (time.Now) — and both are
+// excused by a stacked standalone directive group above it.
+func Busy() time.Time {
+	//lint:ignore nondeterm-rand fixture stacks two directives over one line
 	//lint:ignore wallclock fixture stacks two directives over one line
-	return compute(context.Background(), time.Now())
+	return compute(rand.Intn(10), time.Now())
 }
 
 // Trailing uses the inline form: the directive sits on the offending
@@ -20,4 +20,4 @@ func Trailing() time.Time {
 	return time.Now() //lint:ignore wallclock inline trailing directive form
 }
 
-func compute(ctx context.Context, t time.Time) time.Time { return t }
+func compute(n int, t time.Time) time.Time { return t }

@@ -3,8 +3,8 @@
 // ordered merge. Post-campaign fan-outs over an index space (the MCL
 // component sweeps and reprobe validation) run through this package, so
 // concurrency policy (worker bounds, cancellation, telemetry accounting)
-// lives in one place and the goroutine-leak analyzer can treat its
-// launch sites as the approved idiom.
+// lives in one place, and every worker it launches is joined before
+// ForEach returns.
 //
 // The determinism contract: callers hand the pool an index space [0, n)
 // and a function whose result for index i depends only on i and on

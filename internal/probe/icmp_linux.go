@@ -3,7 +3,6 @@
 // One raw ICMP socket carries every exchange, so the mutex must span the
 // send/receive round trip: interleaved writers would cross-match replies.
 // Serialized live I/O is the backend's documented contract.
-//lint:file-ignore lock-discipline the single raw socket serializes send/receive exchanges by design
 
 package probe
 

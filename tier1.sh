@@ -2,8 +2,8 @@
 # Tier-1 gate: everything must pass before a change lands.
 # - gofmt must report no files (output fails the gate);
 # - go vet and the repo's own static-analysis suite (cmd/hobbitlint)
-#   are hard gates: determinism, concurrency (goroutine-leak,
-#   lock-discipline, ctx-propagation), and wire-format (api-compat vs
+#   are hard gates: determinism (nondeterm-rand, nondeterm-maprange,
+#   wallclock), hot-path (hotpath-alloc), and wire-format (api-compat vs
 #   compat.lock) invariants are machine-checked, not review
 #   conventions, and every //lint:ignore must still be earning its
 #   keep (stale-suppression);
