@@ -347,11 +347,16 @@ func printMonitorEpochs(w io.Writer, reps []*monitor.EpochReport) {
 }
 
 // dumpBlocks writes the final block map in the blockmap text format.
+// A failed Close fails the dump too: the map may not have reached the
+// file.
 func dumpBlocks(path string, out *core.Output) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return blockmap.Write(f, out.Final)
+	if err := blockmap.Write(f, out.Final); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

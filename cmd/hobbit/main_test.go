@@ -38,6 +38,25 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunDumpError pins the -dump failure path: a block map the file
+// system cannot take fails the run instead of being reported written.
+func TestRunDumpError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline smoke test is slow")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var stdout bytes.Buffer
+	err := run(context.Background(), runConfig{blocks: 300, scale: 0.02, seed: 7, dump: "/dev/full", top: 3, stdout: &stdout})
+	if err == nil {
+		t.Fatal("run with -dump /dev/full succeeded")
+	}
+	if strings.Contains(stdout.String(), "block map written") {
+		t.Errorf("run reported the failed dump as written:\n%s", stdout.String())
+	}
+}
+
 func TestRunSkipClustering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline smoke test is slow")

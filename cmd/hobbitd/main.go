@@ -68,7 +68,7 @@ func run(args []string, logw *os.File) error {
 		maxMonitor    = fs.Int("max-monitor-epochs", 64, "ceiling on monitor_epochs per submission")
 		runTimeout    = fs.Duration("run-timeout", 10*time.Minute, "default per-campaign deadline")
 		maxTimeout    = fs.Duration("max-timeout", 30*time.Minute, "ceiling on requested timeout_ms")
-		progressEvery = fs.Int("progress-every", 0, "thin SSE progress to every Nth block (0 = all)")
+		progressEvery = fs.Int("progress-every", 0, "thin the SSE progress stream to every Nth block, plus each stage's first and last (0 = all); bounds SSE volume, not memory")
 	)
 	fs.SetOutput(logw)
 	if err := fs.Parse(args); err != nil {

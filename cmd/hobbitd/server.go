@@ -49,7 +49,9 @@ type serverConfig struct {
 	RunTimeout time.Duration
 	MaxTimeout time.Duration
 	// ProgressEvery thins the SSE progress stream to every Nth block
-	// (plus first and last); 0 keeps every event.
+	// (plus each stage's first and last); 0 keeps every event. It bounds
+	// SSE volume, not memory: a retained event costs about 10 bytes of
+	// the session's event log.
 	ProgressEvery int
 	// Now is the clock (tests inject a fake; main passes time.Now).
 	Now func() time.Time
@@ -545,16 +547,17 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	next := 0
+	events := sess.events.replay()
 	for {
-		evs, closed, wake := sess.events.snapshot(next)
-		for _, data := range evs {
+		closed, wake := events.fetch()
+		sent := false
+		for data := events.next(); data != nil; data = events.next() {
 			if err := writeSSEData(w, "progress", data); err != nil {
 				return
 			}
+			sent = true
 		}
-		if len(evs) > 0 {
-			next += len(evs)
+		if sent {
 			flusher.Flush()
 		}
 		if closed {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/api"
@@ -127,76 +126,4 @@ func (s *session) terminal() (state string, result []byte, errMsg string, ok boo
 		return s.state, s.result, s.errMsg, true
 	}
 	return s.state, nil, "", false
-}
-
-// eventLog is the bounded progress buffer between one campaign and any
-// number of SSE subscribers. Appends come from the campaign's collector
-// goroutine; reads come from handler goroutines. Subscribers replay the
-// retained history and then park on the wake channel, which append and
-// close rotate — a broadcast without per-subscriber bookkeeping, so an
-// SSE client that disconnects leaks nothing.
-type eventLog struct {
-	// every thins the stream: only events with Done%every == 0 — plus
-	// each stage's first and last — are retained, bounding memory and
-	// SSE volume on big campaigns (0 = keep all).
-	every int
-
-	mu sync.Mutex
-	// events holds each retained event already encoded as the JSON data
-	// of its SSE message. A finished session keeps its whole history for
-	// late subscribers, so every retained session holds one entry per
-	// measured block; the encoding is about half the size of the event
-	// with its own class map.
-	events [][]byte
-	closed bool
-	wake   chan struct{}
-}
-
-func newEventLog() *eventLog {
-	return &eventLog{wake: make(chan struct{})}
-}
-
-// append records one progress event (subject to thinning) and wakes
-// subscribers. It encodes the event before returning, because the
-// campaign mutates the class map it shares between emissions. Events
-// after close are dropped: the campaign's collector may still be
-// draining when cancellation finishes the session.
-func (l *eventLog) append(ev telemetry.ProgressEvent) {
-	if l.every > 1 && ev.Done%l.every != 0 && ev.Done != ev.Total && ev.Done != 1 {
-		return
-	}
-	// Strings, integers and a map[string]int always encode.
-	data, _ := json.Marshal(api.Progress(ev))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.events = append(l.events, data)
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
-// close seals the log and wakes subscribers one final time. Idempotent.
-func (l *eventLog) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
-// snapshot returns the encoded events at index >= from, whether the log
-// is sealed, and a channel that closes on the next append or close. The
-// subscriber loop is: drain, then park on wake (or the client's context).
-func (l *eventLog) snapshot(from int) (evs [][]byte, closed bool, wake <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < len(l.events) {
-		evs = l.events[from:len(l.events):len(l.events)]
-	}
-	return evs, l.closed, l.wake
 }
