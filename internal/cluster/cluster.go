@@ -23,15 +23,6 @@ type Cluster struct {
 	Members []*aggregate.Block
 }
 
-// Size24 returns the total member size in /24 blocks.
-func (c *Cluster) Size24() int {
-	total := 0
-	for _, m := range c.Members {
-		total += m.Size()
-	}
-	return total
-}
-
 // Blocks24 returns all member /24s sorted.
 func (c *Cluster) Blocks24() []iputil.Block24 {
 	var out []iputil.Block24

@@ -324,12 +324,13 @@ func TestPipelineTelemetryCoverage(t *testing.T) {
 // path: every address answers pings (reply TTL 56, so the inferred walk
 // starts at hop 7) and echoes at hop 12 behind a single per-block
 // last-hop router at hop 11, making both blocks measure homogeneous.
-// Addresses in the faulted block additionally lose every probing window
-// at hop 7 — exactly where the walk starts, so the per-flow windows
-// there all die in a row and each MDA run degrades; a small adaptive
-// budget then exhausts, while the default budget absorbs it. The type is
-// stateless, hence safe for any worker count, and doubles as the census
-// scanner (everything is active).
+// Addresses in the faulted block additionally lose the probing window of
+// every flow but flow 0 at hop 7 — exactly where the walk starts. The hop
+// answers, so the windows that die after flow 0's are loss, not an
+// anonymous router: they die in a row and each MDA run degrades; a small
+// adaptive budget then exhausts, while the default budget absorbs it.
+// The type is stateless, hence safe for any worker count, and doubles as
+// the census scanner (everything is active).
 type lowConfNet struct {
 	faulted iputil.Block24
 }
@@ -345,7 +346,7 @@ func (n *lowConfNet) Ping(iputil.Addr, int) (probe.PingResult, bool) {
 func (n *lowConfNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
 	faulted := dst.Block24() == n.faulted
 	switch {
-	case faulted && ttl == 7:
+	case faulted && ttl == 7 && flowID != 0:
 		return probe.Result{}
 	case ttl >= 12:
 		return probe.Result{Kind: probe.EchoReply}
@@ -387,7 +388,7 @@ func TestPipelineLowConfidenceExclusion(t *testing.T) {
 		return out, reg
 	}
 
-	// Tiny budget: the dead hop drains it on every probed address, so
+	// Tiny budget: the lossy hop drains it on every probed address, so
 	// the verdict is homogeneous but low-confidence.
 	out, reg := run(4)
 	br := out.Campaign.Blocks[faulted]

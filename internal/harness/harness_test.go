@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
@@ -13,6 +14,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
+	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
 // snapshot serializes everything an operator would diff between runs:
@@ -117,6 +119,77 @@ func TestScenarioAdversityVisible(t *testing.T) {
 	if hole.NoVerdict <= base.NoVerdict {
 		t.Errorf("blackhole silenced %d blocks, baseline %d — blackhole is a no-op",
 			hole.NoVerdict, base.NoVerdict)
+	}
+}
+
+// cleanRun runs the pipeline over the harness's clean default world with
+// probe accounting attached, and returns the encoded output and the
+// deterministic counters.
+func cleanRun(t *testing.T, adaptive bool) ([]byte, map[string]int64) {
+	t.Helper()
+	opt := DefaultOptions()
+	cfg := netsim.DefaultConfig(opt.Blocks)
+	cfg.BigBlockScale = opt.BigBlockScale
+	w := netsim.MustNew(cfg)
+	reg := telemetry.NewRegistry()
+	p := &core.Pipeline{
+		Net:       probe.Instrument(probe.NewSimNetwork(w), reg, core.StageMeasure),
+		Scanner:   w,
+		Blocks:    w.Blocks(),
+		Seed:      opt.Seed,
+		Options:   core.Options{MDA: probe.MDAOptions{Adaptive: adaptive}},
+		Telemetry: reg,
+	}
+	out, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return EncodeOutput(out), reg.Snapshot().Counters
+}
+
+// TestAdaptiveCleanWorldIdentical pins that silence is not loss: on a
+// clean world almost every window that dies, dies at an anonymous hop,
+// so adaptive probing never turns degraded and measures exactly what
+// plain probing does, packet for packet.
+func TestAdaptiveCleanWorldIdentical(t *testing.T) {
+	plain, plainCounters := cleanRun(t, false)
+	adaptive, adaptiveCounters := cleanRun(t, true)
+	if !bytes.Equal(plain, adaptive) {
+		t.Errorf("adaptive probing changed a clean world's output:\n%.400s\n%.400s", plain, adaptive)
+	}
+	if !reflect.DeepEqual(plainCounters, adaptiveCounters) {
+		t.Errorf("adaptive probing changed a clean world's counters:\nplain    %v\nadaptive %v", plainCounters, adaptiveCounters)
+	}
+	for _, stage := range []string{core.StageMeasure, core.StageValidate} {
+		for _, kind := range []string{"windows", "retries", "exhausted"} {
+			name := "probe." + stage + ".degraded_" + kind
+			if got := adaptiveCounters[name]; got != 0 {
+				t.Errorf("%s = %d on a clean world, want 0", name, got)
+			}
+		}
+	}
+}
+
+// TestSilenceCountersHarnessWorld pins the retry and silence counters of
+// a plain run over the harness's clean default world. Most
+// retransmissions there recover a reply lost to rate limiting at a hop
+// that answers; the rest are the two retries of the one full window
+// each anonymous hop gets before its flows drop to a single attempt.
+func TestSilenceCountersHarnessWorld(t *testing.T) {
+	_, c := cleanRun(t, false)
+	for name, want := range map[string]int64{
+		"probe.measure.probes":             27633,
+		"probe.measure.probe_retries":      632,
+		"probe.measure.recovered_retries":  541,
+		"probe.measure.silent_windows":     277,
+		"probe.validate.probes":            65718,
+		"probe.validate.probe_retries":     1361,
+		"probe.validate.recovered_retries": 1217,
+		"probe.validate.silent_windows":    482,
+	} {
+		if got := c[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

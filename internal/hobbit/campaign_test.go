@@ -278,14 +278,16 @@ func TestCampaignTelemetry(t *testing.T) {
 	}
 
 	// The same blocks under a rate storm with adaptive probing, so every
-	// retry and degradation signal fires: once through a per-call
-	// counter, once through Instrumented.
+	// retry, degradation and silence signal fires: once through a
+	// per-call counter, once through Instrumented. The small escalation
+	// budget makes some degraded run exhaust it.
 	sched, err := faultplan.CompileBuiltin("rate-storm", w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.SetFaults(sched)
 	c.Measurer.Opts.Adaptive = true
+	c.Measurer.Opts.AdaptiveBudget = 4
 	c.Progress = nil
 	calls := &callCounter{net: probe.NewSimNetwork(w)}
 	c.Measurer.Net = calls
@@ -316,6 +318,8 @@ func TestCampaignTelemetry(t *testing.T) {
 		{"degraded_windows", calls.degradedWindows.Load(), inst.DegradedWindows()},
 		{"degraded_retries", calls.degradedRetries.Load(), inst.DegradedRetries()},
 		{"degraded_exhausted", calls.degradedExhausted.Load(), inst.DegradedExhausted()},
+		{"recovered_retries", calls.recoveredRetries.Load(), inst.RecoveredRetries()},
+		{"silent_windows", calls.silentWindows.Load(), inst.SilentWindows()},
 	}
 	counters := reg.Snapshot().Counters
 	measureCounters := 0
@@ -349,6 +353,7 @@ type callCounter struct {
 
 	pings, probes, pingRetries, probeRetries            atomic.Int64
 	degradedWindows, degradedRetries, degradedExhausted atomic.Int64
+	recoveredRetries, silentWindows                     atomic.Int64
 }
 
 func (c *callCounter) Ping(dst iputil.Addr, seq int) (probe.PingResult, bool) {
@@ -368,6 +373,8 @@ func (c *callCounter) RecordProbeRetry()        { c.probeRetries.Add(1) }
 func (c *callCounter) RecordDegradedWindow()    { c.degradedWindows.Add(1) }
 func (c *callCounter) RecordDegradedRetry()     { c.degradedRetries.Add(1) }
 func (c *callCounter) RecordDegradedExhausted() { c.degradedExhausted.Add(1) }
+func (c *callCounter) RecordRecoveredRetry()    { c.recoveredRetries.Add(1) }
+func (c *callCounter) RecordSilentWindow()      { c.silentWindows.Add(1) }
 
 func TestCampaignCancellation(t *testing.T) {
 	_, c, eligible := campaignWorld(t, 400)

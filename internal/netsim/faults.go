@@ -66,9 +66,6 @@ func (w *World) SetFaults(f FaultView) {
 	w.faults = f
 }
 
-// Faults returns the active fault plan (nil when the world is clean).
-func (w *World) Faults() FaultView { return w.faults }
-
 // faultBlackholed reports whether dst sits behind a withdrawn route
 // entry this epoch.
 //

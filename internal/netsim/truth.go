@@ -113,14 +113,6 @@ func (w *World) BigBlockPops() map[string][]int32 {
 	return out
 }
 
-// PopKind returns the host-population kind of the given pop.
-func (w *World) PopKind(popID int32) BlockKind {
-	if popID < 0 || int(popID) >= len(w.pops) {
-		return KindResidential
-	}
-	return w.pops[popID].kind
-}
-
 // PopOfAddr returns the pop identifier serving an address.
 func (w *World) PopOfAddr(a iputil.Addr) (int32, bool) {
 	p, ok := w.popOf(a)

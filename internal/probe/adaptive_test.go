@@ -1,27 +1,35 @@
 package probe
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
-// faultyNet answers like scriptedNet but drops every TTL-exceeded reply
-// at hops in [faultLo, faultHi], modeling a storm-darkened span. It
-// counts probes so tests can see escalation happen, and implements the
-// observer interfaces to record what the prober reports.
+// faultyNet answers like scriptedNet but, at hops in [faultLo, faultHi],
+// drops the TTL-exceeded reply of every flow except flow 0: a lossy,
+// storm-hit span whose routers still answer some flows, so every other
+// window there dies at a TTL that has answered, which is loss. With dark
+// set the span drops every reply instead: anonymous routers, which MDA
+// must not read as loss. It counts probes so tests can see escalation
+// happen, and implements the observer interfaces to record what the
+// prober reports.
 type faultyNet struct {
 	dist             int
 	respTTL          int
 	lastHop          iputil.Addr
 	midBase          iputil.Addr
 	faultLo, faultHi int
+	dark             bool
 	probes           int
 	retries          int
 	degWindows       int
 	degRetries       int
 	degExhausted     int
+	recovered        int
+	silent           int
 }
 
 func (s *faultyNet) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
@@ -31,7 +39,7 @@ func (s *faultyNet) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
 func (s *faultyNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Result {
 	s.probes++
 	switch {
-	case ttl >= s.faultLo && ttl <= s.faultHi:
+	case ttl >= s.faultLo && ttl <= s.faultHi && (s.dark || flowID != 0):
 		return Result{}
 	case ttl >= s.dist:
 		return Result{Kind: EchoReply}
@@ -46,6 +54,8 @@ func (s *faultyNet) RecordProbeRetry()        { s.retries++ }
 func (s *faultyNet) RecordDegradedWindow()    { s.degWindows++ }
 func (s *faultyNet) RecordDegradedRetry()     { s.degRetries++ }
 func (s *faultyNet) RecordDegradedExhausted() { s.degExhausted++ }
+func (s *faultyNet) RecordRecoveredRetry()    { s.recovered++ }
+func (s *faultyNet) RecordSilentWindow()      { s.silent++ }
 
 // TestAdaptiveOffIdentical pins that the Adaptive option defaulting off
 // changes nothing: same replies, same probe count, no degraded flags.
@@ -77,10 +87,10 @@ func TestAdaptiveOffIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEscalates pins the degradation state machine: a span of
-// dead hops long enough to cross the streak threshold marks the run
-// degraded, and subsequent windows spend escalated retries from the
-// budget (visible as extra probes relative to the non-adaptive run).
+// TestAdaptiveEscalates pins the degradation state machine: a lossy span
+// whose dead windows cross the streak threshold marks the run degraded,
+// and subsequent windows spend escalated retries from the budget
+// (visible as extra probes relative to the non-adaptive run).
 func TestAdaptiveEscalates(t *testing.T) {
 	mk := func() *faultyNet {
 		return &faultyNet{dist: 12, respTTL: 52, lastHop: 0x64000001, midBase: 0x63000000, faultLo: 2, faultHi: 9}
@@ -89,7 +99,7 @@ func TestAdaptiveEscalates(t *testing.T) {
 	MDA(plain, 1, MDAOptions{FirstTTL: 1, MaxTTL: 16})
 	res := MDA(adaptive, 1, MDAOptions{FirstTTL: 1, MaxTTL: 16, Adaptive: true})
 	if !res.Degraded {
-		t.Fatal("eight dead hops did not mark the run degraded")
+		t.Fatal("eight lossy hops did not mark the run degraded")
 	}
 	if adaptive.degWindows != 1 {
 		t.Errorf("degraded window recorded %d times, want 1", adaptive.degWindows)
@@ -116,7 +126,7 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 		t.Fatal("run not degraded")
 	}
 	if !res.BudgetExhausted {
-		t.Fatal("budget of 3 across eight dead hops not exhausted")
+		t.Fatal("budget of 3 across eight lossy hops not exhausted")
 	}
 	if n.degRetries != 3 {
 		t.Errorf("spent %d escalated retries, budget was 3", n.degRetries)
@@ -141,10 +151,10 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 // degradation flags across its MDA runs into the LastHopResult.
 func TestFindLastHopsPropagatesDegradation(t *testing.T) {
 	// respTTL 56 -> estimate 8 -> firstTTL 7, right at the start of the
-	// dead span [7, 10]: the walk loses four consecutive windows before
-	// the clean hop at 11 and the echo at 12, so the MDA run degrades
-	// and (with a tiny budget) exhausts — and both flags must survive
-	// into the LastHopResult.
+	// lossy span [7, 10]: every flow but the first loses its window
+	// there, so the MDA run degrades on the first hop and (with a tiny
+	// budget) exhausts before the clean hop at 11 and the echo at 12 —
+	// and both flags must survive into the LastHopResult.
 	n := &faultyNet{dist: 12, respTTL: 56, lastHop: 0x64000001, midBase: 0x63000000, faultLo: 7, faultHi: 10}
 	res := FindLastHops(n, 1, MDAOptions{Adaptive: true, AdaptiveBudget: 4})
 	if !res.Degraded {
@@ -180,5 +190,38 @@ func TestInstrumentedDegradedCounters(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestAdaptiveDarkSpanNotDegraded pins that silence is not loss: a span
+// where no flow ever answers is a run of anonymous routers, so an
+// adaptive run over it marks nothing degraded, escalates nothing, and
+// sends exactly the probes of a plain run. Each dark hop costs one full
+// window and five single attempts: 8 probes, where retrying every flow
+// cost 18.
+func TestAdaptiveDarkSpanNotDegraded(t *testing.T) {
+	mk := func() *faultyNet {
+		return &faultyNet{dist: 12, respTTL: 52, lastHop: 0x64000001, midBase: 0x63000000, faultLo: 2, faultHi: 9, dark: true}
+	}
+	plain, adaptive := mk(), mk()
+	want := MDA(plain, 1, MDAOptions{FirstTTL: 1, MaxTTL: 16})
+	res := MDA(adaptive, 1, MDAOptions{FirstTTL: 1, MaxTTL: 16, Adaptive: true, AdaptiveBudget: 3})
+	if res.Degraded || res.BudgetExhausted {
+		t.Fatalf("dark span marked the run degraded: %+v", res)
+	}
+	if adaptive.degWindows+adaptive.degRetries+adaptive.degExhausted != 0 {
+		t.Errorf("degradation observed over a dark span: %d windows, %d retries, %d exhausted",
+			adaptive.degWindows, adaptive.degRetries, adaptive.degExhausted)
+	}
+	if adaptive.probes != plain.probes || res.DestTTL != want.DestTTL || !reflect.DeepEqual(res.Paths.Paths(), want.Paths.Paths()) {
+		t.Errorf("adaptive run sent %d probes to TTL %d, plain run %d to TTL %d", adaptive.probes, res.DestTTL, plain.probes, want.DestTTL)
+	}
+	// Hops 1, 10 and 11 answer all six flows; hops 2-9 are dark; hop 12
+	// echoes at once.
+	if want := 3*6 + 8*8 + 1; adaptive.probes != want {
+		t.Errorf("sent %d probes, want %d", adaptive.probes, want)
+	}
+	if adaptive.silent != 8*6 || adaptive.retries != 8*2 || adaptive.recovered != 0 {
+		t.Errorf("silent windows %d, retries %d, recovered %d; want 48, 16, 0", adaptive.silent, adaptive.retries, adaptive.recovered)
 	}
 }

@@ -23,10 +23,12 @@ import (
 // CAP_NET_RAW (or root) and is provided for operators reproducing the
 // study against real targets; the laboratory pipeline uses SimNetwork.
 //
-// Flow identifiers are encoded in the ICMP checksum-affecting payload the
-// way Paris traceroute keeps per-flow hashes stable: the ICMP identifier
-// carries the flow ID so per-flow load balancers hash probes of one flow
-// identically.
+// Flows are encoded the way Paris traceroute (Augustin et al., IMC 2006)
+// keeps per-flow hashes stable. A per-flow load balancer hashes the first
+// four ICMP bytes: type, code and checksum. Each probe's sequence number
+// carries MDA's salt, and its identifier is chosen so that the checksum
+// depends on the flow alone (see probeMessage), so every probe of one
+// flow takes the same path.
 type ICMPNetwork struct {
 	mu      sync.Mutex
 	conn    net.PacketConn
@@ -66,9 +68,8 @@ func (n *ICMPNetwork) setTTL(ttl int) error {
 	return syscall.SetsockoptInt(n.rawFD, syscall.IPPROTO_IP, syscall.IP_TTL, ttl)
 }
 
-// echoRequest builds an ICMP echo request whose identifier is the flow ID
-// (kept constant per flow so per-flow hashes are stable) and whose
-// sequence number carries the salt.
+// echoRequest builds an ICMP echo request with the given identifier and
+// sequence number over a fixed payload.
 func echoRequest(ident, seq uint16) []byte {
 	msg := make([]byte, 8+8)
 	msg[0] = 8 // echo request
@@ -78,6 +79,29 @@ func echoRequest(ident, seq uint16) []byte {
 	csum := icmpChecksum(msg)
 	binary.BigEndian.PutUint16(msg[2:], csum)
 	return msg
+}
+
+// probeMessage builds the echo request that Probe sends for one probe of
+// flow, and returns the (identifier, sequence) pair a reply must carry or
+// quote. The sequence number is the salt. The identifier makes the
+// one's-complement sum of the message's words equal flow%0xffff + 1, so
+// the checksum, the complement of that sum, is fixed per flow: flows 0
+// through 0xfffe get distinct checksums (the sum is never zero, so flow
+// 0xffff shares flow 0's).
+func probeMessage(flow uint16, salt uint32) (msg []byte, ident, seq uint16) {
+	seq = uint16(salt)
+	// With identifier 0 the checksum is the complement of the sum of
+	// every other word. Adding it to the target sum cancels those
+	// words, which leaves the identifier that brings the sum there.
+	rest := binary.BigEndian.Uint16(echoRequest(0, seq)[2:])
+	ident = onesAdd(flow%0xffff+1, rest)
+	return echoRequest(ident, seq), ident, seq
+}
+
+// onesAdd adds two 16-bit words in one's-complement arithmetic.
+func onesAdd(a, b uint16) uint16 {
+	s := uint32(a) + uint32(b)
+	return uint16(s&0xffff + s>>16)
 }
 
 func icmpChecksum(b []byte) uint16 {
@@ -172,9 +196,9 @@ func (n *ICMPNetwork) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32
 	}
 	o := dst.Octets()
 	addr := &net.IPAddr{IP: net.IPv4(o[0], o[1], o[2], o[3])}
-	seq := uint16(salt)
+	msg, ident, seq := probeMessage(flowID, salt)
 	start := time.Now()
-	if _, err := n.conn.WriteTo(echoRequest(flowID, seq), addr); err != nil {
+	if _, err := n.conn.WriteTo(msg, addr); err != nil {
 		return Result{}
 	}
 	// Same single-deadline pattern as exchangeEcho: kernel-enforced
@@ -187,7 +211,7 @@ func (n *ICMPNetwork) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32
 			return Result{}
 		}
 		kind, _, rid, rseq, _, ok := parseReply(buf[:nr])
-		if !ok || rid != flowID || rseq != seq {
+		if !ok || rid != ident || rseq != seq {
 			continue
 		}
 		switch kind {

@@ -20,13 +20,22 @@ type MDAOptions struct {
 	MaxFlows int `json:"max_flows"`
 	// Retries is how many extra probes to send when one goes
 	// unanswered, before recording an unresponsive hop. Zero uses the
-	// default (2); pass a negative value for single-shot probing.
+	// default (2); pass a negative value for single-shot probing. The
+	// retries buy back loss, so they stop where there is nothing to buy:
+	// once a flow's window (its probe and retries) dies at a TTL where
+	// no flow has answered, that TTL is taken for an anonymous router
+	// and every later flow there gets a single attempt, until one of
+	// them draws a reply.
 	Retries int `json:"retries"`
-	// Adaptive enables fault-adaptive escalation: once a probing window
-	// looks faulted (degradedStreak consecutive windows lost even after
-	// the normal retries), later windows get extra retransmissions,
-	// paid from a capped budget. Disabled by default; runs with it off
-	// behave bit-identically to runs before the option existed.
+	// Adaptive enables fault-adaptive escalation: once probing looks
+	// faulted (degradedStreak consecutive windows lost even after the
+	// normal retries, at TTLs where some flow has answered), later
+	// windows get extra retransmissions, paid from a capped budget.
+	// Silence at a TTL where no flow answers is anonymity, not loss, so
+	// it never counts toward the streak. Disabled by default: runs with
+	// it off never escalate or mark anything degraded, and on a network
+	// whose TTLs either answer every flow or stay anonymous, runs with
+	// it on probe bit-identically to runs with it off.
 	Adaptive bool `json:"adaptive"`
 	// AdaptiveBudget caps the total escalated retransmissions one MDA
 	// run may spend after it turns degraded. Zero uses the default
@@ -100,13 +109,28 @@ func (o MDAOptions) withDefaults() MDAOptions {
 	return o
 }
 
-// degradedStreak is how many consecutive fully-lost probing windows mark
-// an MDA run as degraded.
+// degradedStreak is how many consecutive fully-lost probing windows, at
+// TTLs where some flow has answered, mark an MDA run as degraded.
 const degradedStreak = 3
 
 // adaptiveEscalation is how many extra retransmissions a degraded run
 // adds per window, budget permitting.
 const adaptiveEscalation = 2
+
+// ttlState is what one MDA run has learned about one TTL, for the
+// silence rule (see MDAOptions.Retries).
+type ttlState uint8
+
+const (
+	// ttlOpen: no flow has answered and no window has died yet.
+	ttlOpen ttlState = iota
+	// ttlSilent: a window died and no flow has answered. Later windows
+	// get a single attempt, and their deaths are anonymity, not loss.
+	ttlSilent
+	// ttlAnswered: some flow drew a reply. Windows get their full
+	// retries, and a window that dies anyway counts as loss.
+	ttlAnswered
+)
 
 // MDAResult is the outcome of one Paris-traceroute MDA run toward a
 // destination.
@@ -150,19 +174,27 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	var salt uint32
 	retryObs, _ := net.(ProbeRetryObserver)
 	degObs, _ := net.(DegradedObserver)
-	// failStreak counts consecutive windows lost even after every retry;
-	// crossing degradedStreak turns the adaptive escalation on. budget is
-	// the escalated-retransmission allowance left once degraded.
+	silObs, _ := net.(SilenceObserver)
+	// failStreak counts consecutive windows lost even after every retry
+	// at TTLs that have answered; crossing degradedStreak turns the
+	// adaptive escalation on. budget is the escalated-retransmission
+	// allowance left once degraded.
 	failStreak := 0
 	budget := opts.AdaptiveBudget
-	probeOnce := func(ttl int, flow uint16) Result {
-		maxAttempts := opts.Retries
-		if opts.Adaptive && res.Degraded {
-			extra := adaptiveEscalation
-			if extra > budget {
-				extra = budget
+	// probeOnce sends flow's window at ttl and moves the TTL's state
+	// along: any reply marks it answered, and a window that dies while
+	// nothing there has answered marks it silent.
+	probeOnce := func(ttl int, flow uint16, state *ttlState) Result {
+		maxAttempts := 0
+		if *state != ttlSilent {
+			maxAttempts = opts.Retries
+			if opts.Adaptive && res.Degraded {
+				extra := adaptiveEscalation
+				if extra > budget {
+					extra = budget
+				}
+				maxAttempts += extra
 			}
-			maxAttempts += extra
 		}
 		for attempt := 0; ; attempt++ {
 			salt++
@@ -178,11 +210,22 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 			}
 			r := net.Probe(dst, ttl, flow, salt)
 			if r.Kind != NoReply {
+				*state = ttlAnswered
 				failStreak = 0
+				if attempt > 0 && silObs != nil {
+					silObs.RecordRecoveredRetry()
+				}
 				return r
 			}
 			if attempt < maxAttempts {
 				continue
+			}
+			if *state != ttlAnswered {
+				*state = ttlSilent
+				if silObs != nil {
+					silObs.RecordSilentWindow()
+				}
+				return r
 			}
 			failStreak++
 			if opts.Adaptive {
@@ -205,26 +248,29 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 
 	// hops holds every TTL's row back to back: the row of TTL FirstTTL+i
 	// ends at ends[i] and starts where the previous row ended, with flow
-	// f's interface at offset f. seen collects the distinct interfaces
-	// observed at the current TTL; a linear scan beats a per-TTL map at
-	// the small fan-outs real load balancers have. All three start in
-	// stack buffers that only a wide or long path outgrows, which keeps
-	// the walk off the allocator.
+	// f's interface at offset f, and states[i] is that TTL's silence
+	// state. seen collects the distinct interfaces observed at the
+	// current TTL; a linear scan beats a per-TTL map at the small
+	// fan-outs real load balancers have. All of them start in stack
+	// buffers that only a wide or long path outgrows, which keeps the
+	// walk off the allocator.
 	var hopBuf [256]trace.Hop
 	var endBuf [32]int
+	var stateBuf [32]ttlState
 	var seenBuf [16]iputil.Addr
-	hops, ends := hopBuf[:0], endBuf[:0]
+	hops, ends, states := hopBuf[:0], endBuf[:0], stateBuf[:0]
 	maxFlowsUsed := 0
 	for ttl := opts.FirstTTL; ttl <= opts.MaxTTL; ttl++ {
 		start := len(hops)
 		seen := seenBuf[:0]
+		state := ttlOpen
 		echo := false
 		for probed := 0; ; probed++ {
 			need := StoppingPoint(len(seen), opts.Confidence)
 			if probed >= need || probed >= opts.MaxFlows {
 				break
 			}
-			r := probeOnce(ttl, uint16(probed))
+			r := probeOnce(ttl, uint16(probed), &state)
 			switch r.Kind {
 			case EchoReply:
 				echo = true
@@ -248,12 +294,14 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 		}
 		maxFlowsUsed = max(maxFlowsUsed, len(hops)-start)
 		ends = append(ends, len(hops))
+		states = append(states, state)
 	}
 
 	// Assemble per-flow paths over the hops before the destination. A
 	// flow that was not probed at some hop (the stopping rule was met
 	// with fewer probes there) is filled in so every enumerated path is
-	// complete.
+	// complete. Fill-in windows follow the same silence rule: at a TTL
+	// whose row is all Star they get one attempt until one answers.
 	res.Paths = trace.NewPathSet()
 	if len(ends) == 0 {
 		return res
@@ -273,7 +321,7 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 				scratch[i] = row[f]
 				continue
 			}
-			r := probeOnce(opts.FirstTTL+i, uint16(f))
+			r := probeOnce(opts.FirstTTL+i, uint16(f), &states[i])
 			switch r.Kind {
 			case TTLExceeded:
 				scratch[i] = trace.R(r.From)

@@ -61,7 +61,10 @@ type Network interface {
 // registry is attached — as per-stage counters ("probe.<stage>.pings",
 // "probe.<stage>.probes", "probe.<stage>.ping_retries",
 // "probe.<stage>.probe_retries"), so census, measurement, and reprobe
-// validation load stay attributable after a run.
+// validation load stay attributable after a run. It also counts what the
+// prober reports through DegradedObserver and SilenceObserver
+// ("probe.<stage>.degraded_*", "probe.<stage>.recovered_retries",
+// "probe.<stage>.silent_windows").
 //
 // Its own methods count each call as it happens; they serve callers that
 // probe it directly. The production prober (hobbit.Measurer) instead takes
@@ -86,6 +89,9 @@ type Instrumented struct {
 	degradedWindows   atomic.Int64
 	degradedRetries   atomic.Int64
 	degradedExhausted atomic.Int64
+
+	recoveredRetries atomic.Int64
+	silentWindows    atomic.Int64
 }
 
 // stageCounters caches the per-stage registry handles so hot-path probes
@@ -99,6 +105,8 @@ type stageCounters struct {
 	degradedWindows   *telemetry.Counter
 	degradedRetries   *telemetry.Counter
 	degradedExhausted *telemetry.Counter
+	recoveredRetries  *telemetry.Counter
+	silentWindows     *telemetry.Counter
 }
 
 // Instrument wraps net with probe accounting attributed to the given
@@ -124,6 +132,8 @@ func (n *Instrumented) SetStage(stage string) {
 		sc.degradedWindows = n.reg.Counter("probe." + stage + ".degraded_windows")
 		sc.degradedRetries = n.reg.Counter("probe." + stage + ".degraded_retries")
 		sc.degradedExhausted = n.reg.Counter("probe." + stage + ".degraded_exhausted")
+		sc.recoveredRetries = n.reg.Counter("probe." + stage + ".recovered_retries")
+		sc.silentWindows = n.reg.Counter("probe." + stage + ".silent_windows")
 	}
 	n.stage.Store(sc)
 }
@@ -182,6 +192,20 @@ func (n *Instrumented) RecordDegradedExhausted() {
 	n.stage.Load().degradedExhausted.Inc()
 }
 
+// RecordRecoveredRetry implements SilenceObserver: a retransmission
+// drew a reply.
+func (n *Instrumented) RecordRecoveredRetry() {
+	n.recoveredRetries.Add(1)
+	n.stage.Load().recoveredRetries.Inc()
+}
+
+// RecordSilentWindow implements SilenceObserver: a window ended
+// unanswered at a TTL where no flow had answered.
+func (n *Instrumented) RecordSilentWindow() {
+	n.silentWindows.Add(1)
+	n.stage.Load().silentWindows.Inc()
+}
+
 // DegradedWindows returns how many MDA runs turned degraded.
 func (n *Instrumented) DegradedWindows() int64 { return n.degradedWindows.Load() }
 
@@ -190,6 +214,13 @@ func (n *Instrumented) DegradedRetries() int64 { return n.degradedRetries.Load()
 
 // DegradedExhausted returns how many runs exhausted their budget.
 func (n *Instrumented) DegradedExhausted() int64 { return n.degradedExhausted.Load() }
+
+// RecoveredRetries returns how many retransmissions drew a reply.
+func (n *Instrumented) RecoveredRetries() int64 { return n.recoveredRetries.Load() }
+
+// SilentWindows returns how many windows died at a TTL where no flow had
+// answered.
+func (n *Instrumented) SilentWindows() int64 { return n.silentWindows.Load() }
 
 // Pings returns the number of echo requests sent.
 func (n *Instrumented) Pings() int64 { return n.pings.Load() }
@@ -206,9 +237,9 @@ func (n *Instrumented) ProbeRetries() int64 { return n.probeRetries.Load() }
 // Batch returns a counting view of net for one goroutine's unit of work,
 // and the flush that publishes what the view counted. When net is an
 // *Instrumented, the view forwards every packet to the Network under it
-// and counts packets, retries and degradation signals in plain fields;
-// flush adds those seven totals once to the flat totals and to the
-// per-stage counters of the stage current when Batch was called. A hot
+// and counts packets, retries, degradation and silence signals in plain
+// fields; flush adds those nine totals once to the flat totals and to
+// the per-stage counters of the stage current when Batch was called. A hot
 // prober thus pays no shared-memory write per packet, and every count
 // stays exact. Any other Network comes back unchanged, with a flush that
 // does nothing.
@@ -224,7 +255,7 @@ func Batch(net Network) (Network, func()) {
 	return b, b.flush
 }
 
-// batch is Batch's view of an Instrumented: the same seven counts, in
+// batch is Batch's view of an Instrumented: the same nine counts, in
 // plain fields owned by one goroutine.
 type batch struct {
 	net   Network
@@ -233,6 +264,7 @@ type batch struct {
 
 	pings, probes, pingRetries, probeRetries            int64
 	degradedWindows, degradedRetries, degradedExhausted int64
+	recoveredRetries, silentWindows                     int64
 }
 
 // Ping implements Network, counting like Instrumented.Ping.
@@ -262,6 +294,12 @@ func (b *batch) RecordDegradedRetry() { b.degradedRetries++ }
 // RecordDegradedExhausted implements DegradedObserver.
 func (b *batch) RecordDegradedExhausted() { b.degradedExhausted++ }
 
+// RecordRecoveredRetry implements SilenceObserver.
+func (b *batch) RecordRecoveredRetry() { b.recoveredRetries++ }
+
+// RecordSilentWindow implements SilenceObserver.
+func (b *batch) RecordSilentWindow() { b.silentWindows++ }
+
 // flush adds the view's counts to its Instrumented.
 func (b *batch) flush() {
 	n, sc := b.owner, b.stage
@@ -279,6 +317,10 @@ func (b *batch) flush() {
 	sc.degradedRetries.Add(b.degradedRetries)
 	n.degradedExhausted.Add(b.degradedExhausted)
 	sc.degradedExhausted.Add(b.degradedExhausted)
+	n.recoveredRetries.Add(b.recoveredRetries)
+	sc.recoveredRetries.Add(b.recoveredRetries)
+	n.silentWindows.Add(b.silentWindows)
+	sc.silentWindows.Add(b.silentWindows)
 }
 
 // ProbeRetryObserver is implemented by Networks that want to know when a
@@ -298,6 +340,17 @@ type DegradedObserver interface {
 	RecordDegradedWindow()
 	RecordDegradedRetry()
 	RecordDegradedExhausted()
+}
+
+// SilenceObserver is implemented by Networks that want to see what MDA's
+// retransmissions bought: a retransmission that drew a reply (loss the
+// retries recovered), and a window that ended unanswered at a TTL where
+// no flow had answered (an anonymous router, which the silence rule
+// stops retrying; see MDAOptions.Retries). Instrumented surfaces them as
+// probe.<stage>.recovered_retries and probe.<stage>.silent_windows.
+type SilenceObserver interface {
+	RecordRecoveredRetry()
+	RecordSilentWindow()
 }
 
 // InferDefaultTTL buckets a received echo-reply TTL into the assumed

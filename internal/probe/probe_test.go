@@ -337,6 +337,11 @@ func TestBatch(t *testing.T) {
 	deg.RecordDegradedRetry()
 	deg.RecordDegradedRetry()
 	deg.RecordDegradedExhausted()
+	sil := v.(SilenceObserver)
+	sil.RecordRecoveredRetry()
+	sil.RecordSilentWindow()
+	sil.RecordSilentWindow()
+	sil.RecordSilentWindow()
 	if c.Pings() != 0 || c.Probes() != 0 {
 		t.Errorf("published before flush: %d pings, %d probes", c.Pings(), c.Probes())
 	}
@@ -353,6 +358,8 @@ func TestBatch(t *testing.T) {
 		{"degraded_windows", c.DegradedWindows(), 1},
 		{"degraded_retries", c.DegradedRetries(), 2},
 		{"degraded_exhausted", c.DegradedExhausted(), 1},
+		{"recovered_retries", c.RecoveredRetries(), 1},
+		{"silent_windows", c.SilentWindows(), 3},
 	}
 	snap := reg.Snapshot()
 	for _, f := range flat {
