@@ -29,9 +29,10 @@ import (
 )
 
 // monitorHeapCeiling bounds the monitoring session's peak heap: the
-// per-block result cache plus the persistent similarity graph are
-// inherent state (linear in the universe), but an epoch step must not
-// rematerialize from-scratch intermediates on top of them.
+// per-block result cache and the validation and MCL sweep caches are
+// inherent state (linear in the universe), as is the similarity graph
+// each epoch builds over its aggregates, but an epoch step must not
+// rematerialize the rest of a from-scratch run on top of them.
 const monitorHeapCeiling = 512 << 20
 
 var (

@@ -231,7 +231,7 @@ func BenchmarkMeasureBlock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	counter := probe.NewCounter(l.Net)
+	counter := probe.Instrument(l.Net, nil, "")
 	m := &hobbit.Measurer{Net: counter, Seed: 1}
 	blocks := sampleBlocks(out.Eligible, 32, 1)
 	b.ReportAllocs()
@@ -301,6 +301,34 @@ func BenchmarkMCLCore(b *testing.B) {
 	}
 }
 
+// BenchmarkMCLExpand measures MCL over a dense synthetic component of
+// 320 vertices, several times larger than any workload's largest.
+func BenchmarkMCLExpand(b *testing.B) {
+	// Several dense families bridged by weak edges.
+	const families, size = 8, 40
+	g := graph.New(families * size)
+	for f := 0; f < families; f++ {
+		base := f * size
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				if (i+j)%3 == 0 {
+					g.AddEdge(base+i, base+j, 0.8)
+				}
+			}
+		}
+		if f > 0 {
+			g.AddEdge(base, base-size, 0.05)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := mcl.Cluster(g, mcl.Options{}); len(got) < 2 {
+			b.Fatalf("clusters = %d", len(got))
+		}
+	}
+}
+
 // --- Parallel-stage benchmarks (regressed against BENCH_4.json) ---
 //
 // Each compares the serial path (workers-1) against an 8-worker pool over
@@ -326,39 +354,6 @@ func BenchmarkClusterGraph(b *testing.B) {
 		if g.Len() != len(out.Aggregates) {
 			b.Fatal("graph size mismatch")
 		}
-	}
-}
-
-// BenchmarkMCLExpand measures MCL over a dense synthetic component large
-// enough to engage the per-column sharding of the expand/inflate step.
-func BenchmarkMCLExpand(b *testing.B) {
-	// Several dense families bridged by weak edges, sized well past the
-	// parallelism threshold (128 columns).
-	const families, size = 8, 40
-	g := graph.New(families * size)
-	for f := 0; f < families; f++ {
-		base := f * size
-		for i := 0; i < size; i++ {
-			for j := i + 1; j < size; j++ {
-				if (i+j)%3 == 0 {
-					g.AddEdge(base+i, base+j, 0.8)
-				}
-			}
-		}
-		if f > 0 {
-			g.AddEdge(base, base-size, 0.05)
-		}
-	}
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := mcl.Cluster(g, mcl.Options{Workers: workers}); len(got) < 2 {
-					b.Fatalf("clusters = %d", len(got))
-				}
-			}
-		})
 	}
 }
 
@@ -456,7 +451,7 @@ func BenchmarkAblationTermination(b *testing.B) {
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			counter := probe.NewCounter(l.Net)
+			counter := probe.Instrument(l.Net, nil, "")
 			m := &hobbit.Measurer{Net: counter, Term: c.term, Seed: 1}
 			correct, judged := 0, 0
 			for i := 0; i < b.N; i++ {
@@ -516,7 +511,7 @@ func BenchmarkAblationOrder(b *testing.B) {
 	} {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			counter := probe.NewCounter(l.Net)
+			counter := probe.Instrument(l.Net, nil, "")
 			m := &hobbit.Measurer{Net: counter, Seed: 1, SequentialOrder: c.sequential}
 			flagged, analyzable := 0, 0
 			for i := 0; i < b.N; i++ {

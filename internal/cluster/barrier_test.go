@@ -98,7 +98,7 @@ func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
 	res.ChosenInflation = best
 
 	// Final clustering at the chosen inflation.
-	opts := mcl.Options{Inflation: best, Workers: p.Workers}
+	opts := mcl.Options{Inflation: best}
 	clustered := make(map[int]bool)
 	for _, comp := range multi {
 		sub, back := g.Subgraph(comp)
@@ -135,7 +135,7 @@ func (p *Pipeline) runBarrier(blocks []*aggregate.Block) *Result {
 // sweepObjective runs MCL at one inflation and scores it: the fraction of
 // intra-cluster edges with weight below the global median.
 func (p *Pipeline) sweepObjective(g *graph.Graph, comps [][]int, inflation, median float64) float64 {
-	opts := mcl.Options{Inflation: inflation, Workers: p.Workers}
+	opts := mcl.Options{Inflation: inflation}
 	below, total := 0, 0
 	for _, comp := range comps {
 		sub, _ := g.Subgraph(comp)

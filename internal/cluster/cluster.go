@@ -53,9 +53,10 @@ type Pipeline struct {
 	// Seed drives deterministic pair sampling during validation.
 	Seed uint64
 	// Workers bounds the concurrency of the clustering: the MCL runs
-	// of the inflation sweep and each run's column shards (0 =
-	// GOMAXPROCS, 1 = serial). The result is identical for every worker
-	// count (see the parallel package's determinism contract).
+	// of the inflation sweep, one per (component, inflation) pair, each
+	// serial inside (0 = GOMAXPROCS, 1 = serial). The result is
+	// identical for every worker count (see the parallel package's
+	// determinism contract).
 	Workers int
 	// Telemetry receives "cluster.…" counters and gauges; nil disables
 	// it.
@@ -288,20 +289,15 @@ func Validate(c *Cluster, rp Reprober, maxPairs int, seed uint64) Validation {
 	return v
 }
 
-// ApplyValidated produces the final aggregate list: validated clusters
-// merge into one block (union of members and of last-hop sets); members
-// of unvalidated clusters and unclustered aggregates pass through. This
-// realizes the Section 6.6 final results and the Figure 10 "after"
-// distribution.
-func ApplyValidated(res *Result, validated map[int]bool) []*aggregate.Block {
-	return ApplyValidatedInterned(res, validated, nil)
-}
-
-// ApplyValidatedInterned is ApplyValidated drawing merged last-hop sets
-// from the given interner (nil keeps per-block storage): a union set that
-// was already interned — typically because several validated clusters
-// merge onto the same routers — aliases the existing canonical slice
-// instead of holding its own copy.
+// ApplyValidatedInterned produces the final aggregate list: validated
+// clusters merge into one block (union of members and of last-hop sets);
+// members of unvalidated clusters and unclustered aggregates pass
+// through. This realizes the Section 6.6 final results and the Figure 10
+// "after" distribution. Merged last-hop sets are drawn from the given
+// interner (nil keeps per-block storage): a union set that was already
+// interned — typically because several validated clusters merge onto the
+// same routers — aliases the existing canonical slice instead of holding
+// its own copy.
 func ApplyValidatedInterned(res *Result, validated map[int]bool, in *aggregate.Interner) []*aggregate.Block {
 	var out []*aggregate.Block
 	taken := make(map[*aggregate.Block]bool)

@@ -290,7 +290,7 @@ func TestValidationPasses(t *testing.T) {
 	}
 }
 
-// TestApplyValidatedTable drives ApplyValidated over a two-cluster result
+// TestApplyValidatedTable drives ApplyValidatedInterned over a two-cluster result
 // with every accept/reject combination, checking merge counts, pass-
 // through of rejected members, and /24 conservation.
 func TestApplyValidatedTable(t *testing.T) {
@@ -336,7 +336,7 @@ func TestApplyValidatedTable(t *testing.T) {
 			want: inputBlocks - len(res.Clusters[0].Members) - len(res.Clusters[1].Members) + 2},
 	}
 	for _, tc := range cases {
-		out := ApplyValidated(res, tc.validated)
+		out := ApplyValidatedInterned(res, tc.validated, nil)
 		if len(out) != tc.want {
 			t.Errorf("%s: %d final blocks, want %d", tc.name, len(out), tc.want)
 		}
@@ -362,13 +362,13 @@ func TestApplyValidated(t *testing.T) {
 	before := len(fam) + 1
 
 	// Not validated: nothing merges.
-	out := ApplyValidated(res, map[int]bool{})
+	out := ApplyValidatedInterned(res, map[int]bool{}, nil)
 	if len(out) != before {
 		t.Errorf("unvalidated apply = %d blocks, want %d", len(out), before)
 	}
 
 	// Validated: the family merges into one block.
-	out = ApplyValidated(res, map[int]bool{res.Clusters[0].ID: true})
+	out = ApplyValidatedInterned(res, map[int]bool{res.Clusters[0].ID: true}, nil)
 	want := before - len(res.Clusters[0].Members) + 1
 	if len(out) != want {
 		t.Fatalf("validated apply = %d blocks, want %d", len(out), want)

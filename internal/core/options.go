@@ -25,10 +25,11 @@ type Options struct {
 	// every value: workers scan chunks into indexed slots and one emitter
 	// applies them in block order.
 	CensusWorkers int `json:"census_workers"`
-	// ClusterWorkers bounds the clustering stages — MCL expansion and
-	// reprobe validation (0 = GOMAXPROCS, 1 = serial). Output is
-	// byte-identical for every value: the stages shard index spaces and
-	// merge results in index order.
+	// ClusterWorkers bounds the clustering stages — the MCL sweep, one
+	// pool item per (component, inflation) pair with each MCL run
+	// serial, and reprobe validation (0 = GOMAXPROCS, 1 = serial).
+	// Output is byte-identical for every value: the stages fan index
+	// spaces out and merge results in index order.
 	ClusterWorkers int `json:"cluster_workers"`
 	// MDA tunes the per-destination MDA runs.
 	MDA probe.MDAOptions `json:"mda"`

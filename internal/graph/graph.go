@@ -47,29 +47,6 @@ func (g *Graph) AddEdge(a, b int, w float64) {
 // Neighbors returns the adjacency list of v (not a copy).
 func (g *Graph) Neighbors(v int) []Edge { return g.adj[v] }
 
-// RemoveVertex detaches v: its adjacency list is cleared and it is
-// removed from every neighbor's list with order preserved, so the
-// surviving lists keep the ascending-neighbor invariant the incremental
-// clusterer relies on. The index itself stays allocated — dense vertex
-// ids never shift — leaving v an isolated vertex.
-func (g *Graph) RemoveVertex(v int) {
-	if v < 0 || v >= len(g.adj) {
-		return
-	}
-	for _, e := range g.adj[v] {
-		row := g.adj[e.To]
-		k := 0
-		for _, e2 := range row {
-			if e2.To != v {
-				row[k] = e2
-				k++
-			}
-		}
-		g.adj[e.To] = row[:k]
-	}
-	g.adj[v] = nil
-}
-
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0

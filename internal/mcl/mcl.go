@@ -18,38 +18,18 @@ package mcl
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/graph"
 )
-
-// runtimeWorkers is the auto worker count (Workers == 0).
-func runtimeWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Options configures an MCL run.
 type Options struct {
 	// Inflation is the granularity parameter r (entrywise power);
 	// larger values produce finer clusters. Default 2.0.
 	Inflation float64
-	// Workers bounds the column shards of the expansion/inflation rounds
-	// (0 = GOMAXPROCS, 1 = serial). Every output column of M*M is
-	// independent, so sharding cannot change the result; matrices smaller
-	// than parallelMinColumns always run serially to keep goroutine
-	// overhead off the many tiny per-component runs.
-	Workers int
 }
-
-// parallelMinColumns is the matrix size below which a round is always
-// computed serially: the similarity graphs split into many small
-// components, and fan-out overhead would dominate their O(n) columns.
-// It doubles as the CSR engine's serial-fallback threshold — below it a
-// round runs on the engine's own persistent scratch with zero
-// allocations; above it shards append into per-shard buffers that are
-// stitched back in shard order.
-const parallelMinColumns = 128
 
 const (
 	// maxIter bounds the expansion/inflation rounds.
@@ -88,24 +68,17 @@ func (m *csr) reset() {
 	m.vals = m.vals[:0]
 }
 
-// shardState is one expansion worker's private accumulator and output
-// fragment, persisted on the engine so repeated rounds reuse capacity.
-type shardState struct {
-	dst     csr
-	scratch []float64
-	touched []int32
-}
-
 // engine holds one MCL run's state: the double-buffered flow matrix and
-// the expansion scratch. All methods run on the caller's goroutine except
-// the shard bodies inside step, which write only shard-private state.
+// the expansion scratch, a dense accumulator plus the rows it touched.
+// Rounds run serially on the caller's goroutine: the similarity graph's
+// components stay small, and the clustering parallelizes across them
+// instead.
 type engine struct {
 	n        int
 	opts     Options
-	workers  int
 	cur, nxt csr
-	serial   shardState
-	shards   []shardState
+	scratch  []float64
+	touched  []int32
 }
 
 // newEngine builds the initial column-stochastic flow matrix with self
@@ -113,12 +86,7 @@ type engine struct {
 // plus neighbors sorted by row, duplicates merged, then normalized.
 func newEngine(g *graph.Graph, opts Options) *engine {
 	n := g.Len()
-	e := &engine{n: n, opts: opts, workers: opts.Workers}
-	if e.workers <= 0 {
-		e.workers = runtimeWorkers()
-	}
-	e.serial.scratch = make([]float64, n)
-	e.serial.touched = make([]int32, 0, n)
+	e := &engine{n: n, opts: opts, scratch: make([]float64, n), touched: make([]int32, 0, n)}
 	e.cur.reset()
 	e.nxt.reset()
 
@@ -160,17 +128,17 @@ func newEngine(g *graph.Graph, opts Options) *engine {
 }
 
 // expandInflateColumn computes column j of M' = M*M, inflates it, and
-// appends it to dst. The accumulation order over column j's entries is
-// fixed by the CSR layout — identical to the original expandColumn — and
-// the inflation replays pow, sum, prune, and the two normalizations in
-// the original entry order, so the appended column is bit-identical to
-// the per-column implementation's no matter which worker computes it.
+// appends it to the spare buffer. The accumulation order over column j's
+// entries is fixed by the CSR layout — identical to the original
+// expandColumn — and the inflation replays pow, sum, prune, and the two
+// normalizations in the original entry order, so the appended column is
+// bit-identical to the per-column implementation's.
 //
 //hobbit:hotpath
-func (e *engine) expandInflateColumn(st *shardState, dst *csr, j int) {
-	cur := &e.cur
-	touched := st.touched[:0]
-	scratch := st.scratch
+func (e *engine) expandInflateColumn(j int) {
+	cur, dst := &e.cur, &e.nxt
+	touched := e.touched[:0]
+	scratch := e.scratch
 	for p := cur.ptr[j]; p < cur.ptr[j+1]; p++ {
 		i := cur.rows[p]
 		ev := cur.vals[p]
@@ -183,7 +151,7 @@ func (e *engine) expandInflateColumn(st *shardState, dst *csr, j int) {
 		}
 	}
 	slices.Sort(touched)
-	st.touched = touched
+	e.touched = touched
 
 	// Gather the expanded column, then inflate in place: pow and sum in
 	// row order, prune against the normalized value, renormalize the
@@ -224,66 +192,14 @@ func (e *engine) expandInflateColumn(st *shardState, dst *csr, j int) {
 }
 
 // step computes one expansion + inflation round into the spare buffer and
-// swaps it in. Columns are independent: below the serial-fallback
-// threshold they run on the engine's persistent scratch (no allocation in
-// steady state); above it contiguous shards append into per-shard
-// buffers, which are stitched into the output strictly in shard order, so
-// the round is bit-identical to a serial pass at any worker count.
+// swaps it in. The buffers and scratch persist across rounds, so the
+// steady state allocates nothing.
 //
 //hobbit:hotpath
 func (e *engine) step() {
 	e.nxt.reset()
-	if e.n < parallelMinColumns || e.workers <= 1 {
-		for j := 0; j < e.n; j++ {
-			e.expandInflateColumn(&e.serial, &e.nxt, j)
-		}
-		e.cur, e.nxt = e.nxt, e.cur
-		return
-	}
-	e.stepParallel()
-}
-
-// stepParallel is the sharded body of step, split out so the serial
-// fallback's stack frame never materializes the goroutine closures (the
-// captured shard-count variable would otherwise be heap-allocated on
-// every round, serial or not).
-func (e *engine) stepParallel() {
-	k := e.workers
-	if k > e.n {
-		k = e.n
-	}
-	if e.shards == nil {
-		e.shards = make([]shardState, k)
-		for s := range e.shards {
-			e.shards[s].scratch = make([]float64, e.n)
-			e.shards[s].touched = make([]int32, 0, e.n)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for s := 0; s < k; s++ {
-		go func(s int) {
-			defer wg.Done()
-			st := &e.shards[s]
-			st.dst.reset()
-			lo, hi := s*e.n/k, (s+1)*e.n/k
-			for j := lo; j < hi; j++ {
-				e.expandInflateColumn(st, &st.dst, j)
-			}
-		}(s)
-	}
-	wg.Wait()
-	// Ordered stitch: shard s covers columns [s*n/k, (s+1)*n/k), so
-	// appending fragments in shard index order reassembles the exact
-	// serial output.
-	for s := 0; s < k; s++ {
-		st := &e.shards[s]
-		base := int32(len(e.nxt.rows))
-		for _, p := range st.dst.ptr[1:] {
-			e.nxt.ptr = append(e.nxt.ptr, base+p)
-		}
-		e.nxt.rows = append(e.nxt.rows, st.dst.rows...)
-		e.nxt.vals = append(e.nxt.vals, st.dst.vals...)
+	for j := 0; j < e.n; j++ {
+		e.expandInflateColumn(j)
 	}
 	e.cur, e.nxt = e.nxt, e.cur
 }

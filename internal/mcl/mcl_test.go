@@ -132,8 +132,7 @@ func TestMatrixStochasticInvariant(t *testing.T) {
 }
 
 // bridgedFamilies builds several dense families joined by weak bridges,
-// the shape of the real similarity-graph components, large enough that
-// the column shards of step actually engage (n >= parallelMinColumns).
+// the shape of the real similarity-graph components.
 func bridgedFamilies(families, size int) *graph.Graph {
 	g := graph.New(families * size)
 	for f := 0; f < families; f++ {
@@ -152,56 +151,9 @@ func bridgedFamilies(families, size int) *graph.Graph {
 	return g
 }
 
-// TestClusterWorkersIdentical is the mcl half of the PR's determinism
-// contract: serial (Workers=1) and sharded (Workers=8) runs must produce
-// identical clusterings, and the underlying flow matrices must match
-// entry for entry (bit-identical floats — sharding only moves columns
-// between goroutines, never reorders the arithmetic inside one).
-func TestClusterWorkersIdentical(t *testing.T) {
-	g := bridgedFamilies(8, 32) // 256 vertices: above parallelMinColumns
-	serial := Cluster(g, Options{Workers: 1})
-	sharded := Cluster(g, Options{Workers: 8})
-	if len(serial) != len(sharded) {
-		t.Fatalf("cluster counts differ: %d vs %d", len(serial), len(sharded))
-	}
-	for i := range serial {
-		if len(serial[i]) != len(sharded[i]) {
-			t.Fatalf("cluster %d sizes differ", i)
-		}
-		for j := range serial[i] {
-			if serial[i][j] != sharded[i][j] {
-				t.Fatalf("cluster %d member %d differs", i, j)
-			}
-		}
-	}
-
-	// One full round, CSR matrices compared exactly: the sharded round
-	// must reassemble the serial one's ptr/rows/vals byte for byte.
-	e1 := newEngine(g, Options{Workers: 1}.withDefaults())
-	e8 := newEngine(g, Options{Workers: 8}.withDefaults())
-	e1.step()
-	e8.step()
-	if len(e1.cur.ptr) != len(e8.cur.ptr) || len(e1.cur.rows) != len(e8.cur.rows) {
-		t.Fatalf("matrix shapes differ: %d/%d ptr, %d/%d entries",
-			len(e1.cur.ptr), len(e8.cur.ptr), len(e1.cur.rows), len(e8.cur.rows))
-	}
-	for i := range e1.cur.ptr {
-		if e1.cur.ptr[i] != e8.cur.ptr[i] {
-			t.Fatalf("ptr[%d] differs: %d vs %d", i, e1.cur.ptr[i], e8.cur.ptr[i])
-		}
-	}
-	for i := range e1.cur.rows {
-		if e1.cur.rows[i] != e8.cur.rows[i] || e1.cur.vals[i] != e8.cur.vals[i] {
-			t.Fatalf("entry %d differs: (%d, %v) vs (%d, %v)", i,
-				e1.cur.rows[i], e1.cur.vals[i], e8.cur.rows[i], e8.cur.vals[i])
-		}
-	}
-}
-
-// TestClusterEdgeOrderInvariant pins the property the rolling epoch
-// clusterer relies on: MCL sees a graph only through its edge set, never
-// through the order edges were inserted (newEngine sorts every column by
-// row). One weighted graph built twice — edges in lexicographic order,
+// TestClusterEdgeOrderInvariant pins that MCL sees a graph only through
+// its edge set, never through the order edges were inserted (newEngine
+// sorts every column by row). One weighted graph built twice — edges in lexicographic order,
 // and shuffled with random endpoint order — must yield a bit-identical
 // initial flow matrix and identical clusterings.
 func TestClusterEdgeOrderInvariant(t *testing.T) {
@@ -210,7 +162,7 @@ func TestClusterEdgeOrderInvariant(t *testing.T) {
 		w    float64
 	}
 	rng := rand.New(rand.NewSource(5))
-	const families, size = 6, 30 // 180 vertices: above parallelMinColumns
+	const families, size = 6, 30 // 180 vertices
 	var edges []edge
 	for i := 0; i < families*size; i++ {
 		for j := i + 1; j < families*size; j++ {
@@ -238,15 +190,13 @@ func TestClusterEdgeOrderInvariant(t *testing.T) {
 		t.Fatal("initial flow matrix depends on edge insertion order")
 	}
 	for _, inf := range []float64{1.4, 2.0, 3.0} {
-		for _, workers := range []int{1, 4} {
-			opts := Options{Inflation: inf, Workers: workers}
-			want, got := Cluster(lex, opts), Cluster(shuffled, opts)
-			if len(want) < families {
-				t.Fatalf("inflation=%v: only %d clusters; the graph is too uniform to test", inf, len(want))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("inflation=%v workers=%d: clustering depends on edge insertion order", inf, workers)
-			}
+		opts := Options{Inflation: inf}
+		want, got := Cluster(lex, opts), Cluster(shuffled, opts)
+		if len(want) < families {
+			t.Fatalf("inflation=%v: only %d clusters; the graph is too uniform to test", inf, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("inflation=%v: clustering depends on edge insertion order", inf)
 		}
 	}
 }

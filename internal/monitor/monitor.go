@@ -280,7 +280,6 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 	rep.Cluster = stats
 	reg.Counter("monitor.components_reused").Add(int64(stats.Reused))
 	reg.Counter("monitor.components_recomputed").Add(int64(stats.Recomputed))
-	reg.Counter("monitor.delta_edges").Add(int64(stats.DeltaEdges))
 	span.End()
 	if err := ctx.Err(); err != nil {
 		return out, err

@@ -165,6 +165,38 @@ func TestFindLastHopsPropagatesDegradation(t *testing.T) {
 	}
 }
 
+// TestFindLastHopsSentinels pins that FindLastHops honours the negative
+// sentinels as MDA does: Retries -1 sends no retransmission, and an
+// adaptive run at AdaptiveBudget -1 spends no escalated retry, on the
+// lossy fixture where the defaults spend both.
+func TestFindLastHopsSentinels(t *testing.T) {
+	mk := func() *faultyNet {
+		return &faultyNet{dist: 12, respTTL: 56, lastHop: 0x64000001, midBase: 0x63000000, faultLo: 7, faultHi: 10}
+	}
+	def := mk()
+	FindLastHops(def, 1, MDAOptions{Adaptive: true})
+	if def.retries == 0 || def.degRetries == 0 {
+		t.Fatalf("defaults sent %d retransmissions, %d escalated: the fixture exercises neither", def.retries, def.degRetries)
+	}
+
+	single := mk()
+	if res := FindLastHops(single, 1, MDAOptions{Retries: -1}); !res.Responded {
+		t.Fatalf("single-shot run: %+v", res)
+	}
+	if single.retries != 0 {
+		t.Errorf("Retries -1 sent %d retransmissions, want 0", single.retries)
+	}
+
+	capped := mk()
+	res := FindLastHops(capped, 1, MDAOptions{Adaptive: true, AdaptiveBudget: -1})
+	if !res.Degraded || !res.BudgetExhausted {
+		t.Fatalf("zero-headroom run: %+v", res)
+	}
+	if capped.degRetries != 0 {
+		t.Errorf("AdaptiveBudget -1 spent %d escalated retries, want 0", capped.degRetries)
+	}
+}
+
 // TestInstrumentedDegradedCounters pins the telemetry surface: the
 // degraded_* counters appear under the active stage and the flat totals
 // add up.

@@ -40,7 +40,7 @@ const pingAttempts = 3
 // Paris-traceroute MDA from there, and halves the starting TTL whenever
 // the destination answers immediately (an overestimate), per Section 3.4.
 func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
-	opts = opts.withDefaults()
+	opts = opts.Canonical()
 
 	var ping PingResult
 	ok := false

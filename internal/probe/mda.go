@@ -45,12 +45,14 @@ type MDAOptions struct {
 }
 
 // Canonical maps every MDAOptions value onto one representative per
-// behaviour class: zero fields become the explicit defaults withDefaults
-// would apply, and the negative sentinels (Retries, AdaptiveBudget)
-// collapse to -1. Two option values with equal Canonical() forms produce
-// bit-identical measurements over the same surface, which is what lets a
-// result cache key on the canonical form. Unlike withDefaults, Canonical
-// is idempotent and preserves the sentinel/zero distinction.
+// behaviour class: zero fields become the paper's operating parameters,
+// and the negative sentinels (Retries, AdaptiveBudget) collapse to -1.
+// Two option values with equal Canonical() forms produce bit-identical
+// measurements over the same surface, which is what lets a result cache
+// key on the canonical form. It is also the prober's one table of
+// defaults: MDA and FindLastHops run on the canonical form, which is
+// idempotent and keeps the sentinel/zero distinction, so applying it
+// twice cannot turn a sentinel back into the default.
 func (o MDAOptions) Canonical() MDAOptions {
 	if o.FirstTTL <= 0 {
 		o.FirstTTL = 1
@@ -78,33 +80,6 @@ func (o MDAOptions) Canonical() MDAOptions {
 		o.AdaptiveBudget = 32
 	case o.AdaptiveBudget < 0:
 		o.AdaptiveBudget = -1
-	}
-	return o
-}
-
-// withDefaults fills zero fields with the paper's operating parameters.
-func (o MDAOptions) withDefaults() MDAOptions {
-	if o.FirstTTL <= 0 {
-		o.FirstTTL = 1
-	}
-	if o.MaxTTL <= 0 {
-		o.MaxTTL = 32
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	if o.MaxFlows <= 0 {
-		o.MaxFlows = 64
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.AdaptiveBudget == 0 {
-		o.AdaptiveBudget = 32
-	} else if o.AdaptiveBudget < 0 {
-		o.AdaptiveBudget = 0
 	}
 	return o
 }
@@ -168,7 +143,7 @@ func (r MDAResult) ImmediateEcho() bool {
 // set of per-flow paths. Per-destination load-balanced paths cannot be
 // enumerated this way — they are what Hobbit infers across destinations.
 func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
-	opts = opts.withDefaults()
+	opts = opts.Canonical()
 	res := MDAResult{FirstTTL: opts.FirstTTL}
 
 	var salt uint32
@@ -180,14 +155,14 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// adaptive escalation on. budget is the escalated-retransmission
 	// allowance left once degraded.
 	failStreak := 0
-	budget := opts.AdaptiveBudget
+	retries, budget := max(opts.Retries, 0), max(opts.AdaptiveBudget, 0)
 	// probeOnce sends flow's window at ttl and moves the TTL's state
 	// along: any reply marks it answered, and a window that dies while
 	// nothing there has answered marks it silent.
 	probeOnce := func(ttl int, flow uint16, state *ttlState) Result {
 		maxAttempts := 0
 		if *state != ttlSilent {
-			maxAttempts = opts.Retries
+			maxAttempts = retries
 			if opts.Adaptive && res.Degraded {
 				extra := adaptiveEscalation
 				if extra > budget {
@@ -201,7 +176,7 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 			if attempt > 0 && retryObs != nil {
 				retryObs.RecordProbeRetry()
 			}
-			if attempt > opts.Retries {
+			if attempt > retries {
 				// An escalated retransmission, paid from the budget.
 				budget--
 				if degObs != nil {

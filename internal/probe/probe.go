@@ -117,10 +117,6 @@ func Instrument(net Network, reg *telemetry.Registry, stage string) *Instrumente
 	return n
 }
 
-// NewCounter wraps net with flat probe accounting and no registry — the
-// historical Counter behaviour, kept for call sites that only want totals.
-func NewCounter(net Network) *Instrumented { return Instrument(net, nil, "") }
-
 // SetStage switches the stage new probes are attributed to.
 func (n *Instrumented) SetStage(stage string) {
 	sc := &stageCounters{name: stage}

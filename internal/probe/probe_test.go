@@ -375,9 +375,11 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestNewCounterNoRegistry pins that Instrument with a nil registry
+// still keeps the flat totals.
 func TestNewCounterNoRegistry(t *testing.T) {
 	_, net := simWorld(t, 100)
-	c := NewCounter(net)
+	c := Instrument(net, nil, "")
 	dst := iputil.MustParseAddr("1.0.0.1")
 	c.Ping(dst, 0)
 	c.Probe(dst, 3, 1, 1)
@@ -416,11 +418,11 @@ func TestMDAReportsRetries(t *testing.T) {
 }
 
 func TestMDAOptionsDefaults(t *testing.T) {
-	o := MDAOptions{}.withDefaults()
+	o := MDAOptions{}.Canonical()
 	if o.FirstTTL != 1 || o.MaxTTL != 32 || o.Confidence != 0.95 || o.MaxFlows != 64 || o.Retries != 2 {
 		t.Errorf("defaults = %+v", o)
 	}
-	o = MDAOptions{FirstTTL: 5, MaxTTL: 10, Confidence: 0.99, MaxFlows: 8, Retries: 1}.withDefaults()
+	o = MDAOptions{FirstTTL: 5, MaxTTL: 10, Confidence: 0.99, MaxFlows: 8, Retries: 1}.Canonical()
 	if o.FirstTTL != 5 || o.MaxTTL != 10 || o.Confidence != 0.99 || o.MaxFlows != 8 || o.Retries != 1 {
 		t.Errorf("explicit options clobbered: %+v", o)
 	}

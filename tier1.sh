@@ -20,8 +20,11 @@
 # - the fault-injection layer and the accuracy harness carry a coverage
 #   floor: they are the safety net that catches inference regressions in
 #   everything else, so untested paths there silently weaken every other
-#   gate. -short skips their multi-run determinism legs (already covered
-#   by the -race run above), keeping the coverage pass cheap.
+#   gate. So do the clustering stages (similarity graph, MCL, the
+#   per-epoch sweep cache and the monitor that drives it), whose
+#   byte-identity contracts rest on their own tests. -short skips the
+#   multi-run determinism legs (already covered by the -race run above),
+#   keeping the coverage pass cheap.
 set -ex
 
 test -z "$(gofmt -l . | tee /dev/stderr)"
@@ -30,7 +33,8 @@ go build ./...
 go run ./cmd/hobbitlint ./...
 go test -race -count=1 -shuffle=on ./...
 
-for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./internal/metadata; do
+for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./internal/metadata \
+    ./internal/cluster ./internal/mcl ./internal/graph ./internal/monitor; do
     cov=$(go test -short -count=1 -cover "$pkg" | tee /dev/stderr \
         | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     test -n "$cov"
