@@ -109,7 +109,7 @@ func TestHostileLossyEcho(t *testing.T) {
 
 func TestHostileUniformTTL255(t *testing.T) {
 	// Every host uses default TTL 255: hop-count inference leans on a
-	// single bucket and halving still terminates.
+	// single bucket and the first_ttl back-off still terminates.
 	out := runHostile(t, func(c *netsim.Config) { c.TTLWeights = [3]float64{0, 0, 1} })
 	if out.Campaign.Summary().Measurable() == 0 {
 		t.Error("uniform TTLs should not break hop inference")

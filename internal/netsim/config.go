@@ -110,7 +110,8 @@ type Config struct {
 	// 64, 128, and 255.
 	TTLWeights [3]float64
 	// PReverseSkew is the probability that a host's reverse path length
-	// differs from its forward length (exercising first_ttl halving).
+	// differs from its forward length (exercising the prober's first_ttl
+	// back-off and forward walk).
 	PReverseSkew float64
 	// PPingLoss is the per-probe probability an echo reply is lost.
 	PPingLoss float64

@@ -183,7 +183,9 @@ func (w *World) hostDefaultTTL(a iputil.Addr) int {
 var revSkewWeights = []float64{0.4, 0.4, 0.2}
 
 // revSkew is the difference between the host's reverse and forward path
-// lengths; non-zero skews exercise the prober's first_ttl halving logic.
+// lengths; non-zero skews exercise the prober's first_ttl back-off
+// (positive skews overshoot the last hop by 1 or 2 TTLs) and its forward
+// walk (a negative skew undershoots by 1).
 //
 //hobbit:hotpath
 func (w *World) revSkew(a iputil.Addr) int {

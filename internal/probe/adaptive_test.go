@@ -147,7 +147,7 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	}
 }
 
-// TestFindLastHopsPropagatesDegradation pins that the halving loop ORs
+// TestFindLastHopsPropagatesDegradation pins that the back-off loop ORs
 // degradation flags across its MDA runs into the LastHopResult.
 func TestFindLastHopsPropagatesDegradation(t *testing.T) {
 	// respTTL 56 -> estimate 8 -> firstTTL 7, right at the start of the

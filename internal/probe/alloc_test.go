@@ -16,7 +16,8 @@ import (
 // of the first 64 /24s that have one. What is left is the result itself:
 // the path set and its slice, a copy of each distinct path, and the
 // last-hop list. The TTL rows, the scratch path and every duplicate path
-// cost nothing, and so does counting through a Batch view.
+// cost nothing, and so do counting through a Batch view and each
+// last-hop run that ends in an immediate echo.
 func TestProberAllocBudget(t *testing.T) {
 	w, net := simWorld(t, 300)
 	var dsts []iputil.Addr
@@ -39,8 +40,8 @@ func TestProberAllocBudget(t *testing.T) {
 		fn     func(dst iputil.Addr)
 	}{
 		{"MDA", 10, func(dst iputil.Addr) { MDA(net, dst, MDAOptions{}) }},
-		{"FindLastHops", 5.1, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
-		{"FindLastHops/batched", 5.1, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
+		{"FindLastHops", 5.0, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
+		{"FindLastHops/batched", 5.0, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,5 +55,24 @@ func TestProberAllocBudget(t *testing.T) {
 				t.Errorf("%s allocates %.2f times per destination, budget %.1f", tc.name, avg, tc.budget)
 			}
 		})
+	}
+}
+
+// echoNet answers every probe with an echo reply: every MDA run on it
+// ends in an immediate echo.
+type echoNet struct{}
+
+func (echoNet) Ping(iputil.Addr, int) (PingResult, bool)      { return PingResult{RespTTL: 50}, true }
+func (echoNet) Probe(iputil.Addr, int, uint16, uint32) Result { return Result{Kind: EchoReply} }
+
+// TestMDAImmediateEchoZeroAlloc pins that an MDA run which sees no router
+// hop allocates nothing: FindLastHops' back-off runs one per step.
+func TestMDAImmediateEchoZeroAlloc(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() {
+		if res := MDA(echoNet{}, 1, MDAOptions{FirstTTL: 12}); !res.ImmediateEcho() || res.Paths.Len() != 0 {
+			t.Fatalf("result = %+v", res)
+		}
+	}); avg != 0 {
+		t.Errorf("an immediate-echo MDA run allocates %.1f times, want 0", avg)
 	}
 }

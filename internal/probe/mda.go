@@ -119,7 +119,8 @@ type MDAResult struct {
 	DestTTL int
 	// Paths enumerates the distinct per-flow load-balanced paths
 	// discovered (hop sequences from FirstTTL up to the last-hop
-	// router).
+	// router). It is nil, an empty set, when the run saw no router
+	// hop.
 	Paths *trace.PathSet
 	// Degraded reports that the run crossed the consecutive-loss
 	// threshold and (with Adaptive set) escalated its retries.
@@ -277,10 +278,12 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// with fewer probes there) is filled in so every enumerated path is
 	// complete. Fill-in windows follow the same silence rule: at a TTL
 	// whose row is all Star they get one attempt until one answers.
-	res.Paths = trace.NewPathSet()
+	// A run that recorded no row, such as an immediate echo, returns
+	// without allocating a set.
 	if len(ends) == 0 {
 		return res
 	}
+	res.Paths = trace.NewPathSet()
 	// One scratch path, in a stack buffer like the rows (a path over 32
 	// hops grows it onto the heap), is refilled per flow; PathSet.Add
 	// clones only the paths it actually keeps, so duplicate flows cost

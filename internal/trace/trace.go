@@ -149,7 +149,8 @@ type Link struct {
 // PathSet is the set of distinct routes observed toward one destination
 // (the output of Paris-traceroute MDA, which enumerates per-flow
 // load-balanced paths), in insertion order. The zero value is an empty
-// set.
+// set, and so, for reading, is a nil *PathSet: an MDA run that saw no
+// router hop returns one without allocating.
 type PathSet struct {
 	paths []Path
 }
@@ -179,18 +180,23 @@ func (s *PathSet) Add(p Path) bool {
 }
 
 // Len returns the number of distinct paths.
-func (s *PathSet) Len() int { return len(s.paths) }
+func (s *PathSet) Len() int { return len(s.Paths()) }
 
 // Paths returns the distinct paths. The returned slice must not be
 // modified.
-func (s *PathSet) Paths() []Path { return s.paths }
+func (s *PathSet) Paths() []Path {
+	if s == nil {
+		return nil
+	}
+	return s.paths
+}
 
 // SharesRoute reports whether the two sets share at least one route, which
 // is Section 2.1's criterion for two destinations having identical routes.
 // If wildcard is true, unresponsive hops match any hop.
 func (s *PathSet) SharesRoute(o *PathSet, wildcard bool) bool {
-	for _, p := range s.paths {
-		for _, q := range o.paths {
+	for _, p := range s.Paths() {
+		for _, q := range o.Paths() {
 			if wildcard {
 				if p.MatchesWildcard(q) {
 					return true
@@ -206,7 +212,7 @@ func (s *PathSet) SharesRoute(o *PathSet, wildcard bool) bool {
 // LastHops returns the set of distinct responsive last-hop routers across
 // all paths, plus whether any path ended in an unresponsive hop.
 func (s *PathSet) LastHops() (hops []iputil.Addr, anyUnresponsive bool) {
-	for _, p := range s.paths {
+	for _, p := range s.Paths() {
 		a, ok := p.LastHop()
 		if !ok {
 			anyUnresponsive = true
@@ -227,7 +233,7 @@ func (s *PathSet) LastHops() (hops []iputil.Addr, anyUnresponsive bool) {
 func CommonPrefixDepth(sets []*PathSet) int {
 	var all []Path
 	for _, s := range sets {
-		all = append(all, s.paths...)
+		all = append(all, s.Paths()...)
 	}
 	if len(all) == 0 {
 		return 0
@@ -256,7 +262,7 @@ func DeepestCommonDepth(sets []*PathSet) int {
 	var all []Path
 	minLen := -1
 	for _, s := range sets {
-		for _, p := range s.paths {
+		for _, p := range s.Paths() {
 			all = append(all, p)
 			if minLen < 0 || len(p) < minLen {
 				minLen = len(p)

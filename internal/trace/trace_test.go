@@ -140,6 +140,28 @@ func TestPathSetZeroValueAdd(t *testing.T) {
 	}
 }
 
+// TestPathSetNilReads pins that a nil *PathSet, what an MDA run that saw
+// no router hop returns, reads as an empty set.
+func TestPathSetNilReads(t *testing.T) {
+	var s *PathSet
+	if s.Len() != 0 || s.Paths() != nil {
+		t.Errorf("nil set: Len %d, Paths %v", s.Len(), s.Paths())
+	}
+	if hops, anyUnresp := s.LastHops(); hops != nil || anyUnresp {
+		t.Errorf("nil set: LastHops = %v, %v", hops, anyUnresp)
+	}
+	full := NewPathSet(mkPath("1.1.1.1"))
+	if s.SharesRoute(full, true) || full.SharesRoute(s, false) {
+		t.Error("nil set shares a route")
+	}
+	if got := CommonPrefixDepth([]*PathSet{s, full}); got != 1 {
+		t.Errorf("CommonPrefixDepth with a nil set = %d, want 1", got)
+	}
+	if got := DeepestCommonDepth([]*PathSet{s, full}); got != 1 {
+		t.Errorf("DeepestCommonDepth with a nil set = %d, want 1", got)
+	}
+}
+
 func TestSharesRoute(t *testing.T) {
 	// The paper's false-difference example: A has {r1, r2}, B has {r2}.
 	r1 := mkPath("1.1.1.1", "3.3.3.3")
