@@ -483,7 +483,8 @@ func BenchmarkAblationTermination(b *testing.B) {
 	}
 }
 
-// neverEnough makes Hobbit probe every active address.
+// neverEnough never calls a hierarchical-looking block, so Hobbit probes
+// such a block down to its last active address.
 type neverEnough struct{}
 
 func (neverEnough) Enough(int, int) bool { return false }

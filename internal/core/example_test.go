@@ -120,5 +120,5 @@ func ExamplePipeline_Run() {
 	//   14 /24s from 12.224.28.0/24 (Verizon Wireless, 4 last-hop routers)
 	//   19 /24s from 16.64.56.0/24 (NTT America, 4 last-hop routers)
 	// 49 final blocks span more than one /24; 186 of 186 are pure
-	// measure: 66159 probes (6465 retries); validate: 43801 probes
+	// measure: 43766 probes (1837 retries); validate: 43801 probes
 }

@@ -82,9 +82,22 @@ func TestCampaignAgainstGroundTruth(t *testing.T) {
 	}
 
 	// All five classes should be populated in a default world.
-	for _, cls := range []Class{ClassTooFewActive, ClassSameLastHop, ClassNonHierarchical} {
+	for _, cls := range []Class{ClassTooFewActive, ClassUnresponsiveLastHop, ClassSameLastHop, ClassNonHierarchical, ClassHierarchical} {
 		if sum.Counts[cls] == 0 {
 			t.Errorf("class %v empty", cls)
+		}
+	}
+	// An Unresponsive last-hop verdict sits behind last hops that never
+	// answer, and six responsive destinations settle it.
+	for _, br := range res.Blocks {
+		if br.Class != ClassUnresponsiveLastHop {
+			continue
+		}
+		if !w.UnresponsiveLastHop(br.Block) {
+			t.Errorf("%v classed %v, but its last hops answer", br.Block, br.Class)
+		}
+		if br.Responded > singleLastHopProbes {
+			t.Errorf("%v classed %v after %d responsive destinations", br.Block, br.Class, br.Responded)
 		}
 	}
 }
@@ -120,6 +133,124 @@ func TestMeasureBlockSameLastHop(t *testing.T) {
 		if br.Responded > 8 {
 			t.Errorf("probed %d responsive destinations for a K=1 block", br.Responded)
 		}
+	}
+}
+
+// anonNet scripts one /24 for the anonymous-last-hop rule. Every
+// destination sits 10 hops away and echoes with TTL 54, so first_ttl
+// lands on its last hop at TTL 9. There a destination answers from the
+// routers in hops, picked by flow, or stays silent when it has none.
+// Destinations in dead never answer the ping.
+type anonNet struct {
+	hops map[iputil.Addr][]iputil.Addr
+	dead map[iputil.Addr]bool
+}
+
+func (n *anonNet) Ping(dst iputil.Addr, _ int) (probe.PingResult, bool) {
+	return probe.PingResult{RespTTL: 54}, !n.dead[dst]
+}
+
+func (n *anonNet) Probe(dst iputil.Addr, ttl int, flowID uint16, _ uint32) probe.Result {
+	hops := n.hops[dst]
+	switch {
+	case ttl >= 10:
+		return probe.Result{Kind: probe.EchoReply}
+	case ttl < 9:
+		return probe.Result{Kind: probe.TTLExceeded, From: 0x63000000 + iputil.Addr(ttl)}
+	case len(hops) == 0:
+		return probe.Result{Kind: probe.NoReply}
+	}
+	return probe.Result{Kind: probe.TTLExceeded, From: hops[int(flowID)%len(hops)]}
+}
+
+// TestMeasureBlockAnonymousLastHop scripts the anonymous-last-hop rule on
+// a /24 of 24 actives, by position in the probing order. Positions 1 and
+// 4 never answer the ping: they count in Probed but not toward the six
+// responders. Responders before `first` sit behind an anonymous last hop;
+// from `first` on they answer from lhA in the /24's first and third /26
+// and from lhB in the others, which the oracle comes to call
+// non-hierarchical, except the `silent` responders right after `first`,
+// which are anonymous again. With both set, responder `first` shows lhA
+// and lhB, one per flow.
+func TestMeasureBlockAnonymousLastHop(t *testing.T) {
+	const lhA, lhB iputil.Addr = 0x64000001, 0x64000002
+	b := iputil.MustParseBlock24("192.0.2.0/24")
+	var by26 [4][]iputil.Addr
+	for i := 0; i < 24; i++ {
+		q := i % 4
+		by26[q] = append(by26[q], b.Addr(64*q+1+7*(i/4)))
+	}
+	for _, tc := range []struct {
+		name          string
+		m             Measurer
+		first, silent int
+		both          bool
+		// stops marks a block the rule settles; probed, responded and
+		// class are MeasureBlock's, oracle is the oracle's class.
+		stops             bool
+		probed, responded int
+		class, oracle     Class
+	}{
+		// Six anonymous responders settle the block, eight
+		// destinations in: the two unpinged ones count in Probed only.
+		{name: "all-anonymous", stops: true, probed: 8, responded: 6, class: ClassUnresponsiveLastHop, oracle: ClassUnresponsiveLastHop},
+		{name: "all-anonymous/exhaustive", m: Measurer{Exhaustive: true}, stops: true, probed: 8, responded: 6, class: ClassUnresponsiveLastHop, oracle: ClassUnresponsiveLastHop},
+		{name: "all-anonymous/probe-all", m: Measurer{Exhaustive: true, Term: ProbeAll{}}, stops: true, probed: 8, responded: 6, class: ClassUnresponsiveLastHop, oracle: ClassUnresponsiveLastHop},
+		// A MinActive above six raises the stop with it, so the
+		// block still counts as analyzable.
+		{name: "all-anonymous/min-active-8", m: Measurer{MinActive: 8}, stops: true, probed: 10, responded: 8, class: ClassUnresponsiveLastHop, oracle: ClassUnresponsiveLastHop},
+		// An answering last hop by the sixth responder turns the rule
+		// off: the block is probed exactly as the oracle probes it,
+		// past six responders where the groups need it.
+		{name: "answers-at-2", first: 2, probed: 8, responded: 6, class: ClassNonHierarchical, oracle: ClassNonHierarchical},
+		{name: "answers-at-6", first: 6, both: true, probed: 11, responded: 9, class: ClassNonHierarchical, oracle: ClassNonHierarchical},
+		// Once a last hop has answered, six anonymous responders more
+		// do not stop the block either.
+		{name: "answers-at-2/then-six-silent", first: 2, both: true, silent: 6, probed: 13, responded: 11, class: ClassTooFewActive, oracle: ClassTooFewActive},
+		// The rule's cost: the same /24 one responder later stops at
+		// six anonymous responders, before the seventh shows the two
+		// last hops that lead the oracle to a homogeneous verdict.
+		{name: "answers-at-7", first: 7, both: true, stops: true, probed: 8, responded: 6, class: ClassUnresponsiveLastHop, oracle: ClassNonHierarchical},
+		// Had the seventh shown one last hop, the oracle's own
+		// single-last-hop rule, which counts anonymous responders,
+		// would have ended the block there, too few answering.
+		{name: "answers-at-7/one-hop", first: 7, stops: true, probed: 8, responded: 6, class: ClassUnresponsiveLastHop, oracle: ClassTooFewActive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			m.Seed = 1
+			n := &anonNet{hops: map[iputil.Addr][]iputil.Addr{}, dead: map[iputil.Addr]bool{}}
+			responder := 0
+			for pos, dst := range m.Order(b, by26) {
+				if pos == 1 || pos == 4 {
+					n.dead[dst] = true
+					continue
+				}
+				switch responder++; {
+				case tc.first == 0 || responder < tc.first || responder > tc.first && responder <= tc.first+tc.silent:
+				case responder == tc.first && tc.both:
+					n.hops[dst] = []iputil.Addr{lhA, lhB}
+				case dst.Block26()%2 == 0:
+					n.hops[dst] = []iputil.Addr{lhA}
+				default:
+					n.hops[dst] = []iputil.Addr{lhB}
+				}
+			}
+			m.Net = n
+			got, want := m.MeasureBlock(b, by26), m.measureBlockOracle(b, by26)
+			if got.Class != tc.class || want.Class != tc.oracle {
+				t.Fatalf("class %v, oracle %v; want %v and %v", got.Class, want.Class, tc.class, tc.oracle)
+			}
+			if got.Probed != tc.probed || got.Responded != tc.responded {
+				t.Errorf("probed %d, responded %d; want %d, %d", got.Probed, got.Responded, tc.probed, tc.responded)
+			}
+			switch {
+			case !tc.stops && !reflect.DeepEqual(got, want):
+				t.Errorf("got %+v, oracle %+v", got, want)
+			case tc.stops && (got.UnrespLastHop != got.Responded || len(got.LastHops) != 0 || got.Probed >= want.Probed):
+				t.Errorf("got %+v; the oracle probed %d", got, want.Probed)
+			}
+		})
 	}
 }
 

@@ -33,8 +33,12 @@ func (t MDATerminator) Enough(cardinality, probed int) bool {
 	return probed >= probe.StoppingPoint(cardinality, conf)
 }
 
-// ProbeAll never terminates early: every active address is probed. It is
-// the densest (and most expensive) strategy, used when a block deserves a
+// ProbeAll is the Terminator that is never satisfied: a
+// hierarchical-looking block is probed down to its last active address,
+// and so, under Measurer.Exhaustive, is every block once one of its last
+// hops has answered. A block whose first six responders all sit behind an
+// anonymous last hop still stops there (see MeasureBlock). It is the
+// densest (and most expensive) strategy, used when a block deserves a
 // close look (Table 2's composition analysis) and as an ablation baseline.
 type ProbeAll struct{}
 
@@ -53,9 +57,11 @@ type Measurer struct {
 	// MinActive is the minimum number of responsive destinations for a
 	// block to be analyzable (the paper requires 4).
 	MinActive int
-	// Exhaustive disables early termination (the Section 6.5 reprobing
-	// strategy): probing continues past non-hierarchical findings and
-	// the last-hop enumeration bound replaces the hierarchy bound.
+	// Exhaustive disables early termination on answering last hops
+	// (the Section 6.5 reprobing strategy): probing continues past
+	// non-hierarchical findings and the last-hop enumeration bound
+	// replaces the hierarchy bound. Six responders behind an anonymous
+	// last hop still settle a block that no last hop has answered for.
 	Exhaustive bool
 	// SequentialOrder replaces the Section 3.3 shuffled /26 round-robin
 	// with naive ascending-address probing — an ablation baseline that
@@ -115,7 +121,8 @@ func (m *Measurer) minActive() int {
 
 // singleLastHopProbes is how many responsive destinations with a common
 // single last hop suffice to call the block homogeneous (the paper adopts
-// the 6-probe / 95% MDA rule).
+// the 6-probe / 95% MDA rule), or, when that hop never answers,
+// Unresponsive last-hop.
 const singleLastHopProbes = 6
 
 // Order produces the probing order of Section 3.3: the block's active
@@ -169,7 +176,10 @@ func deterministicPerm(n int, seed, k1, k2 uint64) []int {
 }
 
 // MeasureBlock classifies one /24 given its census-active addresses
-// grouped by /26. It probes through one probe.Batch view of Net, so an
+// grouped by /26. It stops as soon as the verdict is settled: six
+// responders behind one last hop, answering or anonymous (the 95% MDA
+// rule of Section 3.5), a non-hierarchical grouping, or the Terminator's
+// bound. It probes through one probe.Batch view of Net, so an
 // instrumented Net counts the block's packets exactly but publishes them
 // once, when the block is done.
 func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockResult {
@@ -195,6 +205,13 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 		res.Responded++
 		if len(lr.LastHops) == 0 {
 			res.UnrespLastHop++
+			// The single-last-hop rule, applied to the anonymous
+			// hop: six responders behind it (or MinActive, if more)
+			// settle the block, even for the exhaustive reprobe,
+			// unless a last hop has already answered.
+			if len(gm) == 0 && res.UnrespLastHop >= max(singleLastHopProbes, m.minActive()) {
+				break
+			}
 			continue
 		}
 		for _, lh := range lr.LastHops {
