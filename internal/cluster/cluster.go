@@ -50,7 +50,9 @@ func BuildGraph(blocks []*aggregate.Block) *graph.Graph {
 
 // Pipeline configures the clustering run.
 type Pipeline struct {
-	// Seed drives deterministic pair sampling during validation.
+	// Seed is not read: clustering is deterministic without one, and
+	// validation takes its pair-sampling seed as an argument (see
+	// Validate).
 	Seed uint64
 	// Workers bounds the concurrency of the clustering: the MCL runs
 	// of the inflation sweep, one per (component, inflation) pair, each

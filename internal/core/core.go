@@ -230,7 +230,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	// when the run skips clustering).
 	var str *cluster.Streamer
 	if !p.SkipClustering {
-		str = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Stream()
+		str = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Stream()
 	}
 	agg := NewAggregation(str)
 	aggSpan := reg.StartSpan(StageAggregate)

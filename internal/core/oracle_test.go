@@ -53,7 +53,7 @@ func stagedRun(t *testing.T, p *Pipeline) *Output {
 		return out
 	}
 
-	out.Clustering = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Run(out.Aggregates)
+	out.Clustering = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Run(out.Aggregates)
 	clusters := out.Clustering.Clusters
 	rp := &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset}
 	vals := make([]cluster.Validation, len(clusters))

@@ -1,10 +1,10 @@
 package eval
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
+	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/trace"
 )
@@ -134,27 +134,19 @@ func (l *Lab) TraceDataset() (*TraceDataset, error) {
 	jobs = strideSample(jobs, traceBlocks)
 
 	ds := &TraceDataset{Blocks: make([]*BlockTraces, len(jobs))}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bt := &BlockTraces{Block: j.block, Detected: j.detected, ProbedBySequential: j.probed}
-			for _, a := range out.Dataset.Actives(j.block) {
-				res := probe.MDA(l.Net, a, probe.MDAOptions{})
-				if !res.DestReached || res.Paths.Len() == 0 {
-					continue
-				}
-				bt.Addrs = append(bt.Addrs, a)
-				bt.Sets = append(bt.Sets, res.Paths)
+	_ = parallel.Pool{}.ForEach(context.TODO(), len(jobs), func(i int) {
+		j := jobs[i]
+		bt := &BlockTraces{Block: j.block, Detected: j.detected, ProbedBySequential: j.probed}
+		for _, a := range out.Dataset.Actives(j.block) {
+			res := probe.MDA(l.Net, a, probe.MDAOptions{})
+			if !res.DestReached || res.Paths.Len() == 0 {
+				continue
 			}
-			ds.Blocks[i] = bt
-		}(i, j)
-	}
-	wg.Wait()
+			bt.Addrs = append(bt.Addrs, a)
+			bt.Sets = append(bt.Sets, res.Paths)
+		}
+		ds.Blocks[i] = bt
+	})
 
 	// Drop blocks whose hosts all churned away.
 	kept := ds.Blocks[:0]

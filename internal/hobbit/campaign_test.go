@@ -254,6 +254,42 @@ func TestMeasureBlockAnonymousLastHop(t *testing.T) {
 	}
 }
 
+// TestCampaignMinActive pins a campaign's class counts and packets as
+// MinActive grows past six. The single-last-hop stop waits for MinActive
+// responders, as the anonymous-last-hop stop does, so a /24 behind one
+// last hop stays "same last-hop router" instead of stopping at six and
+// falling short of MinActive ("too few active"). At MinActive 4 and 6
+// the stop is the paper's six, and every count is the rule's without
+// MinActive.
+func TestCampaignMinActive(t *testing.T) {
+	w, c, _ := campaignWorld(t, 2000)
+	for _, tc := range []struct {
+		minActive, eligible                       int
+		same, nonHier, hier, unresp, tooFew, pkts int
+	}{
+		{minActive: 4, eligible: 762, same: 129, nonHier: 337, hier: 52, unresp: 88, tooFew: 156, pkts: 52151},
+		{minActive: 6, eligible: 712, same: 129, nonHier: 224, hier: 52, unresp: 77, tooFew: 230, pkts: 50633},
+		{minActive: 7, eligible: 678, same: 124, nonHier: 175, hier: 53, unresp: 75, tooFew: 251, pkts: 51403},
+		{minActive: 8, eligible: 632, same: 121, nonHier: 131, hier: 54, unresp: 74, tooFew: 252, pkts: 51334},
+	} {
+		inst := probe.Instrument(probe.NewSimNetwork(w), nil, "measure")
+		c.Measurer = &Measurer{Net: inst, Seed: 7, MinActive: tc.minActive}
+		eligible := c.Dataset.EligibleBlocks(w.Blocks(), tc.minActive)
+		res, err := c.Run(context.Background(), eligible)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := res.Summary().Counts
+		got := []int{len(eligible), n[ClassSameLastHop], n[ClassNonHierarchical], n[ClassHierarchical],
+			n[ClassUnresponsiveLastHop], n[ClassTooFewActive], int(inst.Pings() + inst.Probes())}
+		want := []int{tc.eligible, tc.same, tc.nonHier, tc.hier, tc.unresp, tc.tooFew, tc.pkts}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("MinActive %d: eligible, same, non-hierarchical, hierarchical, unresponsive, too few, packets = %v, want %v",
+				tc.minActive, got, want)
+		}
+	}
+}
+
 func TestMeasureBlockHetero(t *testing.T) {
 	w, c, _ := campaignWorld(t, 1500)
 	found := 0
@@ -445,12 +481,12 @@ func TestCampaignTelemetry(t *testing.T) {
 		{"pings", calls.pings.Load(), inst.Pings()},
 		{"probes", calls.probes.Load(), inst.Probes()},
 		{"ping_retries", calls.pingRetries.Load(), inst.PingRetries()},
-		{"probe_retries", calls.probeRetries.Load(), inst.ProbeRetries()},
-		{"degraded_windows", calls.degradedWindows.Load(), inst.DegradedWindows()},
-		{"degraded_retries", calls.degradedRetries.Load(), inst.DegradedRetries()},
-		{"degraded_exhausted", calls.degradedExhausted.Load(), inst.DegradedExhausted()},
-		{"recovered_retries", calls.recoveredRetries.Load(), inst.RecoveredRetries()},
-		{"silent_windows", calls.silentWindows.Load(), inst.SilentWindows()},
+		{"probe_retries", calls.signals[probe.ProbeRetry].Load(), inst.ProbeRetries()},
+		{"degraded_windows", calls.signals[probe.DegradedWindow].Load(), inst.DegradedWindows()},
+		{"degraded_retries", calls.signals[probe.DegradedRetry].Load(), inst.DegradedRetries()},
+		{"degraded_exhausted", calls.signals[probe.DegradedExhausted].Load(), inst.DegradedExhausted()},
+		{"recovered_retries", calls.signals[probe.RecoveredRetry].Load(), inst.RecoveredRetries()},
+		{"silent_windows", calls.signals[probe.SilentWindow].Load(), inst.SilentWindows()},
 	}
 	counters := reg.Snapshot().Counters
 	measureCounters := 0
@@ -482,9 +518,8 @@ func TestCampaignTelemetry(t *testing.T) {
 type callCounter struct {
 	net probe.Network
 
-	pings, probes, pingRetries, probeRetries            atomic.Int64
-	degradedWindows, degradedRetries, degradedExhausted atomic.Int64
-	recoveredRetries, silentWindows                     atomic.Int64
+	pings, probes, pingRetries atomic.Int64
+	signals                    [probe.DegradedExhausted + 1]atomic.Int64
 }
 
 func (c *callCounter) Ping(dst iputil.Addr, seq int) (probe.PingResult, bool) {
@@ -500,12 +535,7 @@ func (c *callCounter) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32
 	return c.net.Probe(dst, ttl, flowID, salt)
 }
 
-func (c *callCounter) RecordProbeRetry()        { c.probeRetries.Add(1) }
-func (c *callCounter) RecordDegradedWindow()    { c.degradedWindows.Add(1) }
-func (c *callCounter) RecordDegradedRetry()     { c.degradedRetries.Add(1) }
-func (c *callCounter) RecordDegradedExhausted() { c.degradedExhausted.Add(1) }
-func (c *callCounter) RecordRecoveredRetry()    { c.recoveredRetries.Add(1) }
-func (c *callCounter) RecordSilentWindow()      { c.silentWindows.Add(1) }
+func (c *callCounter) Observe(s probe.Signal) { c.signals[s].Add(1) }
 
 func TestCampaignCancellation(t *testing.T) {
 	_, c, eligible := campaignWorld(t, 400)

@@ -177,11 +177,11 @@ func deterministicPerm(n int, seed, k1, k2 uint64) []int {
 
 // MeasureBlock classifies one /24 given its census-active addresses
 // grouped by /26. It stops as soon as the verdict is settled: six
-// responders behind one last hop, answering or anonymous (the 95% MDA
-// rule of Section 3.5), a non-hierarchical grouping, or the Terminator's
-// bound. It probes through one probe.Batch view of Net, so an
-// instrumented Net counts the block's packets exactly but publishes them
-// once, when the block is done.
+// responders (or MinActive, if more) behind one last hop, answering or
+// anonymous (the 95% MDA rule of Section 3.5), a non-hierarchical
+// grouping, or the Terminator's bound. It probes through one probe.Batch
+// view of Net, so an instrumented Net counts the block's packets exactly
+// but publishes them once, when the block is done.
 func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockResult {
 	net, flush := probe.Batch(m.Net)
 	defer flush()
@@ -189,6 +189,10 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 	order := m.Order(b, by26)
 	gm := make(groupMap)
 	term := m.term()
+	// settled is how many responders behind one last hop, answering or
+	// anonymous, settle the block: six, or MinActive if more, so that
+	// classify does not call a settled block "too few active".
+	settled := max(singleLastHopProbes, m.minActive())
 
 	for _, dst := range order {
 		lr := probe.FindLastHops(net, dst, m.Opts)
@@ -206,10 +210,9 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 		if len(lr.LastHops) == 0 {
 			res.UnrespLastHop++
 			// The single-last-hop rule, applied to the anonymous
-			// hop: six responders behind it (or MinActive, if more)
-			// settle the block, even for the exhaustive reprobe,
-			// unless a last hop has already answered.
-			if len(gm) == 0 && res.UnrespLastHop >= max(singleLastHopProbes, m.minActive()) {
+			// hop: it settles the block even for the exhaustive
+			// reprobe, unless a last hop has already answered.
+			if len(gm) == 0 && res.UnrespLastHop >= settled {
 				break
 			}
 			continue
@@ -222,12 +225,12 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 			// Reprobing strategy: enumerate last hops to the MDA
 			// bound rather than the hierarchy bound, and never
 			// stop on a non-hierarchical finding.
-			if term.Enough(len(gm), res.Responded) && res.Responded >= singleLastHopProbes {
+			if term.Enough(len(gm), res.Responded) && res.Responded >= settled {
 				break
 			}
 			continue
 		}
-		if len(gm) == 1 && res.Responded >= singleLastHopProbes {
+		if len(gm) == 1 && res.Responded >= settled {
 			break
 		}
 		if len(gm) > 1 {

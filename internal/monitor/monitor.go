@@ -217,7 +217,7 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 		m.ds, m.eligible = ds, eligible
 		m.results = make(map[iputil.Block24]*hobbit.BlockResult, len(eligible))
 		if !p.SkipClustering {
-			m.roll = (&cluster.Pipeline{Seed: p.Seed, Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
+			m.roll = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
 		}
 		m.vals = make(map[string]valEntry)
 		m.lastHops = make(map[iputil.Block24][]iputil.Addr)

@@ -390,7 +390,6 @@ func (w *World) splitEntries(base iputil.Block24, as *asRec, regYear int, genRan
 		sub.rdnsKind = metadata.NameGenericISP
 		sub.rdnsReg = as.region.name
 		sub.rdnsVar = int(sub.id)
-		sub.heteroSub = true
 		entries = append(entries, entry{prefix: prefix, pop: sub.id})
 
 		year := regYear + genRand.Intn(2)

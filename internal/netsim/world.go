@@ -100,22 +100,21 @@ type asRec struct {
 // pop is one point of presence: the unit of true topological homogeneity.
 // All addresses routed to a pop share its set of last-hop routers.
 type pop struct {
-	id        int32
-	as        *asRec
-	lastHops  []routerID
-	destMid   []routerID
-	destMid2  []routerID
-	flowDiv   bool // per-flow hashing reaches the last-hop choice
-	srcSens   bool // per-destination hashing includes the source address
-	kind      BlockKind
-	big       int // index into cfg.BigBlocks, or -1
-	starved   bool
-	unresp    bool // last-hop routers never answer
-	rdnsKind  metadata.NameKind
-	rdnsReg   string
-	rdnsVar   int
-	size      int // /24 count (0 for hetero sub-pops)
-	heteroSub bool
+	id       int32
+	as       *asRec
+	lastHops []routerID
+	destMid  []routerID
+	destMid2 []routerID
+	flowDiv  bool // per-flow hashing reaches the last-hop choice
+	srcSens  bool // per-destination hashing includes the source address
+	kind     BlockKind
+	big      int // index into cfg.BigBlocks, or -1
+	starved  bool
+	unresp   bool // last-hop routers never answer
+	rdnsKind metadata.NameKind
+	rdnsReg  string
+	rdnsVar  int
+	size     int // /24 count (0 for hetero sub-pops)
 	// rtt is the pop's delay model, precomputed at build time so probes
 	// never re-derive it (see precompute in reply.go).
 	rtt rttmodel.Profile

@@ -1,10 +1,10 @@
 // Package parallel is the sanctioned worker pool of the pipeline: a
 // bounded, context-aware fan-out over an index space with a deterministic
 // ordered merge. Post-campaign fan-outs over an index space (the MCL
-// component sweeps and reprobe validation) run through this package, so
-// concurrency policy (worker bounds, cancellation, telemetry accounting)
-// lives in one place, and every worker it launches is joined before
-// ForEach returns.
+// component sweeps, reprobe validation and the evaluation's trace
+// corpus) run through this package, so concurrency policy (worker
+// bounds, cancellation, telemetry accounting) lives in one place, and
+// every worker it launches is joined before ForEach returns.
 //
 // The determinism contract: callers hand the pool an index space [0, n)
 // and a function whose result for index i depends only on i and on

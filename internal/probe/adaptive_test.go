@@ -14,8 +14,7 @@ import (
 // window there dies at a TTL that has answered, which is loss. With dark
 // set the span drops every reply instead: anonymous routers, which MDA
 // must not read as loss. It counts probes so tests can see escalation
-// happen, and implements the observer interfaces to record what the
-// prober reports.
+// happen, and implements Observer to record what the prober reports.
 type faultyNet struct {
 	dist             int
 	respTTL          int
@@ -24,12 +23,15 @@ type faultyNet struct {
 	faultLo, faultHi int
 	dark             bool
 	probes           int
-	retries          int
-	degWindows       int
-	degRetries       int
-	degExhausted     int
-	recovered        int
-	silent           int
+	signals          signalCounts
+}
+
+// signalCounts is a test fake's tally of the signals MDA reports.
+type signalCounts [DegradedExhausted + 1]int
+
+// degraded sums the three degradation signals.
+func (c *signalCounts) degraded() int {
+	return c[DegradedWindow] + c[DegradedRetry] + c[DegradedExhausted]
 }
 
 func (s *faultyNet) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
@@ -50,12 +52,7 @@ func (s *faultyNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) 
 	}
 }
 
-func (s *faultyNet) RecordProbeRetry()        { s.retries++ }
-func (s *faultyNet) RecordDegradedWindow()    { s.degWindows++ }
-func (s *faultyNet) RecordDegradedRetry()     { s.degRetries++ }
-func (s *faultyNet) RecordDegradedExhausted() { s.degExhausted++ }
-func (s *faultyNet) RecordRecoveredRetry()    { s.recovered++ }
-func (s *faultyNet) RecordSilentWindow()      { s.silent++ }
+func (s *faultyNet) Observe(sig Signal) { s.signals[sig]++ }
 
 // TestAdaptiveOffIdentical pins that the Adaptive option defaulting off
 // changes nothing: same replies, same probe count, no degraded flags.
@@ -68,7 +65,7 @@ func TestAdaptiveOffIdentical(t *testing.T) {
 	if resOff.Degraded || resOff.BudgetExhausted {
 		t.Fatalf("degradation flagged with Adaptive off: %+v", resOff)
 	}
-	if off.degWindows+off.degRetries+off.degExhausted != 0 {
+	if off.signals.degraded() != 0 {
 		t.Fatalf("degradation observed with Adaptive off")
 	}
 
@@ -101,18 +98,18 @@ func TestAdaptiveEscalates(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("eight lossy hops did not mark the run degraded")
 	}
-	if adaptive.degWindows != 1 {
-		t.Errorf("degraded window recorded %d times, want 1", adaptive.degWindows)
+	if adaptive.signals[DegradedWindow] != 1 {
+		t.Errorf("degraded window recorded %d times, want 1", adaptive.signals[DegradedWindow])
 	}
-	if adaptive.degRetries == 0 {
+	if adaptive.signals[DegradedRetry] == 0 {
 		t.Error("no escalated retries recorded")
 	}
 	if adaptive.probes <= plain.probes {
 		t.Errorf("adaptive run sent %d probes, plain %d — escalation invisible", adaptive.probes, plain.probes)
 	}
 	// Escalated retries are a subset of all retries.
-	if adaptive.degRetries > adaptive.retries {
-		t.Errorf("degraded retries %d exceed total retries %d", adaptive.degRetries, adaptive.retries)
+	if adaptive.signals[DegradedRetry] > adaptive.signals[ProbeRetry] {
+		t.Errorf("degraded retries %d exceed total retries %d", adaptive.signals[DegradedRetry], adaptive.signals[ProbeRetry])
 	}
 }
 
@@ -128,11 +125,11 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	if !res.BudgetExhausted {
 		t.Fatal("budget of 3 across eight lossy hops not exhausted")
 	}
-	if n.degRetries != 3 {
-		t.Errorf("spent %d escalated retries, budget was 3", n.degRetries)
+	if n.signals[DegradedRetry] != 3 {
+		t.Errorf("spent %d escalated retries, budget was 3", n.signals[DegradedRetry])
 	}
-	if n.degExhausted != 1 {
-		t.Errorf("exhaustion recorded %d times, want 1", n.degExhausted)
+	if n.signals[DegradedExhausted] != 1 {
+		t.Errorf("exhaustion recorded %d times, want 1", n.signals[DegradedExhausted])
 	}
 
 	// A negative budget means no escalation headroom at all: degraded
@@ -142,8 +139,8 @@ func TestAdaptiveBudgetExhausts(t *testing.T) {
 	if !res2.Degraded || !res2.BudgetExhausted {
 		t.Fatalf("zero-headroom run: %+v", res2)
 	}
-	if n2.degRetries != 0 {
-		t.Errorf("zero-headroom run spent %d escalated retries", n2.degRetries)
+	if n2.signals[DegradedRetry] != 0 {
+		t.Errorf("zero-headroom run spent %d escalated retries", n2.signals[DegradedRetry])
 	}
 }
 
@@ -175,16 +172,16 @@ func TestFindLastHopsSentinels(t *testing.T) {
 	}
 	def := mk()
 	FindLastHops(def, 1, MDAOptions{Adaptive: true})
-	if def.retries == 0 || def.degRetries == 0 {
-		t.Fatalf("defaults sent %d retransmissions, %d escalated: the fixture exercises neither", def.retries, def.degRetries)
+	if def.signals[ProbeRetry] == 0 || def.signals[DegradedRetry] == 0 {
+		t.Fatalf("defaults sent %d retransmissions, %d escalated: the fixture exercises neither", def.signals[ProbeRetry], def.signals[DegradedRetry])
 	}
 
 	single := mk()
 	if res := FindLastHops(single, 1, MDAOptions{Retries: -1}); !res.Responded {
 		t.Fatalf("single-shot run: %+v", res)
 	}
-	if single.retries != 0 {
-		t.Errorf("Retries -1 sent %d retransmissions, want 0", single.retries)
+	if single.signals[ProbeRetry] != 0 {
+		t.Errorf("Retries -1 sent %d retransmissions, want 0", single.signals[ProbeRetry])
 	}
 
 	capped := mk()
@@ -192,8 +189,8 @@ func TestFindLastHopsSentinels(t *testing.T) {
 	if !res.Degraded || !res.BudgetExhausted {
 		t.Fatalf("zero-headroom run: %+v", res)
 	}
-	if capped.degRetries != 0 {
-		t.Errorf("AdaptiveBudget -1 spent %d escalated retries, want 0", capped.degRetries)
+	if capped.signals[DegradedRetry] != 0 {
+		t.Errorf("AdaptiveBudget -1 spent %d escalated retries, want 0", capped.signals[DegradedRetry])
 	}
 }
 
@@ -241,9 +238,9 @@ func TestAdaptiveDarkSpanNotDegraded(t *testing.T) {
 	if res.Degraded || res.BudgetExhausted {
 		t.Fatalf("dark span marked the run degraded: %+v", res)
 	}
-	if adaptive.degWindows+adaptive.degRetries+adaptive.degExhausted != 0 {
+	if adaptive.signals.degraded() != 0 {
 		t.Errorf("degradation observed over a dark span: %d windows, %d retries, %d exhausted",
-			adaptive.degWindows, adaptive.degRetries, adaptive.degExhausted)
+			adaptive.signals[DegradedWindow], adaptive.signals[DegradedRetry], adaptive.signals[DegradedExhausted])
 	}
 	if adaptive.probes != plain.probes || res.DestTTL != want.DestTTL || !reflect.DeepEqual(res.Paths.Paths(), want.Paths.Paths()) {
 		t.Errorf("adaptive run sent %d probes to TTL %d, plain run %d to TTL %d", adaptive.probes, res.DestTTL, plain.probes, want.DestTTL)
@@ -253,7 +250,7 @@ func TestAdaptiveDarkSpanNotDegraded(t *testing.T) {
 	if want := 3*6 + 8*8 + 1; adaptive.probes != want {
 		t.Errorf("sent %d probes, want %d", adaptive.probes, want)
 	}
-	if adaptive.silent != 8*6 || adaptive.retries != 8*2 || adaptive.recovered != 0 {
-		t.Errorf("silent windows %d, retries %d, recovered %d; want 48, 16, 0", adaptive.silent, adaptive.retries, adaptive.recovered)
+	if adaptive.signals[SilentWindow] != 8*6 || adaptive.signals[ProbeRetry] != 8*2 || adaptive.signals[RecoveredRetry] != 0 {
+		t.Errorf("silent windows %d, retries %d, recovered %d; want 48, 16, 0", adaptive.signals[SilentWindow], adaptive.signals[ProbeRetry], adaptive.signals[RecoveredRetry])
 	}
 }

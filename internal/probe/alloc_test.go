@@ -58,13 +58,6 @@ func TestProberAllocBudget(t *testing.T) {
 	}
 }
 
-// echoNet answers every probe with an echo reply: every MDA run on it
-// ends in an immediate echo.
-type echoNet struct{}
-
-func (echoNet) Ping(iputil.Addr, int) (PingResult, bool)      { return PingResult{RespTTL: 50}, true }
-func (echoNet) Probe(iputil.Addr, int, uint16, uint32) Result { return Result{Kind: EchoReply} }
-
 // TestMDAImmediateEchoZeroAlloc pins that an MDA run which sees no router
 // hop allocates nothing: FindLastHops' back-off runs one per step.
 func TestMDAImmediateEchoZeroAlloc(t *testing.T) {

@@ -148,9 +148,10 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	res := MDAResult{FirstTTL: opts.FirstTTL}
 
 	var salt uint32
-	retryObs, _ := net.(ProbeRetryObserver)
-	degObs, _ := net.(DegradedObserver)
-	silObs, _ := net.(SilenceObserver)
+	obs, ok := net.(Observer)
+	if !ok {
+		obs = discard{}
+	}
 	// failStreak counts consecutive windows lost even after every retry
 	// at TTLs that have answered; crossing degradedStreak turns the
 	// adaptive escalation on. budget is the escalated-retransmission
@@ -174,22 +175,20 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 		}
 		for attempt := 0; ; attempt++ {
 			salt++
-			if attempt > 0 && retryObs != nil {
-				retryObs.RecordProbeRetry()
+			if attempt > 0 {
+				obs.Observe(ProbeRetry)
 			}
 			if attempt > retries {
 				// An escalated retransmission, paid from the budget.
 				budget--
-				if degObs != nil {
-					degObs.RecordDegradedRetry()
-				}
+				obs.Observe(DegradedRetry)
 			}
 			r := net.Probe(dst, ttl, flow, salt)
 			if r.Kind != NoReply {
 				*state = ttlAnswered
 				failStreak = 0
-				if attempt > 0 && silObs != nil {
-					silObs.RecordRecoveredRetry()
+				if attempt > 0 {
+					obs.Observe(RecoveredRetry)
 				}
 				return r
 			}
@@ -198,24 +197,18 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 			}
 			if *state != ttlAnswered {
 				*state = ttlSilent
-				if silObs != nil {
-					silObs.RecordSilentWindow()
-				}
+				obs.Observe(SilentWindow)
 				return r
 			}
 			failStreak++
 			if opts.Adaptive {
 				if !res.Degraded && failStreak >= degradedStreak {
 					res.Degraded = true
-					if degObs != nil {
-						degObs.RecordDegradedWindow()
-					}
+					obs.Observe(DegradedWindow)
 				}
 				if res.Degraded && budget == 0 && !res.BudgetExhausted {
 					res.BudgetExhausted = true
-					if degObs != nil {
-						degObs.RecordDegradedExhausted()
-					}
+					obs.Observe(DegradedExhausted)
 				}
 			}
 			return r

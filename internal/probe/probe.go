@@ -56,16 +56,61 @@ type Network interface {
 	Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Result
 }
 
+// Signal is one event the prober reports beyond the packets it sends. A
+// retransmission is indistinguishable from a fresh probe at the Probe
+// call (salt is a free-running nonce), and a window's outcome is not a
+// packet at all, so MDA reports each Signal to a Network that implements
+// Observer.
+type Signal int
+
+// The signals MDA reports.
+const (
+	// ProbeRetry: an unanswered TTL-limited probe was retransmitted. The
+	// retransmission also passes through Probe, so retries are a subset
+	// of the probe total, as ping retries are of the ping total.
+	ProbeRetry Signal = iota
+	// RecoveredRetry: a retransmission drew a reply.
+	RecoveredRetry
+	// SilentWindow: a window (a flow's probe and its retries) ended
+	// unanswered at a TTL where no flow had answered, which the silence
+	// rule takes for an anonymous router (see MDAOptions.Retries).
+	SilentWindow
+	// DegradedWindow: an adaptive run crossed the consecutive-loss
+	// threshold and turned its escalation on (see MDAOptions.Adaptive).
+	DegradedWindow
+	// DegradedRetry: one escalated retransmission was spent from the
+	// adaptive budget (also a ProbeRetry).
+	DegradedRetry
+	// DegradedExhausted: a degraded run ran out of escalation budget.
+	DegradedExhausted
+
+	// Instrumented's count tables hold the three packet counts after the
+	// signals.
+	pingsSent
+	probesSent
+	pingRetries
+	numCounts
+)
+
+// Observer is implemented by Networks that want the prober's signals.
+type Observer interface {
+	Observe(Signal)
+}
+
+// discard is the Observer of a Network that implements none.
+type discard struct{}
+
+func (discard) Observe(Signal) {}
+
 // Instrumented wraps a Network with the measurement-load accounting the
 // paper reports (64.45M destinations probed): echo requests, TTL-limited
-// probes, and retransmissions, both as flat totals and — when a telemetry
-// registry is attached — as per-stage counters ("probe.<stage>.pings",
-// "probe.<stage>.probes", "probe.<stage>.ping_retries",
-// "probe.<stage>.probe_retries"), so census, measurement, and reprobe
-// validation load stay attributable after a run. It also counts what the
-// prober reports through DegradedObserver and SilenceObserver
-// ("probe.<stage>.degraded_*", "probe.<stage>.recovered_retries",
-// "probe.<stage>.silent_windows").
+// probes, ping retries and every Signal, both as flat totals and — when a
+// telemetry registry is attached — as per-stage counters
+// ("probe.<stage>.pings", "probe.<stage>.probes",
+// "probe.<stage>.ping_retries", "probe.<stage>.probe_retries",
+// "probe.<stage>.recovered_retries", "probe.<stage>.silent_windows",
+// "probe.<stage>.degraded_*"), so census, measurement, and reprobe
+// validation load stay attributable after a run.
 //
 // Its own methods count each call as it happens; they serve callers that
 // probe it directly. The production prober (hobbit.Measurer) instead takes
@@ -78,36 +123,17 @@ type Network interface {
 // SetStage may be called between pipeline stages but not concurrently with
 // in-flight probes of the old stage.
 type Instrumented struct {
-	net   Network
-	reg   *telemetry.Registry
-	stage atomic.Pointer[stageCounters]
-
-	pings        atomic.Int64
-	probes       atomic.Int64
-	pingRetries  atomic.Int64
-	probeRetries atomic.Int64
-
-	degradedWindows   atomic.Int64
-	degradedRetries   atomic.Int64
-	degradedExhausted atomic.Int64
-
-	recoveredRetries atomic.Int64
-	silentWindows    atomic.Int64
+	net    Network
+	reg    *telemetry.Registry
+	stage  atomic.Pointer[stageCounters]
+	counts [numCounts]atomic.Int64
 }
 
-// stageCounters caches the per-stage registry handles so hot-path probes
-// do not take the registry lock.
+// stageCounters caches the per-stage registry handles, indexed like
+// Instrumented.counts, so hot-path probes do not take the registry lock.
 type stageCounters struct {
-	name              string
-	pings             *telemetry.Counter
-	probes            *telemetry.Counter
-	pingRetries       *telemetry.Counter
-	probeRetries      *telemetry.Counter
-	degradedWindows   *telemetry.Counter
-	degradedRetries   *telemetry.Counter
-	degradedExhausted *telemetry.Counter
-	recoveredRetries  *telemetry.Counter
-	silentWindows     *telemetry.Counter
+	name     string
+	counters [numCounts]*telemetry.Counter
 }
 
 // Instrument wraps net with probe accounting attributed to the given
@@ -122,15 +148,17 @@ func Instrument(net Network, reg *telemetry.Registry, stage string) *Instrumente
 func (n *Instrumented) SetStage(stage string) {
 	sc := &stageCounters{name: stage}
 	if n.reg != nil {
-		sc.pings = n.reg.Counter("probe." + stage + ".pings")
-		sc.probes = n.reg.Counter("probe." + stage + ".probes")
-		sc.pingRetries = n.reg.Counter("probe." + stage + ".ping_retries")
-		sc.probeRetries = n.reg.Counter("probe." + stage + ".probe_retries")
-		sc.degradedWindows = n.reg.Counter("probe." + stage + ".degraded_windows")
-		sc.degradedRetries = n.reg.Counter("probe." + stage + ".degraded_retries")
-		sc.degradedExhausted = n.reg.Counter("probe." + stage + ".degraded_exhausted")
-		sc.recoveredRetries = n.reg.Counter("probe." + stage + ".recovered_retries")
-		sc.silentWindows = n.reg.Counter("probe." + stage + ".silent_windows")
+		sc.counters = [numCounts]*telemetry.Counter{
+			pingsSent:         n.reg.Counter("probe." + stage + ".pings"),
+			probesSent:        n.reg.Counter("probe." + stage + ".probes"),
+			pingRetries:       n.reg.Counter("probe." + stage + ".ping_retries"),
+			ProbeRetry:        n.reg.Counter("probe." + stage + ".probe_retries"),
+			DegradedWindow:    n.reg.Counter("probe." + stage + ".degraded_windows"),
+			DegradedRetry:     n.reg.Counter("probe." + stage + ".degraded_retries"),
+			DegradedExhausted: n.reg.Counter("probe." + stage + ".degraded_exhausted"),
+			RecoveredRetry:    n.reg.Counter("probe." + stage + ".recovered_retries"),
+			SilentWindow:      n.reg.Counter("probe." + stage + ".silent_windows"),
+		}
 	}
 	n.stage.Store(sc)
 }
@@ -141,105 +169,62 @@ func (n *Instrumented) Stage() string { return n.stage.Load().name }
 // Ping implements Network. A seq greater than zero marks a retry of an
 // unanswered echo request (see FindLastHops' attempt loop).
 func (n *Instrumented) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
-	n.pings.Add(1)
-	sc := n.stage.Load()
-	sc.pings.Inc()
+	n.Observe(pingsSent)
 	if seq > 0 {
-		n.pingRetries.Add(1)
-		sc.pingRetries.Inc()
+		n.Observe(pingRetries)
 	}
 	return n.net.Ping(dst, seq)
 }
 
 // Probe implements Network.
 func (n *Instrumented) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Result {
-	n.probes.Add(1)
-	n.stage.Load().probes.Inc()
+	n.Observe(probesSent)
 	return n.net.Probe(dst, ttl, flowID, salt)
 }
 
-// RecordProbeRetry implements ProbeRetryObserver: MDA reports each
-// retransmission of an unanswered TTL-limited probe here (the probe itself
-// also passes through Probe, so retries are a subset of the probe total,
-// mirroring how ping retries relate to the ping total).
-func (n *Instrumented) RecordProbeRetry() {
-	n.probeRetries.Add(1)
-	n.stage.Load().probeRetries.Inc()
+// Observe implements Observer: it counts s in the flat totals and in the
+// current stage's counter.
+func (n *Instrumented) Observe(s Signal) {
+	n.counts[s].Add(1)
+	n.stage.Load().counters[s].Inc()
 }
 
-// RecordDegradedWindow implements DegradedObserver: an MDA run crossed
-// the consecutive-loss threshold and turned its escalation on.
-func (n *Instrumented) RecordDegradedWindow() {
-	n.degradedWindows.Add(1)
-	n.stage.Load().degradedWindows.Inc()
-}
+// Pings returns the number of echo requests sent.
+func (n *Instrumented) Pings() int64 { return n.counts[pingsSent].Load() }
 
-// RecordDegradedRetry implements DegradedObserver: one escalated
-// retransmission was spent from an adaptive budget (also counted by
-// RecordProbeRetry, as every retransmission is).
-func (n *Instrumented) RecordDegradedRetry() {
-	n.degradedRetries.Add(1)
-	n.stage.Load().degradedRetries.Inc()
-}
+// Probes returns the number of TTL-limited probes sent.
+func (n *Instrumented) Probes() int64 { return n.counts[probesSent].Load() }
 
-// RecordDegradedExhausted implements DegradedObserver: a degraded run
-// ran out of escalation budget.
-func (n *Instrumented) RecordDegradedExhausted() {
-	n.degradedExhausted.Add(1)
-	n.stage.Load().degradedExhausted.Inc()
-}
+// PingRetries returns how many echo requests were retries.
+func (n *Instrumented) PingRetries() int64 { return n.counts[pingRetries].Load() }
 
-// RecordRecoveredRetry implements SilenceObserver: a retransmission
-// drew a reply.
-func (n *Instrumented) RecordRecoveredRetry() {
-	n.recoveredRetries.Add(1)
-	n.stage.Load().recoveredRetries.Inc()
-}
-
-// RecordSilentWindow implements SilenceObserver: a window ended
-// unanswered at a TTL where no flow had answered.
-func (n *Instrumented) RecordSilentWindow() {
-	n.silentWindows.Add(1)
-	n.stage.Load().silentWindows.Inc()
-}
+// ProbeRetries returns how many TTL-limited probes were retransmissions.
+func (n *Instrumented) ProbeRetries() int64 { return n.counts[ProbeRetry].Load() }
 
 // DegradedWindows returns how many MDA runs turned degraded.
-func (n *Instrumented) DegradedWindows() int64 { return n.degradedWindows.Load() }
+func (n *Instrumented) DegradedWindows() int64 { return n.counts[DegradedWindow].Load() }
 
 // DegradedRetries returns how many retransmissions were escalations.
-func (n *Instrumented) DegradedRetries() int64 { return n.degradedRetries.Load() }
+func (n *Instrumented) DegradedRetries() int64 { return n.counts[DegradedRetry].Load() }
 
 // DegradedExhausted returns how many runs exhausted their budget.
-func (n *Instrumented) DegradedExhausted() int64 { return n.degradedExhausted.Load() }
+func (n *Instrumented) DegradedExhausted() int64 { return n.counts[DegradedExhausted].Load() }
 
 // RecoveredRetries returns how many retransmissions drew a reply.
-func (n *Instrumented) RecoveredRetries() int64 { return n.recoveredRetries.Load() }
+func (n *Instrumented) RecoveredRetries() int64 { return n.counts[RecoveredRetry].Load() }
 
 // SilentWindows returns how many windows died at a TTL where no flow had
 // answered.
-func (n *Instrumented) SilentWindows() int64 { return n.silentWindows.Load() }
-
-// Pings returns the number of echo requests sent.
-func (n *Instrumented) Pings() int64 { return n.pings.Load() }
-
-// Probes returns the number of TTL-limited probes sent.
-func (n *Instrumented) Probes() int64 { return n.probes.Load() }
-
-// PingRetries returns how many echo requests were retries.
-func (n *Instrumented) PingRetries() int64 { return n.pingRetries.Load() }
-
-// ProbeRetries returns how many TTL-limited probes were retransmissions.
-func (n *Instrumented) ProbeRetries() int64 { return n.probeRetries.Load() }
+func (n *Instrumented) SilentWindows() int64 { return n.counts[SilentWindow].Load() }
 
 // Batch returns a counting view of net for one goroutine's unit of work,
 // and the flush that publishes what the view counted. When net is an
 // *Instrumented, the view forwards every packet to the Network under it
-// and counts packets, retries, degradation and silence signals in plain
-// fields; flush adds those nine totals once to the flat totals and to
-// the per-stage counters of the stage current when Batch was called. A hot
-// prober thus pays no shared-memory write per packet, and every count
-// stays exact. Any other Network comes back unchanged, with a flush that
-// does nothing.
+// and counts packets and signals in one plain array; flush adds that
+// table once to the flat totals and to the per-stage counters of the
+// stage current when Batch was called. A hot prober thus pays no
+// shared-memory write per packet, and every count stays exact. Any other
+// Network comes back unchanged, with a flush that does nothing.
 //
 // The view must not be shared between goroutines, and flush must run
 // once, after its last packet (hobbit.Measurer defers it per block).
@@ -252,102 +237,39 @@ func Batch(net Network) (Network, func()) {
 	return b, b.flush
 }
 
-// batch is Batch's view of an Instrumented: the same nine counts, in
-// plain fields owned by one goroutine.
+// batch is Batch's view of an Instrumented: the same count table, in a
+// plain array owned by one goroutine.
 type batch struct {
-	net   Network
-	owner *Instrumented
-	stage *stageCounters
-
-	pings, probes, pingRetries, probeRetries            int64
-	degradedWindows, degradedRetries, degradedExhausted int64
-	recoveredRetries, silentWindows                     int64
+	net    Network
+	owner  *Instrumented
+	stage  *stageCounters
+	counts [numCounts]int64
 }
 
 // Ping implements Network, counting like Instrumented.Ping.
 func (b *batch) Ping(dst iputil.Addr, seq int) (PingResult, bool) {
-	b.pings++
+	b.counts[pingsSent]++
 	if seq > 0 {
-		b.pingRetries++
+		b.counts[pingRetries]++
 	}
 	return b.net.Ping(dst, seq)
 }
 
 // Probe implements Network.
 func (b *batch) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) Result {
-	b.probes++
+	b.counts[probesSent]++
 	return b.net.Probe(dst, ttl, flowID, salt)
 }
 
-// RecordProbeRetry implements ProbeRetryObserver.
-func (b *batch) RecordProbeRetry() { b.probeRetries++ }
-
-// RecordDegradedWindow implements DegradedObserver.
-func (b *batch) RecordDegradedWindow() { b.degradedWindows++ }
-
-// RecordDegradedRetry implements DegradedObserver.
-func (b *batch) RecordDegradedRetry() { b.degradedRetries++ }
-
-// RecordDegradedExhausted implements DegradedObserver.
-func (b *batch) RecordDegradedExhausted() { b.degradedExhausted++ }
-
-// RecordRecoveredRetry implements SilenceObserver.
-func (b *batch) RecordRecoveredRetry() { b.recoveredRetries++ }
-
-// RecordSilentWindow implements SilenceObserver.
-func (b *batch) RecordSilentWindow() { b.silentWindows++ }
+// Observe implements Observer.
+func (b *batch) Observe(s Signal) { b.counts[s]++ }
 
 // flush adds the view's counts to its Instrumented.
 func (b *batch) flush() {
-	n, sc := b.owner, b.stage
-	n.pings.Add(b.pings)
-	sc.pings.Add(b.pings)
-	n.probes.Add(b.probes)
-	sc.probes.Add(b.probes)
-	n.pingRetries.Add(b.pingRetries)
-	sc.pingRetries.Add(b.pingRetries)
-	n.probeRetries.Add(b.probeRetries)
-	sc.probeRetries.Add(b.probeRetries)
-	n.degradedWindows.Add(b.degradedWindows)
-	sc.degradedWindows.Add(b.degradedWindows)
-	n.degradedRetries.Add(b.degradedRetries)
-	sc.degradedRetries.Add(b.degradedRetries)
-	n.degradedExhausted.Add(b.degradedExhausted)
-	sc.degradedExhausted.Add(b.degradedExhausted)
-	n.recoveredRetries.Add(b.recoveredRetries)
-	sc.recoveredRetries.Add(b.recoveredRetries)
-	n.silentWindows.Add(b.silentWindows)
-	sc.silentWindows.Add(b.silentWindows)
-}
-
-// ProbeRetryObserver is implemented by Networks that want to know when a
-// prober retransmits an unanswered TTL-limited probe; retries are
-// indistinguishable from fresh probes at the Probe call itself (salt is a
-// free-running nonce), so the prober reports them explicitly.
-type ProbeRetryObserver interface {
-	RecordProbeRetry()
-}
-
-// DegradedObserver is implemented by Networks that want the adaptive
-// prober's degradation signals: a window crossing the loss threshold, an
-// escalated retransmission, and a budget running dry (see MDAOptions
-// .Adaptive). Instrumented surfaces them as probe.<stage>.degraded_*
-// counters.
-type DegradedObserver interface {
-	RecordDegradedWindow()
-	RecordDegradedRetry()
-	RecordDegradedExhausted()
-}
-
-// SilenceObserver is implemented by Networks that want to see what MDA's
-// retransmissions bought: a retransmission that drew a reply (loss the
-// retries recovered), and a window that ended unanswered at a TTL where
-// no flow had answered (an anonymous router, which the silence rule
-// stops retrying; see MDAOptions.Retries). Instrumented surfaces them as
-// probe.<stage>.recovered_retries and probe.<stage>.silent_windows.
-type SilenceObserver interface {
-	RecordRecoveredRetry()
-	RecordSilentWindow()
+	for i, c := range b.counts {
+		b.owner.counts[i].Add(c)
+		b.stage.counters[i].Add(c)
+	}
 }
 
 // InferDefaultTTL buckets a received echo-reply TTL into the assumed

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -25,6 +26,14 @@ func simWorldCfg(t *testing.T, n int, mutate func(*netsim.Config)) (*netsim.Worl
 	}
 	return w, NewSimNetwork(w)
 }
+
+// echoNet answers every probe with an echo reply: every MDA run on it
+// ends in an immediate echo. It holds no state, so goroutines may share
+// it.
+type echoNet struct{}
+
+func (echoNet) Ping(iputil.Addr, int) (PingResult, bool)      { return PingResult{RespTTL: 50}, true }
+func (echoNet) Probe(iputil.Addr, int, uint16, uint32) Result { return Result{Kind: EchoReply} }
 
 // findResponsive returns responsive addresses of a homogeneous block with
 // the wanted last-hop cardinality (0 = any) and responsive last hops.
@@ -279,7 +288,7 @@ func TestInstrumented(t *testing.T) {
 	c.Ping(dst, 1) // a retry: seq > 0
 	c.Probe(dst, 3, 1, 1)
 	c.Probe(dst, 4, 1, 2)
-	c.RecordProbeRetry()
+	c.Observe(ProbeRetry)
 	if c.Pings() != 2 || c.Probes() != 2 {
 		t.Errorf("counts = %d pings, %d probes", c.Pings(), c.Probes())
 	}
@@ -331,17 +340,16 @@ func TestBatch(t *testing.T) {
 	v.Ping(dst, 0)
 	v.Ping(dst, 1)
 	v.Probe(dst, 3, 1, 1)
-	v.(ProbeRetryObserver).RecordProbeRetry()
-	deg := v.(DegradedObserver)
-	deg.RecordDegradedWindow()
-	deg.RecordDegradedRetry()
-	deg.RecordDegradedRetry()
-	deg.RecordDegradedExhausted()
-	sil := v.(SilenceObserver)
-	sil.RecordRecoveredRetry()
-	sil.RecordSilentWindow()
-	sil.RecordSilentWindow()
-	sil.RecordSilentWindow()
+	obs := v.(Observer)
+	obs.Observe(ProbeRetry)
+	obs.Observe(DegradedWindow)
+	obs.Observe(DegradedRetry)
+	obs.Observe(DegradedRetry)
+	obs.Observe(DegradedExhausted)
+	obs.Observe(RecoveredRetry)
+	obs.Observe(SilentWindow)
+	obs.Observe(SilentWindow)
+	obs.Observe(SilentWindow)
 	if c.Pings() != 0 || c.Probes() != 0 {
 		t.Errorf("published before flush: %d pings, %d probes", c.Pings(), c.Probes())
 	}
@@ -372,6 +380,74 @@ func TestBatch(t *testing.T) {
 		if got := snap.Counters["probe.validate."+f.name]; got != 0 {
 			t.Errorf("probe.validate.%s = %d, want 0", f.name, got)
 		}
+	}
+}
+
+// TestInstrumentedConcurrent shares one Instrumented among eight
+// goroutines: four count on it directly, four through Batch views of
+// their own, one per round, each flushed when its round is done, as
+// hobbit.Measurer does per block. Every flat total and every
+// probe.<stage>.* counter must be exact, across a stage switch.
+func TestInstrumentedConcurrent(t *testing.T) {
+	const goroutines = 8
+	reg := telemetry.NewRegistry()
+	c := Instrument(echoNet{}, reg, "measure")
+	// run has each goroutine send, per round, one ping (a retry in two
+	// rounds of three), two probes, and s+1 of each Signal s; want is
+	// what that adds to each counter.
+	run := func(rounds int) map[string]int64 {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(direct bool) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					net, flush := Network(c), func() {}
+					if !direct {
+						net, flush = Batch(c)
+					}
+					net.Ping(1, r%3)
+					net.Probe(1, 3, uint16(r), 1)
+					net.Probe(1, 4, uint16(r), 2)
+					for s := ProbeRetry; s <= DegradedExhausted; s++ {
+						for k := ProbeRetry; k <= s; k++ {
+							net.(Observer).Observe(s)
+						}
+					}
+					flush()
+				}
+			}(g%2 == 0)
+		}
+		wg.Wait()
+		n := int64(goroutines * rounds)
+		return map[string]int64{
+			"pings": n, "ping_retries": n - int64(goroutines*((rounds+2)/3)), "probes": 2 * n,
+			"probe_retries": n, "recovered_retries": 2 * n, "silent_windows": 3 * n,
+			"degraded_windows": 4 * n, "degraded_retries": 5 * n, "degraded_exhausted": 6 * n,
+		}
+	}
+	measure := run(300)
+	c.SetStage("validate")
+	validate := run(100)
+
+	flat := map[string]int64{
+		"pings": c.Pings(), "ping_retries": c.PingRetries(), "probes": c.Probes(),
+		"probe_retries": c.ProbeRetries(), "recovered_retries": c.RecoveredRetries(), "silent_windows": c.SilentWindows(),
+		"degraded_windows": c.DegradedWindows(), "degraded_retries": c.DegradedRetries(), "degraded_exhausted": c.DegradedExhausted(),
+	}
+	counters := reg.Snapshot().Counters
+	for name, got := range flat {
+		if want := measure[name] + validate[name]; got != want {
+			t.Errorf("flat %s = %d, want %d", name, got, want)
+		}
+		for stage, want := range map[string]int64{"measure": measure[name], "validate": validate[name]} {
+			if got := counters["probe."+stage+"."+name]; got != want {
+				t.Errorf("probe.%s.%s = %d, want %d", stage, name, got, want)
+			}
+		}
+	}
+	if len(counters) != 2*len(flat) {
+		t.Errorf("%d counters, want %d: %v", len(counters), 2*len(flat), counters)
 	}
 }
 

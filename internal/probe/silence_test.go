@@ -15,14 +15,11 @@ import (
 // fills flows 6-10 in at every other TTL. It counts probes per TTL and
 // records what the prober reports.
 type silentNet struct {
-	dist, anon   int
-	wake         int
-	wide         int
-	probes       map[int]int
-	retries      int
-	recovered    int
-	silent       int
-	degradations int
+	dist, anon int
+	wake       int
+	wide       int
+	probes     map[int]int
+	signals    signalCounts
 }
 
 func (s *silentNet) Ping(iputil.Addr, int) (PingResult, bool) {
@@ -43,12 +40,7 @@ func (s *silentNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) 
 	}
 }
 
-func (s *silentNet) RecordProbeRetry()        { s.retries++ }
-func (s *silentNet) RecordRecoveredRetry()    { s.recovered++ }
-func (s *silentNet) RecordSilentWindow()      { s.silent++ }
-func (s *silentNet) RecordDegradedWindow()    { s.degradations++ }
-func (s *silentNet) RecordDegradedRetry()     { s.degradations++ }
-func (s *silentNet) RecordDegradedExhausted() { s.degradations++ }
+func (s *silentNet) Observe(sig Signal) { s.signals[sig]++ }
 
 // TestMDASilenceRule pins the probes MDA spends at an anonymous hop. The
 // first window there gets its two retries; once it dies with no flow
@@ -89,11 +81,11 @@ func TestMDASilenceRule(t *testing.T) {
 					t.Errorf("adaptive=%v: %d probes at the anonymous TTL, want %d (retrying every flow: %d)",
 						adaptive, got, tc.atAnon, tc.retryAll)
 				}
-				if n.retries != tc.retries || n.silent != tc.silent || n.recovered != tc.recovered {
+				if n.signals[ProbeRetry] != tc.retries || n.signals[SilentWindow] != tc.silent || n.signals[RecoveredRetry] != tc.recovered {
 					t.Errorf("adaptive=%v: retries %d, silent windows %d, recovered %d; want %d, %d, %d",
-						adaptive, n.retries, n.silent, n.recovered, tc.retries, tc.silent, tc.recovered)
+						adaptive, n.signals[ProbeRetry], n.signals[SilentWindow], n.signals[RecoveredRetry], tc.retries, tc.silent, tc.recovered)
 				}
-				if res.Degraded || n.degradations != 0 {
+				if res.Degraded || n.signals.degraded() != 0 {
 					t.Errorf("adaptive=%v: one anonymous hop read as loss: %+v", adaptive, res)
 				}
 			}

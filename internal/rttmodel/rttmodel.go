@@ -80,9 +80,6 @@ type Pinger interface {
 
 // DetectorConfig holds the parameters of the Section 5.2 method.
 type DetectorConfig struct {
-	// BlocksPerAggregate is how many /24s to sample from each aggregate
-	// block (the paper uses 200).
-	BlocksPerAggregate int
 	// PingsPerAddr is the probe-train length per address (the paper
 	// uses 20).
 	PingsPerAddr int
@@ -98,10 +95,9 @@ type DetectorConfig struct {
 // DefaultDetectorConfig mirrors the paper's parameters.
 func DefaultDetectorConfig() DetectorConfig {
 	return DetectorConfig{
-		BlocksPerAggregate: 200,
-		PingsPerAddr:       20,
-		PositiveDiff:       500 * time.Millisecond,
-		CellularFraction:   0.3,
+		PingsPerAddr:     20,
+		PositiveDiff:     500 * time.Millisecond,
+		CellularFraction: 0.3,
 	}
 }
 

@@ -24,12 +24,15 @@
 #   per-epoch sweep cache and the monitor that drives it), whose
 #   byte-identity contracts rest on their own tests; the layers the
 #   prober's results feed (the per-/24 classifier, the path sets it
-#   reads, and the pipeline that drives both); and the census that feeds
+#   reads, and the pipeline that drives both); the census that feeds
 #   the campaign (zmap), the aggregation its verdicts feed (aggregate),
-#   and the simulator whose ground truth the oracle tests read (netsim).
-#   internal/probe itself stays out until its raw-socket paths have
-#   tests. -short skips the multi-run determinism legs (already covered
-#   by the -race run above), keeping the coverage pass cheap.
+#   and the simulator whose ground truth the oracle tests read (netsim);
+#   and the shared plumbing every stage counts and fans out through: the
+#   telemetry registry the probe accounting writes to (telemetry) and
+#   the worker pool (parallel). internal/probe itself stays out until
+#   its raw-socket paths have tests. -short skips the multi-run
+#   determinism legs (already covered by the -race run above), keeping
+#   the coverage pass cheap.
 set -ex
 
 test -z "$(gofmt -l . | tee /dev/stderr)"
@@ -41,7 +44,8 @@ go test -race -count=1 -shuffle=on ./...
 for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./internal/metadata \
     ./internal/cluster ./internal/mcl ./internal/graph ./internal/monitor \
     ./internal/hobbit ./internal/trace ./internal/core \
-    ./internal/zmap ./internal/aggregate ./internal/netsim; do
+    ./internal/zmap ./internal/aggregate ./internal/netsim \
+    ./internal/telemetry ./internal/parallel; do
     cov=$(go test -short -count=1 -cover "$pkg" | tee /dev/stderr \
         | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     test -n "$cov"
