@@ -365,19 +365,23 @@ func BenchmarkClusterGraph(b *testing.B) {
 	}
 }
 
-// benchReprober is the exhaustive Section 6.5 reprobe strategy, the same
-// shape core.Pipeline uses during validation.
+// benchReprober is the exhaustive Section 6.5 reprobe as core.Pipeline's
+// validation stage runs it: each block resumes its campaign measurement.
 type benchReprober struct {
-	m  *hobbit.Measurer
-	ds *zmap.Dataset
+	m        *hobbit.Measurer
+	ds       *zmap.Dataset
+	campaign *hobbit.Result
 }
 
 func (r benchReprober) Reprobe(blk iputil.Block24) []iputil.Addr {
-	return r.m.MeasureBlock(blk, r.ds.ActivesBy26(blk)).LastHops
+	return r.m.Resume(r.campaign.Blocks[blk], r.ds.ActivesBy26(blk)).LastHops
 }
 
 // BenchmarkValidate measures cluster reprobe validation fanned out over
-// the worker pool, merged in cluster-ID order.
+// the worker pool, merged in cluster-ID order, every pair checked. Each
+// reprobe resumes the lab campaign's measurement with the lab
+// pipeline's exhaustive Measurer, so packets/op is the validation
+// stage's probing cost, the same at any -benchtime.
 func BenchmarkValidate(b *testing.B) {
 	l := lab(b)
 	out, err := l.Pipeline()
@@ -388,14 +392,15 @@ func BenchmarkValidate(b *testing.B) {
 		b.Skip("no clusters to validate")
 	}
 	clusters := out.Clustering.Clusters
-	rp := benchReprober{
-		m:  &hobbit.Measurer{Net: l.Net, Seed: l.Seed, Exhaustive: true},
-		ds: out.Dataset,
-	}
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			m := l.Config().Measurer(true)
+			net := probe.Instrument(m.Net, nil, core.StageValidate)
+			m.Net = net
+			rp := benchReprober{m: m, ds: out.Dataset, campaign: out.Campaign}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				vals := make([]cluster.Validation, len(clusters))
 				pool := parallel.Pool{Workers: workers}
@@ -413,6 +418,7 @@ func BenchmarkValidate(b *testing.B) {
 					b.Fatal("validation checked no pairs")
 				}
 			}
+			b.ReportMetric(float64(net.Pings()+net.Probes())/float64(b.N), "packets/op")
 		})
 	}
 }

@@ -69,8 +69,9 @@ type Pipeline struct {
 	// in campaign order as soon as it is final — before clustering and
 	// validation run — so callers can stream results to disk instead of
 	// holding a rendered report for the whole run. The callback runs on
-	// the collector goroutine (never concurrently) and must not retain
-	// the pointer past the call if it mutates.
+	// the collector goroutine (never concurrently) and must not mutate
+	// the result: validation later resumes the block's measurement
+	// from it.
 	ResultSink func(*hobbit.BlockResult)
 	// Terminator overrides the hierarchical-sufficiency rule (nil uses
 	// the MDA stopping rule; a confidence.Table reproduces Figure 4's).
@@ -339,8 +340,11 @@ type ValidationCache interface {
 // reprobing, fills out.Validations and out.Validated, and merges the
 // accepted clusters into out.Final, drawing merged last-hop sets from
 // agg's interner. stage names the span, the probe attribution, and the
-// pool's telemetry. cache may be nil (every cluster reprobes live
-// against out.Dataset); otherwise its hits are used as they are.
+// pool's telemetry. cache may be nil: every cluster then reprobes live,
+// each member resuming its campaign measurement in out.Campaign from
+// the first destination the campaign left unprobed, with out.Dataset's
+// actives, so validation never resends a campaign packet. Otherwise
+// cache's hits are used as they are and its Reprobe answers the misses.
 //
 // Clusters validate independently (each owns its member /24s, and
 // reprobe randomness is keyed by cluster ID), so the misses fan out over
@@ -356,7 +360,7 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 	p.setStage(stage)
 	var rp cluster.Reprober = cache
 	if cache == nil {
-		rp = &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset}
+		rp = &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset, campaign: out.Campaign.Blocks}
 	}
 	clusters := out.Clustering.Clusters
 	vals := make([]cluster.Validation, len(clusters))
@@ -413,15 +417,17 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 }
 
 // exhaustiveReprober adapts the Section 6.5 modified probing strategy to
-// the cluster.Reprober interface.
+// the cluster.Reprober interface. It resumes each block's campaign
+// measurement, so a reprobe sends only the packets past the campaign's
+// last destination (hobbit.Measurer.Resume).
 type exhaustiveReprober struct {
-	m  *hobbit.Measurer
-	ds *zmap.Dataset
+	m        *hobbit.Measurer
+	ds       *zmap.Dataset
+	campaign map[iputil.Block24]*hobbit.BlockResult
 }
 
 // Reprobe measures the block exhaustively and returns its observed
 // last-hop set (nil when the block no longer answers usefully).
 func (r *exhaustiveReprober) Reprobe(b iputil.Block24) []iputil.Addr {
-	br := r.m.MeasureBlock(b, r.ds.ActivesBy26(b))
-	return br.LastHops
+	return r.m.Resume(r.campaign[b], r.ds.ActivesBy26(b)).LastHops
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
+	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
@@ -15,8 +16,9 @@ import (
 // every stage runs to completion before the next begins — the whole
 // census collected, the campaign run over the eligible list, the
 // aggregation folded from the finished campaign, clustering run over the
-// finished aggregate list, and validation fanned out at the end. It
-// records the same artifacts and counters as Run.
+// finished aggregate list, and validation fanned out at the end, each
+// member reprobed from scratch. It records the same artifacts and
+// counters as Run.
 func stagedRun(t *testing.T, p *Pipeline) *Output {
 	t.Helper()
 	ctx := context.Background()
@@ -54,11 +56,22 @@ func stagedRun(t *testing.T, p *Pipeline) *Output {
 	}
 
 	out.Clustering = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Run(out.Aggregates)
+	oracleValidate(t, p, out, interner)
+	return out
+}
+
+// oracleValidate is the validation stage stagedRun ends with: it
+// validates every cluster of out.Clustering with the from-scratch
+// reprobe, fills out.Validations, out.Validated and out.Final, and
+// records the "validate.…" counters as Run does.
+func oracleValidate(t testing.TB, p *Pipeline, out *Output, interner *aggregate.Interner) {
+	t.Helper()
+	reg := p.Telemetry
 	clusters := out.Clustering.Clusters
-	rp := &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset}
+	rp := scratchReprober{m: p.Measurer(true), ds: out.Dataset}
 	vals := make([]cluster.Validation, len(clusters))
 	pool := parallel.Pool{Workers: p.ClusterWorkers, Telemetry: reg, Stage: StageValidate}
-	if err := pool.ForEach(ctx, len(clusters), func(i int) {
+	if err := pool.ForEach(context.Background(), len(clusters), func(i int) {
 		vals[i] = cluster.Validate(clusters[i], rp, p.ValidatePairs, p.Seed)
 	}); err != nil {
 		t.Fatal(err)
@@ -78,5 +91,17 @@ func stagedRun(t *testing.T, p *Pipeline) *Output {
 	}
 	out.Final = cluster.ApplyValidatedInterned(out.Clustering, out.Validated, interner)
 	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
-	return out
+}
+
+// scratchReprober is the from-scratch Section 6.5 reprobe: each block is
+// measured exhaustively from its first destination, resending every
+// packet the campaign sent it. It is the oracle the resuming
+// exhaustiveReprober is checked against.
+type scratchReprober struct {
+	m  *hobbit.Measurer
+	ds *zmap.Dataset
+}
+
+func (r scratchReprober) Reprobe(b iputil.Block24) []iputil.Addr {
+	return r.m.MeasureBlock(b, r.ds.ActivesBy26(b)).LastHops
 }

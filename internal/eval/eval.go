@@ -90,6 +90,18 @@ func strideSample[T any](in []T, n int) []T {
 	return out
 }
 
+// Config returns the configuration of the lab's end-to-end run, so a
+// caller can measure with exactly its options (core.Pipeline.Measurer).
+func (l *Lab) Config() *core.Pipeline {
+	return &core.Pipeline{
+		Net:     l.Net,
+		Scanner: l.World,
+		Blocks:  l.World.Blocks(),
+		Seed:    l.Seed,
+		Options: core.Options{ValidatePairs: 2000},
+	}
+}
+
 // Pipeline returns the cached end-to-end output, running it on first use.
 func (l *Lab) Pipeline() (*core.Output, error) {
 	l.mu.Lock()
@@ -97,13 +109,7 @@ func (l *Lab) Pipeline() (*core.Output, error) {
 	if l.out != nil {
 		return l.out, nil
 	}
-	p := &core.Pipeline{
-		Net:     l.Net,
-		Scanner: l.World,
-		Blocks:  l.World.Blocks(),
-		Seed:    l.Seed,
-		Options: core.Options{ValidatePairs: 2000},
-	}
+	p := l.Config()
 	// The lock deliberately serializes the one expensive pipeline run:
 	// concurrent experiments sharing a Lab must see a single memoized
 	// output, and the double-check pattern would instead run the

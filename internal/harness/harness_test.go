@@ -182,10 +182,10 @@ func TestSilenceCountersHarnessWorld(t *testing.T) {
 		"probe.measure.probe_retries":      370,
 		"probe.measure.recovered_retries":  339,
 		"probe.measure.silent_windows":     82,
-		"probe.validate.probes":            42839,
-		"probe.validate.probe_retries":     839,
-		"probe.validate.recovered_retries": 779,
-		"probe.validate.silent_windows":    177,
+		"probe.validate.probes":            30280,
+		"probe.validate.probe_retries":     592,
+		"probe.validate.recovered_retries": 548,
+		"probe.validate.silent_windows":    131,
 	} {
 		if got := c[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

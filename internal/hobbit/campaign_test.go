@@ -207,6 +207,11 @@ func TestMeasureBlockAnonymousLastHop(t *testing.T) {
 		// Once a last hop has answered, six anonymous responders more
 		// do not stop the block either.
 		{name: "answers-at-2/then-six-silent", first: 2, both: true, silent: 6, probed: 13, responded: 11, class: ClassTooFewActive, oracle: ClassTooFewActive},
+		// The answering-hop stops run only after a responder whose
+		// last hop answered: one answer and then only anonymous
+		// responders is probed to the last active, although the
+		// single-last-hop stop counts the anonymous ones too.
+		{name: "answers-at-1/then-anonymous", first: 1, silent: 21, probed: 24, responded: 22, class: ClassTooFewActive, oracle: ClassTooFewActive},
 		// The rule's cost: the same /24 one responder later stops at
 		// six anonymous responders, before the seventh shows the two
 		// last hops that lead the oracle to a homogeneous verdict.

@@ -1,6 +1,8 @@
 package hobbit
 
 import (
+	"slices"
+
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/rng"
@@ -179,22 +181,53 @@ func deterministicPerm(n int, seed, k1, k2 uint64) []int {
 // grouped by /26. It stops as soon as the verdict is settled: six
 // responders (or MinActive, if more) behind one last hop, answering or
 // anonymous (the 95% MDA rule of Section 3.5), a non-hierarchical
-// grouping, or the Terminator's bound. It probes through one probe.Batch
-// view of Net, so an instrumented Net counts the block's packets exactly
-// but publishes them once, when the block is done.
+// grouping, or the Terminator's bound. It is Resume from an empty
+// result.
 func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockResult {
+	return m.Resume(&BlockResult{Block: b}, by26)
+}
+
+// Resume continues the measurement of prev.Block from where prev ended:
+// it probes Order(prev.Block, by26)[prev.Probed:] with prev's groups and
+// counts as its starting state, and classifies the block afresh. It
+// probes through one probe.Batch view of Net, so an instrumented Net
+// counts the block's packets exactly but publishes them once, when the
+// block is done. prev is not modified.
+//
+// Precondition: prev was measured from the same actives by a Measurer
+// whose Net gives the same answers and whose Seed, Opts, Term,
+// MinActive and SequentialOrder equal m's. Exhaustive may be set on m
+// and not on prev's Measurer: that is the Section 6.5 reprobe resuming
+// the campaign's measurement. Every exhaustive stop implies a campaign
+// stop, so the campaign ends at or before the point where the
+// exhaustive loop would, and the resumed result equals an exhaustive
+// MeasureBlock while sending only the packets past prev.Probed.
+func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult {
 	net, flush := probe.Batch(m.Net)
 	defer flush()
-	res := BlockResult{Block: b}
-	order := m.Order(b, by26)
-	gm := make(groupMap)
+	// The counts carry over; the verdict and the slices are rebuilt.
+	res := *prev
+	res.VeryLikelyHetero, res.SubBlocks = false, nil
+	// Each group gets its own copy: groups() sorts members in place, and
+	// appending to prev's slices could write through to prev.
+	gm := make(groupMap, len(prev.Groups))
+	for _, g := range prev.Groups {
+		gm[g.LastHop] = slices.Clone(g.Addrs)
+	}
 	term := m.term()
 	// settled is how many responders behind one last hop, answering or
 	// anonymous, settle the block: six, or MinActive if more, so that
 	// classify does not call a settled block "too few active".
 	settled := max(singleLastHopProbes, m.minActive())
 
-	for _, dst := range order {
+	rest := m.Order(res.Block, by26)[res.Probed:]
+	// Re-evaluate the check the loop made after prev's last responder:
+	// the anonymous stop while no last hop has answered, the answering
+	// stops otherwise.
+	if len(gm) == 0 && res.UnrespLastHop >= settled || len(gm) > 0 && m.answeredStop(gm, res.Responded, settled, term) {
+		rest = nil
+	}
+	for _, dst := range rest {
 		lr := probe.FindLastHops(net, dst, m.Opts)
 		res.Probed++
 		if lr.Degraded {
@@ -220,27 +253,8 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 		for _, lh := range lr.LastHops {
 			gm.add(lh, dst)
 		}
-
-		if m.Exhaustive {
-			// Reprobing strategy: enumerate last hops to the MDA
-			// bound rather than the hierarchy bound, and never
-			// stop on a non-hierarchical finding.
-			if term.Enough(len(gm), res.Responded) && res.Responded >= settled {
-				break
-			}
-			continue
-		}
-		if len(gm) == 1 && res.Responded >= settled {
+		if m.answeredStop(gm, res.Responded, settled, term) {
 			break
-		}
-		if len(gm) > 1 {
-			groups := gm.groups()
-			if NonHierarchical(groups) {
-				break
-			}
-			if term.Enough(len(gm), res.Responded) {
-				break
-			}
 		}
 	}
 
@@ -257,6 +271,25 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 		}
 	}
 	return res
+}
+
+// answeredStop reports whether a responder whose last hop answered
+// settles the block. The anonymous stop is checked apart, after
+// anonymous responders only: these stops count anonymous responders
+// too, and checking them after an anonymous responder would end some
+// blocks earlier.
+func (m *Measurer) answeredStop(gm groupMap, responded, settled int, term Terminator) bool {
+	switch {
+	case m.Exhaustive:
+		// Reprobing strategy: enumerate last hops to the MDA bound
+		// rather than the hierarchy bound, and never stop on a
+		// non-hierarchical finding.
+		return term.Enough(len(gm), responded) && responded >= settled
+	case len(gm) == 1:
+		return responded >= settled
+	default:
+		return NonHierarchical(gm.groups()) || term.Enough(len(gm), responded)
+	}
 }
 
 // classify applies the Table 1 decision procedure to the accumulated

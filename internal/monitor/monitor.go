@@ -112,10 +112,12 @@ type Monitor struct {
 	vals     map[string]valEntry
 	// lastHops caches exhaustive validation reprobes across epochs,
 	// evicted by the same conservative change sets as the validation
-	// cache. Validation is the epoch's dominant probe cost — every
-	// recomputed cluster reprobes up to 2·ValidatePairs members — and
-	// per-/24 measurement purity makes an unchanged block's cached
-	// response exactly what a live reprobe would return.
+	// cache. Every recomputed cluster reprobes up to 2·ValidatePairs
+	// members, and per-/24 measurement purity makes an unchanged
+	// block's cached response exactly what a live reprobe would return.
+	// A miss resumes the block's result in results, which the same
+	// eviction keeps current, so it pays only for the destinations the
+	// campaign left unprobed.
 	lastHops map[iputil.Block24][]iputil.Addr
 }
 
@@ -387,11 +389,11 @@ func (m *Monitor) setStage(stage string) {
 // cluster validation from the cross-epoch cache, keyed by cluster
 // identity — ID plus member /24s, because the reprobe pair sampling is
 // keyed by cluster ID. Reprobe adapts the exhaustive measurement
-// strategy exactly as the from-scratch validation stage does, but
-// consults the cross-epoch reprobe cache first: a block absent from
-// every change set since its last reprobe answers from the cache (purity
-// makes the bytes identical), so a revalidated cluster only pays live
-// probes for its churned members.
+// strategy exactly as the pipeline's validation stage does, resuming
+// the block's current measurement, but consults the cross-epoch reprobe
+// cache first: a block absent from every change set since its last
+// reprobe answers from the cache (purity makes the bytes identical), so
+// a revalidated cluster only pays live probes for its churned members.
 type reprober struct {
 	m   *hobbit.Measurer
 	ds  *zmap.Dataset
@@ -418,7 +420,7 @@ func (r *reprober) Reprobe(b iputil.Block24) []iputil.Addr {
 	if !ok {
 		// A concurrent miss on the same block measures twice; purity makes
 		// both answers identical, so last-write-wins is safe.
-		lhs = r.m.MeasureBlock(b, r.ds.ActivesBy26(b)).LastHops
+		lhs = r.m.Resume(r.mon.results[b], r.ds.ActivesBy26(b)).LastHops
 		r.mu.Lock()
 		r.mon.lastHops[b] = lhs
 		r.mu.Unlock()
