@@ -8,6 +8,8 @@
 package hobbit
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -86,29 +88,37 @@ type Group struct {
 // largest member), the representation the hierarchy test operates on.
 func (g Group) Range() iputil.Range { return iputil.RangeOf(g.Addrs) }
 
-// groupMap accumulates address → last-hop observations.
-type groupMap map[iputil.Addr][]iputil.Addr
+// groupMap accumulates address → last-hop observations: one group per
+// last hop, in first-seen order, with members in probing order. A /24
+// has few last hops, so a linear scan finds one.
+type groupMap []Group
 
-func (m groupMap) add(lastHop, dst iputil.Addr) {
-	m[lastHop] = append(m[lastHop], dst)
+func (m *groupMap) add(lastHop, dst iputil.Addr) {
+	for i := range *m {
+		if g := &(*m)[i]; g.LastHop == lastHop {
+			g.Addrs = append(g.Addrs, dst)
+			return
+		}
+	}
+	*m = append(*m, Group{LastHop: lastHop, Addrs: []iputil.Addr{dst}})
 }
 
-// groups converts the accumulator to sorted Group records (by last-hop
-// address) with sorted members.
+// groups sorts the accumulator in place, by last-hop address with sorted
+// members, and returns it as the block's Group records.
 func (m groupMap) groups() []Group {
-	out := make([]Group, 0, len(m))
-	for lh, addrs := range m {
-		iputil.SortAddrs(addrs)
-		out = append(out, Group{LastHop: lh, Addrs: addrs})
+	for _, g := range m {
+		iputil.SortAddrs(g.Addrs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LastHop < out[j].LastHop })
-	return out
+	slices.SortFunc(m, func(a, b Group) int { return cmp.Compare(a.LastHop, b.LastHop) })
+	return m
 }
 
 // NonHierarchical reports whether any pair of group ranges partially
 // overlaps — the signature of per-destination load balancing rather than
 // distinct route entries (Figure 2c). With fewer than four addresses in
 // total the relationships are always hierarchical, so this cannot trigger.
+// The test is symmetric and reads only ranges, so neither the order of
+// the groups nor that of their members matters.
 func NonHierarchical(groups []Group) bool {
 	for i := 0; i < len(groups); i++ {
 		ri := groups[i].Range()

@@ -130,51 +130,81 @@ const singleLastHopProbes = 6
 // Order produces the probing order of Section 3.3: the block's active
 // addresses grouped by /26, visited round-robin with the /26 order
 // reshuffled after each round. With SequentialOrder set it degrades to
-// ascending addresses.
+// ascending addresses. It is the order Resume probes in, run to the end.
+//
+//hobbit:hotpath
 func (m *Measurer) Order(b iputil.Block24, by26 [4][]iputil.Addr) []iputil.Addr {
-	if m.SequentialOrder {
-		var out []iputil.Addr
-		for _, q := range by26 {
-			out = append(out, q...)
-		}
-		iputil.SortAddrs(out)
-		return out
-	}
-	var quarters [][]iputil.Addr
-	total := 0
-	for _, q := range by26 {
-		if len(q) > 0 {
-			cp := append([]iputil.Addr(nil), q...)
-			quarters = append(quarters, cp)
-			total += len(cp)
-		}
-	}
-	out := make([]iputil.Addr, 0, total)
-	idx := make([]int, len(quarters))
-	for round := 0; len(out) < total; round++ {
-		// Shuffle the /26 visiting order each round.
-		perm := deterministicPerm(len(quarters), m.Seed, uint64(b), uint64(round))
-		for _, qi := range perm {
-			if idx[qi] < len(quarters[qi]) {
-				out = append(out, quarters[qi][idx[qi]])
-				idx[qi]++
-			}
-		}
+	var out []iputil.Addr
+	o := m.startOrder(b, by26)
+	for dst, ok := o.next(); ok; dst, ok = o.next() {
+		out = append(out, dst)
 	}
 	return out
 }
 
-// deterministicPerm produces a seeded Fisher-Yates permutation of [0, n).
-func deterministicPerm(n int, seed, k1, k2 uint64) []int {
-	perm := make([]int, n)
+// order hands out Order's destinations one at a time, so a block that
+// settles early draws only the rounds it probes. Round r visits the
+// non-empty /26s in the round's permutation, drawn into perm, and each
+// hands out its r-th active if it has one. The /26s are read in place.
+// The zero order hands out nothing.
+type order struct {
+	quarters  [4][]iputil.Addr // the n non-empty /26s
+	n, rounds int              // rounds: the longest /26's length
+	perm      [4]int
+	round     int
+	pos       int // the next entry of perm
+	seed      uint64
+	block     iputil.Block24
+}
+
+// startOrder starts Order's sequence for block b.
+func (m *Measurer) startOrder(b iputil.Block24, by26 [4][]iputil.Addr) order {
+	if m.SequentialOrder {
+		// One "/26" holding every active in ascending order.
+		all := slices.Concat(by26[:]...)
+		iputil.SortAddrs(all)
+		by26 = [4][]iputil.Addr{all}
+	}
+	o := order{seed: m.Seed, block: b}
+	for _, q := range by26 {
+		if len(q) > 0 {
+			o.quarters[o.n] = q
+			o.n++
+			o.rounds = max(o.rounds, len(q))
+		}
+	}
+	return o
+}
+
+// next returns the next destination, or false once every active has been
+// handed out.
+func (o *order) next() (iputil.Addr, bool) {
+	for o.round < o.rounds {
+		if o.pos == 0 {
+			// Shuffle the /26 visiting order each round.
+			deterministicPerm(o.perm[:o.n], o.seed, uint64(o.block), uint64(o.round))
+		}
+		q, r := o.quarters[o.perm[o.pos]], o.round
+		if o.pos++; o.pos == o.n {
+			o.round, o.pos = o.round+1, 0
+		}
+		if r < len(q) {
+			return q[r], true
+		}
+	}
+	return 0, false
+}
+
+// deterministicPerm fills perm with a seeded Fisher-Yates permutation of
+// [0, len(perm)).
+func deterministicPerm(perm []int, seed, k1, k2 uint64) {
 	for i := range perm {
 		perm[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(perm) - 1; i > 0; i-- {
 		j := rng.Intn(i+1, seed, k1, k2, uint64(i))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	return perm
 }
 
 // MeasureBlock classifies one /24 given its census-active addresses
@@ -192,7 +222,9 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 // counts as its starting state, and classifies the block afresh. It
 // probes through one probe.Batch view of Net, so an instrumented Net
 // counts the block's packets exactly but publishes them once, when the
-// block is done. prev is not modified.
+// block is done. prev is not modified. It draws the order lazily and
+// checks each stop on the groups as they stand, so it allocates only
+// FindLastHops' last-hop lists and the result's own slices.
 //
 // Precondition: prev was measured from the same actives by a Measurer
 // whose Net gives the same answers and whose Seed, Opts, Term,
@@ -202,6 +234,8 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 // stop, so the campaign ends at or before the point where the
 // exhaustive loop would, and the resumed result equals an exhaustive
 // MeasureBlock while sending only the packets past prev.Probed.
+//
+//hobbit:hotpath
 func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult {
 	net, flush := probe.Batch(m.Net)
 	defer flush()
@@ -211,8 +245,8 @@ func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult 
 	// Each group gets its own copy: groups() sorts members in place, and
 	// appending to prev's slices could write through to prev.
 	gm := make(groupMap, len(prev.Groups))
-	for _, g := range prev.Groups {
-		gm[g.LastHop] = slices.Clone(g.Addrs)
+	for i, g := range prev.Groups {
+		gm[i] = Group{LastHop: g.LastHop, Addrs: slices.Clone(g.Addrs)}
 	}
 	term := m.term()
 	// settled is how many responders behind one last hop, answering or
@@ -220,14 +254,17 @@ func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult 
 	// classify does not call a settled block "too few active".
 	settled := max(singleLastHopProbes, m.minActive())
 
-	rest := m.Order(res.Block, by26)[res.Probed:]
+	o := m.startOrder(res.Block, by26)
+	for range res.Probed {
+		o.next()
+	}
 	// Re-evaluate the check the loop made after prev's last responder:
 	// the anonymous stop while no last hop has answered, the answering
 	// stops otherwise.
 	if len(gm) == 0 && res.UnrespLastHop >= settled || len(gm) > 0 && m.answeredStop(gm, res.Responded, settled, term) {
-		rest = nil
+		o = order{}
 	}
-	for _, dst := range rest {
+	for dst, ok := o.next(); ok; dst, ok = o.next() {
 		lr := probe.FindLastHops(net, dst, m.Opts)
 		res.Probed++
 		if lr.Degraded {
@@ -277,7 +314,9 @@ func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult 
 // settles the block. The anonymous stop is checked apart, after
 // anonymous responders only: these stops count anonymous responders
 // too, and checking them after an anonymous responder would end some
-// blocks earlier.
+// blocks earlier. It reads the groups unsorted, as they accumulate.
+//
+//hobbit:hotpath
 func (m *Measurer) answeredStop(gm groupMap, responded, settled int, term Terminator) bool {
 	switch {
 	case m.Exhaustive:
@@ -288,7 +327,7 @@ func (m *Measurer) answeredStop(gm groupMap, responded, settled int, term Termin
 	case len(gm) == 1:
 		return responded >= settled
 	default:
-		return NonHierarchical(gm.groups()) || term.Enough(len(gm), responded)
+		return NonHierarchical(gm) || term.Enough(len(gm), responded)
 	}
 }
 

@@ -84,9 +84,11 @@ func (c *Campaign) runOracle(ctx context.Context, blocks []iputil.Block24) (*Res
 // reach the same verdict from fewer destinations.
 func (m *Measurer) measureBlockOracle(b iputil.Block24, by26 [4][]iputil.Addr) BlockResult {
 	res := BlockResult{Block: b}
-	gm := make(groupMap)
+	// Empty, not nil: MeasureBlock's Groups are an empty slice when no
+	// last hop answers.
+	gm := groupMap{}
 	term := m.term()
-	for _, dst := range m.Order(b, by26) {
+	for _, dst := range m.orderOracle(b, by26) {
 		lr := probe.FindLastHops(m.Net, dst, m.Opts)
 		res.Probed++
 		if lr.Degraded {
@@ -129,6 +131,83 @@ func (m *Measurer) measureBlockOracle(b iputil.Block24, by26 [4][]iputil.Addr) B
 		res.SubBlocks, res.VeryLikelyHetero = AlignedDisjoint(res.Groups)
 	}
 	return res
+}
+
+// orderOracle is the materializing form of Order: it copies every
+// non-empty /26 and builds the whole sequence, one permutation slice per
+// round. It is the oracle for Order and for the order Resume probes in.
+func (m *Measurer) orderOracle(b iputil.Block24, by26 [4][]iputil.Addr) []iputil.Addr {
+	if m.SequentialOrder {
+		var out []iputil.Addr
+		for _, q := range by26 {
+			out = append(out, q...)
+		}
+		iputil.SortAddrs(out)
+		return out
+	}
+	var quarters [][]iputil.Addr
+	total := 0
+	for _, q := range by26 {
+		if len(q) > 0 {
+			cp := append([]iputil.Addr(nil), q...)
+			quarters = append(quarters, cp)
+			total += len(cp)
+		}
+	}
+	out := make([]iputil.Addr, 0, total)
+	idx := make([]int, len(quarters))
+	for round := 0; len(out) < total; round++ {
+		perm := make([]int, len(quarters))
+		deterministicPerm(perm, m.Seed, uint64(b), uint64(round))
+		for _, qi := range perm {
+			if idx[qi] < len(quarters[qi]) {
+				out = append(out, quarters[qi][idx[qi]])
+				idx[qi]++
+			}
+		}
+	}
+	return out
+}
+
+// TestOrderMatchesOracle checks Order, and with it the sequence Resume
+// draws from, against the materializing oracle on every eligible /24 of
+// clean worlds at three seeds, in the shuffled /26 order and the
+// sequential ablation. Inputs no campaign passes are covered too: one
+// /26 dropped, all but one dropped, and the /26s in reverse order, which
+// only the sequential ablation's sort puts back in address order.
+func TestOrderMatchesOracle(t *testing.T) {
+	for _, seed := range []uint64{3, 7, 11} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := netsim.DefaultConfig(measureOracleBlocks)
+			cfg.BigBlockScale = 0.05
+			cfg.Seed = seed
+			w, err := netsim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := zmap.Collect(zmap.Stream(context.Background(), w, w.Blocks(), zmap.StreamOptions{}))
+			eligible := ds.EligibleBlocks(w.Blocks(), 4)
+			if len(eligible) < 3000 {
+				t.Fatalf("only %d eligible /24s", len(eligible))
+			}
+			for _, b := range eligible {
+				full := ds.ActivesBy26(b)
+				q := int(b) % 4
+				oneGone, oneLeft := full, [4][]iputil.Addr{}
+				oneGone[q], oneLeft[q] = nil, full[q]
+				reversed := [4][]iputil.Addr{full[3], full[2], full[1], full[0]}
+				for _, by26 := range [][4][]iputil.Addr{full, oneGone, oneLeft, reversed} {
+					for _, sequential := range []bool{false, true} {
+						m := &Measurer{Seed: seed, SequentialOrder: sequential}
+						if got, want := m.Order(b, by26), m.orderOracle(b, by26); !slices.Equal(got, want) {
+							t.Fatalf("%v (sequential %v, actives %v): order %v, oracle %v", b, sequential, by26, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestMeasureBlockMatchesOracle measures every eligible /24 of clean

@@ -1,6 +1,9 @@
 package hobbit
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +27,41 @@ func genGroups(raw []uint8) []Group {
 		}
 	}
 	return out
+}
+
+// TestStopCheckMatchesSortedGroups pins the stop check's shortcut: on
+// random observations (1 to 16 last hops, members drawn from one /24,
+// in any order) the accumulator as it stands, in first-seen order with
+// members unsorted, gives the same non-hierarchy verdict as the sorted
+// groups, and groups() sorts it into exactly what a map keyed by last
+// hop builds.
+func TestStopCheckMatchesSortedGroups(t *testing.T) {
+	const lastHopBase = iputil.Addr(0x64400000)
+	base := iputil.MustParseAddr("10.0.0.0")
+	f := func(hops uint8, raw []uint16) bool {
+		k := 1 + int(hops)%16
+		gm := groupMap{}
+		byHop := map[iputil.Addr][]iputil.Addr{}
+		for _, r := range raw {
+			// High byte: the last hop; low byte: the member.
+			lh := lastHopBase + iputil.Addr(int(r>>8)%k)
+			dst := base + iputil.Addr(r&0xff)
+			gm.add(lh, dst)
+			byHop[lh] = append(byHop[lh], dst)
+		}
+		stop := NonHierarchical(gm)
+		want := make([]Group, 0, len(byHop))
+		for lh, addrs := range byHop {
+			iputil.SortAddrs(addrs)
+			want = append(want, Group{LastHop: lh, Addrs: addrs})
+		}
+		slices.SortFunc(want, func(a, b Group) int { return cmp.Compare(a.LastHop, b.LastHop) })
+		got := gm.groups()
+		return stop == NonHierarchical(got) && reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestNonHierarchicalOrderInvariant(t *testing.T) {

@@ -13,11 +13,12 @@ import (
 
 // TestProberAllocBudget pins the allocations of one full MDA trace and
 // one last-hop search, averaged over one responsive destination in each
-// of the first 64 /24s that have one. What is left is the result itself:
-// the path set and its slice, a copy of each distinct path, and the
-// last-hop list. The TTL rows, the scratch path and every duplicate path
-// cost nothing, and so do counting through a Batch view and each
-// last-hop run that ends in an immediate echo.
+// of the first 64 /24s that have one. What is left is the result itself.
+// For MDA that is the path set, its slice and a copy of each distinct
+// path. For FindLastHops it is the last-hop list alone: its walk builds no
+// path set. The TTL rows, the scratch path and every duplicate path cost
+// nothing, and so do counting through a Batch view and each last-hop run
+// that ends in an immediate echo.
 func TestProberAllocBudget(t *testing.T) {
 	w, net := simWorld(t, 300)
 	var dsts []iputil.Addr
@@ -40,8 +41,8 @@ func TestProberAllocBudget(t *testing.T) {
 		fn     func(dst iputil.Addr)
 	}{
 		{"MDA", 10, func(dst iputil.Addr) { MDA(net, dst, MDAOptions{}) }},
-		{"FindLastHops", 5.0, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
-		{"FindLastHops/batched", 5.0, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
+		{"FindLastHops", 1, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
+		{"FindLastHops/batched", 1, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,8 +20,6 @@ type LastHopResult struct {
 	Unresponsive bool
 	// DestTTL is the hop distance at which the destination answered.
 	DestTTL int
-	// Paths holds the enumerated path suffixes for diagnostics.
-	Paths *trace.PathSet
 	// Degraded reports that at least one underlying MDA run crossed the
 	// consecutive-loss threshold (see MDAOptions.Adaptive).
 	Degraded bool
@@ -42,6 +40,10 @@ const pingAttempts = 3
 // the starting TTL; here the next run starts one TTL lower. An
 // overestimate by D costs D one-window runs and the walk then starts at
 // the last hop, the only hop Hobbit reads (EXPERIMENTS.md, deviation 6).
+// Each run is MDA's walk without the path set: the last hops are read off
+// its last TTL row, so the last-hop list is the only allocation.
+//
+//hobbit:hotpath
 func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 	opts = opts.Canonical()
 
@@ -65,9 +67,12 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 	// Degradation accumulates across the back-off loop's MDA runs: a
 	// retrace that went fine does not launder an earlier faulted walk.
 	degraded, exhausted := false, false
+	// The runs share one row buffer. A walk from near the last hop fills
+	// a row or two; only a retrace from the source can outgrow it.
+	var rows [64]trace.Hop
 	for {
 		opts.FirstTTL = firstTTL
-		res := MDA(net, dst, opts)
+		res, lastHops, star := walk(net, dst, opts, rows[:0], false)
 		degraded = degraded || res.Degraded
 		exhausted = exhausted || res.BudgetExhausted
 		switch {
@@ -87,14 +92,13 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 			// stopped answering mid-measurement.
 			return LastHopResult{Degraded: degraded, BudgetExhausted: exhausted}
 		}
-		out := LastHopResult{
+		return LastHopResult{
 			Responded:       true,
+			LastHops:        lastHops,
+			Unresponsive:    star,
 			DestTTL:         res.DestTTL,
-			Paths:           res.Paths,
 			Degraded:        degraded,
 			BudgetExhausted: exhausted,
 		}
-		out.LastHops, out.Unresponsive = res.Paths.LastHops()
-		return out
 	}
 }

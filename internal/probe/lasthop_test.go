@@ -121,13 +121,15 @@ func TestFindLastHopsUnderestimateWalks(t *testing.T) {
 	if !res.Responded {
 		t.Fatal("did not respond")
 	}
-	// The paths include the intermediate routers, but the last hop is
+	// The walk crosses the intermediate routers, but the last hop is
 	// still the true one.
 	if len(res.LastHops) != 1 || res.LastHops[0] != n.lastHop {
 		t.Fatalf("last hops = %v", res.LastHops)
 	}
-	if res.Paths.Len() == 0 || len(res.Paths.Paths()[0]) < 3 {
-		t.Errorf("expected a multi-hop suffix, got %v", res.Paths.Paths())
+	// One run: TTLs 6 to 9 each answer six flows, and TTL 10 echoes.
+	want := []int{6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 10}
+	if !slices.Equal(n.probeLog, want) {
+		t.Errorf("probed TTLs %v, want a walk from 6 through the last hop at 9: %v", n.probeLog, want)
 	}
 }
 

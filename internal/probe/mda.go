@@ -144,8 +144,21 @@ func (r MDAResult) ImmediateEcho() bool {
 // set of per-flow paths. Per-destination load-balanced paths cannot be
 // enumerated this way — they are what Hobbit infers across destinations.
 func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
-	opts = opts.Canonical()
-	res := MDAResult{FirstTTL: opts.FirstTTL}
+	// A full trace's rows fill up to a few hundred hops.
+	var rows [256]trace.Hop
+	res, _, _ := walk(net, dst, opts.Canonical(), rows[:0], true)
+	return res
+}
+
+// walk is the one MDA loop, on canonical opts. It lays its TTL rows out
+// in hops, an empty buffer from the caller's stack sized for the walks
+// the caller makes. MDA keeps the per-flow paths it assembles
+// (keepPaths). FindLastHops keeps only each path's last hop: after the
+// same probes, walk returns the distinct responsive last hops, sorted,
+// in the one slice it allocates, and whether some flow's last hop is a
+// star.
+func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepPaths bool) (res MDAResult, lastHops []iputil.Addr, star bool) {
+	res.FirstTTL = opts.FirstTTL
 
 	var salt uint32
 	obs, ok := net.(Observer)
@@ -223,11 +236,10 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// fan-outs real load balancers have. All of them start in stack
 	// buffers that only a wide or long path outgrows, which keeps the
 	// walk off the allocator.
-	var hopBuf [256]trace.Hop
 	var endBuf [32]int
 	var stateBuf [32]ttlState
 	var seenBuf [16]iputil.Addr
-	hops, ends, states := hopBuf[:0], endBuf[:0], stateBuf[:0]
+	ends, states := endBuf[:0], stateBuf[:0]
 	maxFlowsUsed := 0
 	for ttl := opts.FirstTTL; ttl <= opts.MaxTTL; ttl++ {
 		start := len(hops)
@@ -272,17 +284,22 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// complete. Fill-in windows follow the same silence rule: at a TTL
 	// whose row is all Star they get one attempt until one answers.
 	// A run that recorded no row, such as an immediate echo, returns
-	// without allocating a set.
+	// without allocating.
 	if len(ends) == 0 {
-		return res
+		return res, nil, false
 	}
-	res.Paths = trace.NewPathSet()
+	if keepPaths {
+		res.Paths = trace.NewPathSet()
+	}
 	// One scratch path, in a stack buffer like the rows (a path over 32
 	// hops grows it onto the heap), is refilled per flow; PathSet.Add
 	// clones only the paths it actually keeps, so duplicate flows cost
-	// no allocation.
+	// no allocation. Without paths, last collects the distinct last
+	// hops the same way seen collects a row's interfaces.
 	var scratchBuf [32]trace.Hop
+	var lastBuf [16]iputil.Addr
 	scratch := append(scratchBuf[:0], make(trace.Path, len(ends))...)
+	last := lastBuf[:0]
 	for f := 0; f < maxFlowsUsed; f++ {
 		start := 0
 		for i, end := range ends {
@@ -300,9 +317,22 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 				scratch[i] = trace.Star
 			}
 		}
-		res.Paths.Add(scratch)
+		if keepPaths {
+			res.Paths.Add(scratch)
+			continue
+		}
+		switch h := scratch[len(scratch)-1]; {
+		case !h.Responsive:
+			star = true
+		case !containsAddr(last, h.Addr):
+			last = append(last, h.Addr)
+		}
 	}
-	return res
+	if len(last) > 0 {
+		lastHops = append([]iputil.Addr(nil), last...)
+		iputil.SortAddrs(lastHops)
+	}
+	return res, lastHops, star
 }
 
 // containsAddr reports whether a holds x; the MDA hot loop uses it instead

@@ -86,21 +86,30 @@ func (d *Dataset) Actives(b iputil.Block24) []iputil.Addr {
 		return nil
 	}
 	out := make([]iputil.Addr, 0, d.ActiveCount(b))
-	for i := 0; i < 256; i++ {
-		if bm[i>>6]&(1<<uint(i&63)) != 0 {
-			out = append(out, b.Addr(i))
+	for q, w := range bm {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, b.Addr(q<<6|bits.TrailingZeros64(w)))
 		}
 	}
 	return out
 }
 
 // ActivesBy26 splits a block's census responders by their /26, the
-// grouping the destination-selection strategy probes round-robin.
+// grouping the destination-selection strategy probes round-robin, each
+// /26 in ascending order and nil when it has none. Bitmap word q is /26
+// q, so the /26s are Actives cut at the words' bit counts, in one
+// backing array; each is capped at its own length, so appending to one
+// cannot write into the next.
 func (d *Dataset) ActivesBy26(b iputil.Block24) [4][]iputil.Addr {
 	var out [4][]iputil.Addr
-	for _, a := range d.Actives(b) {
-		q := a.Block26()
-		out[q] = append(out[q], a)
+	rest := d.Actives(b)
+	if rest == nil {
+		return out
+	}
+	for q, w := range d.active[b] {
+		if n := bits.OnesCount64(w); n > 0 {
+			out[q], rest = rest[:n:n], rest[n:]
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -74,6 +75,48 @@ func TestActivesBy26(t *testing.T) {
 	by := d.ActivesBy26(blk)
 	if len(by[0]) != 1 || len(by[1]) != 1 || len(by[2]) != 1 || len(by[3]) != 2 {
 		t.Errorf("ActivesBy26 = %v", by)
+	}
+}
+
+// activesBy26Split splits Actives by /26 address by address: the oracle
+// for ActivesBy26's cut at the bitmap words.
+func activesBy26Split(d *Dataset, b iputil.Block24) [4][]iputil.Addr {
+	var out [4][]iputil.Addr
+	for _, a := range d.Actives(b) {
+		q := a.Block26()
+		out[q] = append(out[q], a)
+	}
+	return out
+}
+
+// TestActivesBy26MatchesSplit checks ActivesBy26 against the split of
+// Actives on every block of a world, eligible or not, and on a block the
+// census never recorded. The four /26s share one backing array, so it
+// also checks that appending to one leaves the next unchanged.
+func TestActivesBy26MatchesSplit(t *testing.T) {
+	w := netsim.MustNew(netsim.DefaultConfig(400))
+	blocks := append(w.Blocks(), b24("9.9.9.0"))
+	d := census(w, blocks)
+	split := 0
+	for _, b := range blocks {
+		got, want := d.ActivesBy26(b), activesBy26Split(d, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: ActivesBy26 = %v, want %v", b, got, want)
+		}
+		for q := 0; q < 3; q++ {
+			if len(got[q]) == 0 || len(got[q+1]) == 0 {
+				continue
+			}
+			next := got[q+1][0]
+			_ = append(got[q], 0)
+			if got[q+1][0] != next {
+				t.Fatalf("%v: appending to /26 %d overwrote /26 %d", b, q, q+1)
+			}
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("no block has two adjacent non-empty /26s")
 	}
 }
 

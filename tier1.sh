@@ -7,16 +7,20 @@
 #   compat.lock) invariants are machine-checked, not review
 #   conventions, and every //lint:ignore must still be earning its
 #   keep (stale-suppression);
-# - tests run exactly once, under -race: the race leg exercises a strict
-#   superset of the plain run (campaign workers, the parallel
+# - tests run once under -race (campaign workers, the parallel
 #   clustering/validation pools, and the telemetry registry all share
-#   memory across goroutines), so a separate non-race leg would only
-#   repeat the same assertions. -count=1 defeats the test cache so the
+#   memory across goroutines). -count=1 defeats the test cache so the
 #   gate always executes, never replays; -shuffle=on randomizes test
 #   order each run, so hidden inter-test state (a package-level cache
 #   warmed by an earlier test, say) surfaces as a flake here instead of
 #   an ordering accident that only breaks when someone adds a test —
 #   the seed is printed on failure for reproduction with -shuffle=SEED;
+# - the allocation budgets then run in a second, non-race leg: the race
+#   detector instruments allocation sites, so every AllocsPerRun test
+#   sits in a //go:build !race file that the -race leg compiles out.
+#   The leg runs only the tests named *Alloc* (the prober's per-
+#   destination budgets, the measurer's per-/24 budgets and the other
+#   zero-alloc contracts);
 # - the fault-injection layer and the accuracy harness carry a coverage
 #   floor: they are the safety net that catches inference regressions in
 #   everything else, so untested paths there silently weaken every other
@@ -40,6 +44,7 @@ go vet ./...
 go build ./...
 go run ./cmd/hobbitlint ./...
 go test -race -count=1 -shuffle=on ./...
+go test -count=1 -run 'Alloc' ./...
 
 for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./internal/metadata \
     ./internal/cluster ./internal/mcl ./internal/graph ./internal/monitor \
