@@ -60,7 +60,7 @@ func main() {
 		stream   = flag.Int("stream-chunk", 0, "census chunk size in /24s for the pipelined census, measurement, and aggregation (0 = size derived from the input; output is identical at any size)")
 		skipCl   = flag.Bool("skip-clustering", false, "stop after identical-set aggregation")
 		monEp    = flag.Int("monitor-epochs", 0, "after the initial run, advance the fault epoch this many times and re-measure incrementally (continuous-monitoring mode; the summary reports the final epoch)")
-		plan     = flag.String("fault-plan", "", "inject a built-in fault plan into the synthetic world and enable adaptive probing (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")
+		plan     = flag.String("fault-plan", "", "inject a built-in fault plan into the synthetic world (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")
 		dump     = flag.String("dump", "", "write the final homogeneous block map to this file")
 		output   = flag.String("output", "", "stream per-/24 measurement results to this file as JSON (records written as they become final, summary appended)")
 		top      = flag.Int("top", 15, "number of largest blocks to characterize")
@@ -108,23 +108,6 @@ type runConfig struct {
 	metricsReady func(net.Addr)
 }
 
-// options assembles the serializable pipeline knobs from the flags. The
-// fault plan implies adaptive probing, exactly as hobbitd normalizes it,
-// so the CLI and daemon spell one request the same way.
-func (rc runConfig) options() core.Options {
-	opts := core.Options{
-		Workers:        rc.workers,
-		ClusterWorkers: rc.clusterWorkers,
-		CensusWorkers:  rc.censusWorkers,
-		SkipClustering: rc.skipClustering,
-		ValidatePairs:  20000,
-	}
-	if rc.faultPlan != "" {
-		opts.MDA.Adaptive = true
-	}
-	return opts
-}
-
 func run(ctx context.Context, rc runConfig) error {
 	stdout := rc.stdout
 	if stdout == nil {
@@ -135,7 +118,13 @@ func run(ctx context.Context, rc runConfig) error {
 	// serial run the user probably wanted; core.Options.Validate rejects
 	// them (and any other out-of-range knob) up front. Zero stays the
 	// documented "use GOMAXPROCS" value.
-	opts := rc.options()
+	opts := core.Options{
+		Workers:        rc.workers,
+		ClusterWorkers: rc.clusterWorkers,
+		CensusWorkers:  rc.censusWorkers,
+		SkipClustering: rc.skipClustering,
+		ValidatePairs:  20000,
+	}
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -209,8 +198,7 @@ func run(ctx context.Context, rc runConfig) error {
 		}
 		world.SetFaults(sched)
 		if !rc.json {
-			fmt.Fprintf(stdout, "fault plan: %s (%d events); adaptive probing enabled\n",
-				sched.Name(), len(sched.Events()))
+			fmt.Fprintf(stdout, "fault plan: %s (%d events)\n", sched.Name(), len(sched.Events()))
 		}
 	}
 
@@ -291,9 +279,6 @@ func run(ctx context.Context, rc runConfig) error {
 
 	fmt.Fprintf(stdout, "identical-set aggregation: %d homogeneous /24s -> %d blocks\n",
 		sum.Homogeneous(), len(out.Aggregates))
-	if rc.faultPlan != "" {
-		fmt.Fprintf(stdout, "low-confidence /24s excluded from aggregation: %d\n", len(out.LowConfidence))
-	}
 	if out.Clustering != nil {
 		validated := 0
 		for _, c := range out.Clustering.Clusters {

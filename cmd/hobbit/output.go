@@ -14,13 +14,12 @@ import (
 // the verdict and the probe accounting, small enough that a million-block
 // run writes records as fast as the campaign produces them.
 type blockRecord struct {
-	Block         string `json:"block"`
-	Class         string `json:"class"`
-	LastHops      int    `json:"last_hops"`
-	Probed        int    `json:"probed"`
-	Responded     int    `json:"responded"`
-	Degraded      int    `json:"degraded,omitempty"`
-	LowConfidence bool   `json:"low_confidence,omitempty"`
+	Block     string `json:"block"`
+	Class     string `json:"class"`
+	LastHops  int    `json:"last_hops"`
+	Probed    int    `json:"probed"`
+	Responded int    `json:"responded"`
+	Degraded  int    `json:"degraded,omitempty"`
 }
 
 // resultWriter streams campaign results to a file as each becomes final,
@@ -59,13 +58,12 @@ func (w *resultWriter) sink(br *hobbit.BlockResult) {
 		return
 	}
 	rec := blockRecord{
-		Block:         br.Block.String(),
-		Class:         br.Class.String(),
-		LastHops:      len(br.LastHops),
-		Probed:        br.Probed,
-		Responded:     br.Responded,
-		Degraded:      br.Degraded,
-		LowConfidence: br.LowConfidence(),
+		Block:     br.Block.String(),
+		Class:     br.Class.String(),
+		LastHops:  len(br.LastHops),
+		Probed:    br.Probed,
+		Responded: br.Responded,
+		Degraded:  br.Degraded,
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

@@ -192,14 +192,8 @@ func (s *server) normalize(req *api.SubmitRequestV1) error {
 	if w.Epoch < 0 {
 		return fmt.Errorf("world.epoch must be >= 0, got %d", w.Epoch)
 	}
-	if w.FaultPlan != "" {
-		if !knownPlan(w.FaultPlan) {
-			return fmt.Errorf("unknown world.fault_plan %q (have %v)", w.FaultPlan, faultplan.BuiltinNames())
-		}
-		// Fault plans imply adaptive probing, exactly like cmd/hobbit
-		// -fault-plan; folding the implication in before the cache key is
-		// computed keeps the two spellings on one key.
-		req.Options.MDA.Adaptive = true
+	if w.FaultPlan != "" && !knownPlan(w.FaultPlan) {
+		return fmt.Errorf("unknown world.fault_plan %q (have %v)", w.FaultPlan, faultplan.BuiltinNames())
 	}
 	if req.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)

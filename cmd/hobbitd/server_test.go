@@ -305,9 +305,17 @@ func TestCacheHitDeterminism(t *testing.T) {
 		t.Errorf("a first_ttl-only resubmission missed the cache: %+v", ttl)
 	}
 
+	// So do the v1 wire's adaptive fields, which MDA ignores.
+	_, adaptive := postCampaign(t, ts, submitBody(7, func(r *api.SubmitRequestV1) {
+		r.Options.MDA.Adaptive, r.Options.MDA.AdaptiveBudget = true, 9
+	}))
+	if !adaptive.CacheHit {
+		t.Errorf("an adaptive-only resubmission missed the cache: %+v", adaptive)
+	}
+
 	after := counters(t, ts)
-	if after["serve.cache_hits"] != 2 {
-		t.Errorf("cache_hits = %d, want 2", after["serve.cache_hits"])
+	if after["serve.cache_hits"] != 3 {
+		t.Errorf("cache_hits = %d, want 3", after["serve.cache_hits"])
 	}
 	if after["serve.probes_total"] != before["serve.probes_total"] ||
 		after["serve.pings_total"] != before["serve.pings_total"] {

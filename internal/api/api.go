@@ -54,8 +54,7 @@ type WorldSpecV1 struct {
 	// Seed is the world and measurement seed.
 	Seed uint64 `json:"seed"`
 	// FaultPlan names a built-in fault plan to inject (empty = clean
-	// world). A non-empty plan also enables adaptive probing, matching
-	// cmd/hobbit -fault-plan.
+	// world).
 	FaultPlan string `json:"fault_plan,omitempty"`
 	// Epoch is the world epoch to measure at (0 = first epoch).
 	Epoch int `json:"epoch,omitempty"`
@@ -187,7 +186,7 @@ type RunSummaryV1 struct {
 	Validated   int                `json:"validated_clusters"`
 	Final       int                `json:"final_blocks"`
 	FaultPlan   string             `json:"fault_plan,omitempty"`
-	LowConf     int                `json:"low_confidence_blocks"`
+	LowConf     int                `json:"low_confidence_blocks"` // always 0: no /24 is excluded any more
 	Telemetry   telemetry.Snapshot `json:"telemetry"`
 	// Monitor is present only for monitoring sessions (cmd/hobbit
 	// -monitor-epochs, or MonitorEpochs on the submit request): one
@@ -240,7 +239,6 @@ func BuildRunSummaryV1(universe int, faultPlan string, out *core.Output, net *pr
 		Aggregates:  len(out.Aggregates),
 		Final:       len(out.Final),
 		FaultPlan:   faultPlan,
-		LowConf:     len(out.LowConfidence),
 		Telemetry:   reg.Snapshot(),
 	}
 	for cls, n := range sum.Counts {

@@ -97,12 +97,6 @@ type Output struct {
 	Campaign *hobbit.Result
 	// Aggregates are the Section 5 identical-set blocks.
 	Aggregates []*aggregate.Block
-	// LowConfidence lists homogeneous-looking blocks excluded from
-	// aggregation because their measurements exhausted the adaptive
-	// probing budget (hobbit.BlockResult.LowConfidence), in campaign
-	// order. Empty unless a fault plan (or real adversity) degraded the
-	// run.
-	LowConfidence []iputil.Block24
 	// Clustering and Validations are the Section 6 artifacts (nil when
 	// SkipClustering). Validated records which clusters were accepted
 	// for merging.
@@ -279,17 +273,14 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 
 // Aggregation is the Section 5 step shared by Run and the monitor: it
 // folds per-/24 results, in campaign order, into identical-set
-// aggregates. Only homogeneous verdicts aggregate, and homogeneous
-// verdicts that rest on budget-exhausted measurements are reported in
-// Output.LowConfidence instead, so one faulted window cannot poison a
-// multi-/24 aggregate. One interner backs both the aggregation and the
-// post-validation merge, so every block that shares a last-hop set —
-// before and after cluster merging — shares one canonical slice.
+// aggregates. Only homogeneous verdicts aggregate. One interner backs
+// both the aggregation and the post-validation merge, so every block
+// that shares a last-hop set — before and after cluster merging — shares
+// one canonical slice.
 type Aggregation struct {
 	interner *aggregate.Interner
 	builder  *aggregate.Builder
 	str      *cluster.Streamer
-	lowConf  []iputil.Block24
 	kept     int
 }
 
@@ -305,10 +296,6 @@ func (a *Aggregation) Add(br *hobbit.BlockResult) {
 	if !br.Class.Homogeneous() {
 		return
 	}
-	if br.LowConfidence() {
-		a.lowConf = append(a.lowConf, br.Block)
-		return
-	}
 	a.kept++
 	blk, isNew := a.builder.Add(br)
 	if a.str != nil && blk != nil {
@@ -316,13 +303,11 @@ func (a *Aggregation) Add(br *hobbit.BlockResult) {
 	}
 }
 
-// Finish stores the aggregates and the low-confidence exclusions in out
-// and bumps the "aggregate.…" counters.
+// Finish stores the aggregates in out and bumps the "aggregate.…"
+// counters.
 func (a *Aggregation) Finish(out *Output, reg *telemetry.Registry) {
 	out.Aggregates = a.builder.Finish()
-	out.LowConfidence = a.lowConf
 	reg.Counter("aggregate.homogeneous_in").Add(int64(a.kept))
-	reg.Counter("aggregate.low_confidence_excluded").Add(int64(len(a.lowConf)))
 	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -320,30 +321,29 @@ func TestPipelineTelemetryCoverage(t *testing.T) {
 	}
 }
 
-// lowConfNet scripts a two-/24 universe for the graceful-degradation
-// path: every address answers pings (reply TTL 56, so the inferred walk
-// starts at hop 7) and echoes at hop 12 behind a single per-block
-// last-hop router at hop 11, making both blocks measure homogeneous.
-// Addresses in the faulted block additionally lose the probing window of
-// every flow but flow 0 at hop 7 — exactly where the walk starts. The hop
-// answers, so the windows that die after flow 0's are loss, not an
-// anonymous router: they die in a row and each MDA run degrades; a small
-// adaptive budget then exhausts, while the default budget absorbs it.
-// The type is stateless, hence safe for any worker count, and doubles as
-// the census scanner (everything is active).
-type lowConfNet struct {
+// lossyHopNet scripts a two-/24 universe for loss detection: every
+// address answers pings (reply TTL 56, so the inferred walk starts at hop
+// 7) and echoes at hop 12 behind a single per-block last-hop router at
+// hop 11, making both blocks measure homogeneous. Addresses in the
+// faulted block additionally lose the probing window of every flow but
+// flow 0 at hop 7 — exactly where the walk starts. The hop answers, so
+// the windows that die after flow 0's are loss, not an anonymous router:
+// they die in a row and each MDA run degrades. The type is stateless,
+// hence safe for any worker count, and doubles as the census scanner
+// (everything is active).
+type lossyHopNet struct {
 	faulted iputil.Block24
 }
 
-func (n *lowConfNet) ScanBlock(iputil.Block24) [4]uint64 {
+func (n *lossyHopNet) ScanBlock(iputil.Block24) [4]uint64 {
 	return [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 }
 
-func (n *lowConfNet) Ping(iputil.Addr, int) (probe.PingResult, bool) {
+func (n *lossyHopNet) Ping(iputil.Addr, int) (probe.PingResult, bool) {
 	return probe.PingResult{RespTTL: 56}, true
 }
 
-func (n *lowConfNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
+func (n *lossyHopNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
 	faulted := dst.Block24() == n.faulted
 	switch {
 	case faulted && ttl == 7 && flowID != 0:
@@ -361,76 +361,37 @@ func (n *lowConfNet) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32)
 	}
 }
 
-// TestPipelineLowConfidenceExclusion pins the graceful-degradation
-// contract end to end: a block whose homogeneous verdict rests on
-// budget-exhausted measurements lands in Output.LowConfidence and stays
-// out of aggregation (and everything downstream), while the same block
-// measured with enough budget aggregates normally.
-func TestPipelineLowConfidenceExclusion(t *testing.T) {
+// TestPipelineDegradedBlockAggregates pins that loss detection only
+// reports, end to end: a block measured through a lossy hop is marked
+// degraded, still measures homogeneous, and aggregates like the clean
+// block beside it.
+func TestPipelineDegradedBlockAggregates(t *testing.T) {
 	clean := iputil.Addr(0x0a000100).Block24()
 	faulted := iputil.Addr(0x0a000200).Block24()
-	net := &lowConfNet{faulted: faulted}
-	run := func(budget int) (*Output, *telemetry.Registry) {
-		t.Helper()
-		reg := telemetry.NewRegistry()
-		p := &Pipeline{
-			Net:       net,
-			Scanner:   net,
-			Blocks:    []iputil.Block24{clean, faulted},
-			Seed:      7,
-			Options:   Options{MDA: probe.MDAOptions{Adaptive: true, AdaptiveBudget: budget}},
-			Telemetry: reg,
-		}
-		out, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, reg
+	net := &lossyHopNet{faulted: faulted}
+	reg := telemetry.NewRegistry()
+	p := &Pipeline{Net: net, Scanner: net, Blocks: []iputil.Block24{clean, faulted}, Seed: 7, Telemetry: reg}
+	out, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Tiny budget: the lossy hop drains it on every probed address, so
-	// the verdict is homogeneous but low-confidence.
-	out, reg := run(4)
 	br := out.Campaign.Blocks[faulted]
-	if br == nil || !br.Class.Homogeneous() {
-		t.Fatalf("faulted block did not measure homogeneous: %+v", br)
+	if br == nil || !br.Class.Homogeneous() || br.Degraded == 0 {
+		t.Fatalf("faulted block: %+v, want homogeneous and degraded", br)
 	}
-	if !br.LowConfidence() || br.BudgetExhausted == 0 {
-		t.Fatalf("faulted block not low-confidence: %+v", br)
+	if br := out.Campaign.Blocks[clean]; br == nil || br.Degraded != 0 {
+		t.Fatalf("clean block: %+v, want nothing degraded", br)
 	}
-	if len(out.LowConfidence) != 1 || out.LowConfidence[0] != faulted {
-		t.Fatalf("Output.LowConfidence = %v, want [%v]", out.LowConfidence, faulted)
+	if got := reg.Counter("campaign.degraded_blocks").Value(); got != 1 {
+		t.Errorf("campaign.degraded_blocks = %d, want 1", got)
 	}
-	for _, lists := range [][]*aggregate.Block{out.Aggregates, out.Final} {
-		for _, b := range lists {
-			for _, m := range b.Blocks24 {
-				if m == faulted {
-					t.Fatal("low-confidence block leaked into aggregation")
-				}
-			}
+	for _, list := range [][]*aggregate.Block{out.Aggregates, out.Final} {
+		found := false
+		for _, b := range list {
+			found = found || slices.Contains(b.Blocks24, faulted)
 		}
-	}
-	if len(out.Aggregates) != 1 || out.Aggregates[0].Blocks24[0] != clean {
-		t.Fatalf("aggregates = %+v, want the clean block alone", out.Aggregates)
-	}
-	if got := reg.Counter("aggregate.low_confidence_excluded").Value(); got != 1 {
-		t.Errorf("aggregate.low_confidence_excluded = %d, want 1", got)
-	}
-
-	// Ample budget (the default 32): the same faults degrade the runs but
-	// never exhaust them, so the block aggregates like any other.
-	out, reg = run(0)
-	br = out.Campaign.Blocks[faulted]
-	if br.Degraded == 0 || br.BudgetExhausted != 0 || br.LowConfidence() {
-		t.Fatalf("default-budget run: %+v, want degraded but not exhausted", br)
-	}
-	if len(out.LowConfidence) != 0 {
-		t.Errorf("Output.LowConfidence = %v, want empty", out.LowConfidence)
-	}
-	if len(out.Aggregates) != 2 {
-		t.Errorf("aggregates = %d blocks, want both", len(out.Aggregates))
-	}
-	if got := reg.Counter("aggregate.low_confidence_excluded").Value(); got != 0 {
-		t.Errorf("aggregate.low_confidence_excluded = %d, want 0", got)
+		if !found || len(list) != 2 {
+			t.Errorf("%d blocks, the degraded /24 among them: %v; want both /24s", len(list), found)
+		}
 	}
 }

@@ -100,15 +100,18 @@ func TestPipelineRejectsInvalidStreamChunk(t *testing.T) {
 // TestOptionsCanonical pins the cache-key equivalence classes: worker
 // counts never split a key (the §4d determinism contract makes them pure
 // scheduling), implicit defaults match their explicit spellings, the
-// negative sentinels collapse, and mda.first_ttl folds away.
+// negative sentinels collapse, and mda.first_ttl and the ignored
+// adaptive fields fold away.
 func TestOptionsCanonical(t *testing.T) {
 	equal := [][2]Options{
 		{{Workers: 1}, {Workers: 8, CensusWorkers: 3, ClusterWorkers: 2}},
 		{{}, {MinActive: 4}},
 		{{}, {MDA: probe.MDAOptions{FirstTTL: 1, MaxTTL: 32, Confidence: 0.95, MaxFlows: 64, Retries: 2}}},
 		{{MDA: probe.MDAOptions{Retries: -1}}, {MDA: probe.MDAOptions{Retries: -7}}},
-		// A non-adaptive run never consults the budget.
+		// MDA ignores the v1 wire's adaptive fields.
 		{{MDA: probe.MDAOptions{AdaptiveBudget: 9}}, {MDA: probe.MDAOptions{AdaptiveBudget: -1}}},
+		{{}, {MDA: probe.MDAOptions{Adaptive: true}}},
+		{{MDA: probe.MDAOptions{Adaptive: true}}, {MDA: probe.MDAOptions{Adaptive: true, AdaptiveBudget: 9}}},
 		{{}, DefaultOptions()},
 		// FindLastHops replaces first_ttl before every MDA run.
 		{{}, {MDA: probe.MDAOptions{FirstTTL: 9}}},
@@ -125,8 +128,6 @@ func TestOptionsCanonical(t *testing.T) {
 		{{}, {SkipClustering: true}},
 		{{}, {MinActive: 5}},
 		{{}, {ValidatePairs: 20000}},
-		{{}, {MDA: probe.MDAOptions{Adaptive: true}}},
-		{{MDA: probe.MDAOptions{Adaptive: true}}, {MDA: probe.MDAOptions{Adaptive: true, AdaptiveBudget: 9}}},
 		{{}, {MDA: probe.MDAOptions{Retries: -1}}},
 	}
 	for _, pair := range distinct {

@@ -39,16 +39,11 @@ func stagedRun(t *testing.T, p *Pipeline) *Output {
 	builder := aggregate.NewBuilder(interner)
 	kept := 0
 	for _, br := range res.HomogeneousBlocks() {
-		if br.LowConfidence() {
-			out.LowConfidence = append(out.LowConfidence, br.Block)
-			continue
-		}
 		kept++
 		builder.Add(br)
 	}
 	out.Aggregates = builder.Finish()
 	reg.Counter("aggregate.homogeneous_in").Add(int64(kept))
-	reg.Counter("aggregate.low_confidence_excluded").Add(int64(len(out.LowConfidence)))
 	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
 	if p.SkipClustering {
 		out.Final = out.Aggregates

@@ -74,8 +74,8 @@ func (l *packetLog) record(k packetKey) {
 }
 
 // checkValidationResume runs the pipeline over a world of n /24s at the
-// given big-block scale, seed and fault plan ("" for a clean world, with
-// adaptive probing on under a plan), validating every pair. Run's
+// given big-block scale, seed and fault plan ("" for a clean world),
+// validating every pair. Run's
 // validation resumes each member's campaign measurement; its
 // Validations, Validated and Final must equal those of the from-scratch
 // reprobe, and it must send no packet whose key the measure stage sent.
@@ -97,7 +97,6 @@ func checkValidationResume(t *testing.T, n int, scale float64, seed uint64, plan
 	}
 	log := newPacketLog(probe.NewSimNetwork(w))
 	p := &Pipeline{Net: log, Scanner: w, Blocks: w.Blocks(), Seed: seed}
-	p.MDA.Adaptive = plan != ""
 	got, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -17,14 +17,13 @@ import (
 func marshalOutput(t *testing.T, out *Output) []byte {
 	t.Helper()
 	j, err := json.Marshal(struct {
-		Eligible      interface{}
-		Campaign      interface{}
-		Aggregates    interface{}
-		LowConfidence interface{}
-		Validations   interface{}
-		Validated     interface{}
-		Final         interface{}
-	}{out.Eligible, out.Campaign.Order, out.Aggregates, out.LowConfidence,
+		Eligible    interface{}
+		Campaign    interface{}
+		Aggregates  interface{}
+		Validations interface{}
+		Validated   interface{}
+		Final       interface{}
+	}{out.Eligible, out.Campaign.Order, out.Aggregates,
 		out.Validations, out.Validated, out.Final})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +90,7 @@ func TestPipelineStreamedIdentical(t *testing.T) {
 
 // TestPipelineClusteringMatrix is the acceptance matrix for the
 // streaming clustering stage: {ClusterWorkers 1, 8} × {StreamChunk 1,
-// 64, 4096}, on an unfaulted world and on a blackhole-faulted world with
-// adaptive probing (the shape that produces low-confidence exclusions),
+// 64, 4096}, on an unfaulted world and on a blackhole-faulted world,
 // each compared byte for byte — artifacts, counters, histograms —
 // against that world's barrier-staged oracle.
 func TestPipelineClusteringMatrix(t *testing.T) {
@@ -113,7 +111,6 @@ func TestPipelineClusteringMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					w.SetFaults(sched)
-					p.MDA.Adaptive = true
 				}
 				reg := telemetry.NewRegistry()
 				p.Telemetry = reg

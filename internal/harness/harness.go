@@ -84,9 +84,9 @@ type Report struct {
 	PureBlocks  int     `json:"pure_blocks"`
 	Purity      float64 `json:"purity"`
 
-	// Degradation accounting.
+	// DegradedBlocks counts /24s with a measurement that lost
+	// consecutive windows at hops that answer (hobbit.BlockResult.Degraded).
 	DegradedBlocks int `json:"degraded_blocks"`
-	LowConfidence  int `json:"low_confidence"`
 }
 
 // Verdicts returns the number of classified blocks behind the matrix.
@@ -115,24 +115,38 @@ func (r *Report) Check(f Floors) error {
 }
 
 // Run executes one scenario: build the world, derive and install the
-// named built-in fault plan, set the epoch, run the full pipeline with
-// adaptive probing on, and score the output against ground truth. The
-// whole path is deterministic in (Options, Scenario.Plan).
+// named built-in fault plan, set the epoch, run the full pipeline, and
+// score the output against ground truth. The whole path is
+// deterministic in (Options, Scenario.Plan).
 func Run(sc Scenario, opt Options) (*Report, *core.Output, error) {
+	w, p, err := scenario(sc.Plan, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := p.Run(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	return Score(sc.Plan, w, out), out, nil
+}
+
+// scenario builds the world a scenario runs over, with the named
+// built-in fault plan installed and the epoch set, and the pipeline that
+// measures it.
+func scenario(plan string, opt Options) (*netsim.World, *core.Pipeline, error) {
 	cfg := netsim.DefaultConfig(opt.Blocks)
 	cfg.BigBlockScale = opt.BigBlockScale
 	w, err := netsim.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, err := faultplan.CompileBuiltin(sc.Plan, w)
+	sched, err := faultplan.CompileBuiltin(plan, w)
 	if err != nil {
 		return nil, nil, err
 	}
 	w.SetFaults(sched)
 	w.SetEpoch(opt.Epoch)
-
-	p := &core.Pipeline{
+	return w, &core.Pipeline{
 		Net:     probe.NewSimNetwork(w),
 		Scanner: w,
 		Blocks:  w.Blocks(),
@@ -141,14 +155,8 @@ func Run(sc Scenario, opt Options) (*Report, *core.Output, error) {
 			Workers:        opt.Workers,
 			CensusWorkers:  opt.CensusWorkers,
 			ClusterWorkers: opt.ClusterWorkers,
-			MDA:            probe.MDAOptions{Adaptive: true},
 		},
-	}
-	out, err := p.Run(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	return Score(sc.Plan, w, out), out, nil
+	}, nil
 }
 
 // Score builds the accuracy report for a pipeline output against the
@@ -184,8 +192,6 @@ func Score(plan string, w *netsim.World, out *core.Output) *Report {
 	}
 	r.Precision = ratio(r.TP, r.TP+r.FP)
 	r.Recall = ratio(r.TP, r.TP+r.FN)
-
-	r.LowConfidence = len(out.LowConfidence)
 
 	r.FinalBlocks = len(out.Final)
 	for _, agg := range out.Final {

@@ -26,14 +26,13 @@ func snapshot(t *testing.T, sc Scenario, opt Options) []byte {
 		t.Fatal(err)
 	}
 	j, err := json.Marshal(struct {
-		Report        interface{}
-		Eligible      interface{}
-		LowConfidence interface{}
-		Aggregates    interface{}
-		Validations   interface{}
-		Validated     interface{}
-		Final         interface{}
-	}{rep, out.Eligible, out.LowConfidence, out.Aggregates, out.Validations, out.Validated, out.Final})
+		Report      interface{}
+		Eligible    interface{}
+		Aggregates  interface{}
+		Validations interface{}
+		Validated   interface{}
+		Final       interface{}
+	}{rep, out.Eligible, out.Aggregates, out.Validations, out.Validated, out.Final})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,23 +148,22 @@ func cleanRun(t *testing.T, adaptive bool) ([]byte, map[string]int64) {
 
 // TestAdaptiveCleanWorldIdentical pins that silence is not loss: on a
 // clean world almost every window that dies, dies at an anonymous hop,
-// so adaptive probing never turns degraded and measures exactly what
-// plain probing does, packet for packet.
+// so no run turns degraded in either stage. It also pins, over a whole
+// pipeline, that the v1 wire's Adaptive flag is ignored: a run with it
+// set measures exactly what a plain run does, packet for packet.
 func TestAdaptiveCleanWorldIdentical(t *testing.T) {
 	plain, plainCounters := cleanRun(t, false)
 	adaptive, adaptiveCounters := cleanRun(t, true)
 	if !bytes.Equal(plain, adaptive) {
-		t.Errorf("adaptive probing changed a clean world's output:\n%.400s\n%.400s", plain, adaptive)
+		t.Errorf("the Adaptive flag changed a clean world's output:\n%.400s\n%.400s", plain, adaptive)
 	}
 	if !reflect.DeepEqual(plainCounters, adaptiveCounters) {
-		t.Errorf("adaptive probing changed a clean world's counters:\nplain    %v\nadaptive %v", plainCounters, adaptiveCounters)
+		t.Errorf("the Adaptive flag changed a clean world's counters:\nplain    %v\nadaptive %v", plainCounters, adaptiveCounters)
 	}
 	for _, stage := range []string{core.StageMeasure, core.StageValidate} {
-		for _, kind := range []string{"windows", "retries", "exhausted"} {
-			name := "probe." + stage + ".degraded_" + kind
-			if got := adaptiveCounters[name]; got != 0 {
-				t.Errorf("%s = %d on a clean world, want 0", name, got)
-			}
+		name := "probe." + stage + ".degraded_windows"
+		if got := plainCounters[name]; got != 0 {
+			t.Errorf("%s = %d on a clean world, want 0", name, got)
 		}
 	}
 }
@@ -294,9 +292,8 @@ func TestScoreMatrix(t *testing.T) {
 		campaign.Order = append(campaign.Order, b)
 	}
 	out := &core.Output{
-		Eligible:      campaign.Order,
-		Campaign:      campaign,
-		LowConfidence: []iputil.Block24{pureA},
+		Eligible: campaign.Order,
+		Campaign: campaign,
 		Final: []*aggregate.Block{
 			{Blocks24: []iputil.Block24{pureA}},          // singleton: not scored
 			{Blocks24: []iputil.Block24{pureA, pureB}},   // pure
@@ -311,8 +308,8 @@ func TestScoreMatrix(t *testing.T) {
 	if r.Precision != 0.5 || r.Recall != 0.5 {
 		t.Errorf("precision %v recall %v, want 0.5 each", r.Precision, r.Recall)
 	}
-	if r.DegradedBlocks != 1 || r.LowConfidence != 1 {
-		t.Errorf("degraded %d low-confidence %d, want 1 each", r.DegradedBlocks, r.LowConfidence)
+	if r.DegradedBlocks != 1 {
+		t.Errorf("degraded %d, want 1", r.DegradedBlocks)
 	}
 	if r.FinalBlocks != 4 || r.MultiBlocks != 3 || r.PureBlocks != 1 {
 		t.Errorf("final %d multi %d pure %d, want 4/3/1", r.FinalBlocks, r.MultiBlocks, r.PureBlocks)
@@ -342,7 +339,7 @@ func TestRunBadWorld(t *testing.T) {
 // mda.first_ttl out of hobbitd's cache key: probe.FindLastHops replaces
 // it with the echo-TTL estimate before every MDA run, so runs differing
 // only in first_ttl produce byte-identical artifacts. The rate-storm
-// world makes the adaptive retrace paths run too.
+// world makes the retrace paths run too.
 func TestFirstTTLNeverChangesOutput(t *testing.T) {
 	cfg := netsim.DefaultConfig(300)
 	cfg.BigBlockScale = 0.02
@@ -359,7 +356,7 @@ func TestFirstTTLNeverChangesOutput(t *testing.T) {
 			Scanner: w,
 			Blocks:  w.Blocks(),
 			Seed:    7,
-			Options: core.Options{MDA: probe.MDAOptions{FirstTTL: first, Adaptive: true}},
+			Options: core.Options{MDA: probe.MDAOptions{FirstTTL: first}},
 		}
 		out, err := p.Run(context.Background())
 		if err != nil {

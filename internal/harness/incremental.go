@@ -10,12 +10,9 @@ import (
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/core"
-	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/monitor"
-	"github.com/hobbitscan/hobbit/internal/netsim"
-	"github.com/hobbitscan/hobbit/internal/probe"
 )
 
 // encOutput is the canonical serialization of an Output's artifacts:
@@ -24,19 +21,18 @@ import (
 // excluded by construction — it accounts execution (which differs
 // between incremental and from-scratch paths), not results.
 type encOutput struct {
-	TotalActive   int
-	Eligible      []iputil.Block24
-	Results       []*hobbit.BlockResult // in campaign order
-	Aggregates    []*aggregate.Block
-	LowConfidence []iputil.Block24
-	Clusters      []encCluster
-	Unclustered   []*aggregate.Block
-	Sweep         [][2]float64
-	Inflation     float64
-	Components    int
-	Validations   []encValidation
-	Validated     []int
-	Final         []*aggregate.Block
+	TotalActive int
+	Eligible    []iputil.Block24
+	Results     []*hobbit.BlockResult // in campaign order
+	Aggregates  []*aggregate.Block
+	Clusters    []encCluster
+	Unclustered []*aggregate.Block
+	Sweep       [][2]float64
+	Inflation   float64
+	Components  int
+	Validations []encValidation
+	Validated   []int
+	Final       []*aggregate.Block
 }
 
 type encCluster struct {
@@ -54,10 +50,9 @@ type encValidation struct {
 // their encodings are byte-equal.
 func EncodeOutput(out *core.Output) []byte {
 	e := &encOutput{
-		Eligible:      out.Eligible,
-		LowConfidence: out.LowConfidence,
-		Aggregates:    out.Aggregates,
-		Final:         out.Final,
+		Eligible:   out.Eligible,
+		Aggregates: out.Aggregates,
+		Final:      out.Final,
 	}
 	if out.Dataset != nil {
 		e.TotalActive = out.Dataset.TotalActive()
@@ -118,36 +113,16 @@ type IncrementalScenario struct {
 // under a partial-churn plan, later epochs must reprobe strictly fewer
 // blocks than the universe.
 func CheckIncremental(sc IncrementalScenario, opt Options) error {
-	cfg := netsim.DefaultConfig(opt.Blocks)
-	cfg.BigBlockScale = opt.BigBlockScale
-	w, err := netsim.New(cfg)
+	w, p, err := scenario(sc.Plan, opt)
 	if err != nil {
 		return err
 	}
-	sched, err := faultplan.CompileBuiltin(sc.Plan, w)
-	if err != nil {
-		return err
-	}
-	w.SetFaults(sched)
-	w.SetEpoch(opt.Epoch)
 	defer w.SetFaultEpoch(-1)
-
-	mkPipe := func(chunk int) *core.Pipeline {
-		return &core.Pipeline{
-			Net:         probe.NewSimNetwork(w),
-			Scanner:     w,
-			Blocks:      w.Blocks(),
-			Seed:        opt.Seed,
-			StreamChunk: chunk,
-			Options: core.Options{
-				Workers:        opt.Workers,
-				CensusWorkers:  opt.CensusWorkers,
-				ClusterWorkers: opt.ClusterWorkers,
-				MDA:            probe.MDAOptions{Adaptive: true},
-			},
-		}
-	}
-	mon := &monitor.Monitor{Pipeline: mkPipe(0), Source: &monitor.WorldSource{W: w}}
+	// The reference runs the same pipeline in the streamed shape; the
+	// copy is taken before the monitor first uses p.
+	ref := *p
+	ref.StreamChunk = sc.StreamChunk
+	mon := &monitor.Monitor{Pipeline: p, Source: &monitor.WorldSource{W: w}}
 	defer mon.Close()
 
 	ctx := context.Background()
@@ -159,7 +134,7 @@ func CheckIncremental(sc IncrementalScenario, opt Options) error {
 		}
 		// The monitor left the world pinned at e; the reference runs
 		// from scratch against exactly that network state.
-		want, err := mkPipe(sc.StreamChunk).Run(ctx)
+		want, err := ref.Run(ctx)
 		if err != nil {
 			return fmt.Errorf("harness: plan %q epoch %d: reference: %w", sc.Plan, e, err)
 		}

@@ -102,7 +102,6 @@ type campaignMetrics struct {
 	probed    *telemetry.Histogram
 	responded *telemetry.Histogram
 	degraded  *telemetry.Counter
-	lowConf   *telemetry.Counter
 }
 
 func (c *Campaign) metrics() campaignMetrics {
@@ -113,7 +112,6 @@ func (c *Campaign) metrics() campaignMetrics {
 		probed:    reg.Histogram("campaign.probed_per_block", []int64{8, 16, 32, 64, 128, 256}),
 		responded: reg.Histogram("campaign.responded_per_block", []int64{4, 8, 16, 32, 64, 128, 256}),
 		degraded:  reg.Counter("campaign.degraded_blocks"),
-		lowConf:   reg.Counter("campaign.low_confidence_blocks"),
 	}
 	for _, cls := range []Class{
 		ClassTooFewActive, ClassUnresponsiveLastHop,

@@ -449,17 +449,14 @@ func TestCampaignTelemetry(t *testing.T) {
 		t.Errorf("final event missing probe load: %+v", last)
 	}
 
-	// The same blocks under a rate storm with adaptive probing, so every
-	// retry, degradation and silence signal fires: once through a
-	// per-call counter, once through Instrumented. The small escalation
-	// budget makes some degraded run exhaust it.
+	// The same blocks under a rate storm, so every retry, degradation
+	// and silence signal fires: once through a per-call counter, once
+	// through Instrumented.
 	sched, err := faultplan.CompileBuiltin("rate-storm", w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.SetFaults(sched)
-	c.Measurer.Opts.Adaptive = true
-	c.Measurer.Opts.AdaptiveBudget = 4
 	c.Progress = nil
 	calls := &callCounter{net: probe.NewSimNetwork(w)}
 	c.Measurer.Net = calls
@@ -488,8 +485,6 @@ func TestCampaignTelemetry(t *testing.T) {
 		{"ping_retries", calls.pingRetries.Load(), inst.PingRetries()},
 		{"probe_retries", calls.signals[probe.ProbeRetry].Load(), inst.ProbeRetries()},
 		{"degraded_windows", calls.signals[probe.DegradedWindow].Load(), inst.DegradedWindows()},
-		{"degraded_retries", calls.signals[probe.DegradedRetry].Load(), inst.DegradedRetries()},
-		{"degraded_exhausted", calls.signals[probe.DegradedExhausted].Load(), inst.DegradedExhausted()},
 		{"recovered_retries", calls.signals[probe.RecoveredRetry].Load(), inst.RecoveredRetries()},
 		{"silent_windows", calls.signals[probe.SilentWindow].Load(), inst.SilentWindows()},
 	}
@@ -524,7 +519,7 @@ type callCounter struct {
 	net probe.Network
 
 	pings, probes, pingRetries atomic.Int64
-	signals                    [probe.DegradedExhausted + 1]atomic.Int64
+	signals                    [probe.DegradedWindow + 1]atomic.Int64
 }
 
 func (c *callCounter) Ping(dst iputil.Addr, seq int) (probe.PingResult, bool) {

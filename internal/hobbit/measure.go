@@ -92,20 +92,14 @@ type BlockResult struct {
 	VeryLikelyHetero bool
 	SubBlocks        []iputil.Prefix
 	// Degraded counts probed destinations whose measurement crossed the
-	// adaptive prober's loss threshold; BudgetExhausted those whose
-	// escalation budget ran dry (see probe.MDAOptions.Adaptive).
-	Degraded        int
-	BudgetExhausted int
+	// prober's consecutive-loss threshold (see probe.MDAResult.Degraded).
+	// It reports loss; it changes neither the probing nor the verdict.
+	Degraded int
 }
 
-// LowConfidence reports whether the block's verdict rests on too many
-// budget-exhausted measurements to feed aggregation: at least one
-// exhausted destination, and exhausted destinations making up half or
-// more of everything probed. Such blocks keep their class for reporting
-// but are excluded from aggregation (see core.Pipeline).
-func (r *BlockResult) LowConfidence() bool {
-	return r.BudgetExhausted > 0 && 2*r.BudgetExhausted >= r.Probed
-}
+// LowConfidence returns false: no verdict is excluded from aggregation
+// any more. It stays only for cmd/hobbitbench, which still reports it.
+func (r *BlockResult) LowConfidence() bool { return false }
 
 func (m *Measurer) term() Terminator {
 	if m.Term != nil {
@@ -269,9 +263,6 @@ func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult 
 		res.Probed++
 		if lr.Degraded {
 			res.Degraded++
-		}
-		if lr.BudgetExhausted {
-			res.BudgetExhausted++
 		}
 		if !lr.Responded {
 			continue

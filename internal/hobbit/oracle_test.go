@@ -51,9 +51,6 @@ func (c *Campaign) runOracle(ctx context.Context, blocks []iputil.Block24) (*Res
 				if br.Degraded > 0 {
 					met.degraded.Inc()
 				}
-				if br.LowConfidence() {
-					met.lowConf.Inc()
-				}
 				out <- item{b: b, br: &br}
 			}
 		}()
@@ -93,9 +90,6 @@ func (m *Measurer) measureBlockOracle(b iputil.Block24, by26 [4][]iputil.Addr) B
 		res.Probed++
 		if lr.Degraded {
 			res.Degraded++
-		}
-		if lr.BudgetExhausted {
-			res.BudgetExhausted++
 		}
 		if !lr.Responded {
 			continue
@@ -251,7 +245,7 @@ func compareMeasureOracle(t *testing.T, seed uint64, plan string) {
 		w.SetFaults(sched)
 	}
 	ds := zmap.Collect(zmap.Stream(context.Background(), w, w.Blocks(), zmap.StreamOptions{}))
-	m := &Measurer{Net: probe.NewSimNetwork(w), Seed: seed, Opts: probe.MDAOptions{Adaptive: plan != ""}}
+	m := &Measurer{Net: probe.NewSimNetwork(w), Seed: seed}
 	eligible := ds.EligibleBlocks(w.Blocks(), 4)
 	stopped, probed, oracleProbed := 0, 0, 0
 	for _, b := range eligible {
@@ -276,8 +270,8 @@ func compareMeasureOracle(t *testing.T, seed uint64, plan string) {
 			t.Errorf("%v (%v) probed %d destinations, the oracle %d", b, got.Class, got.Probed, want.Probed)
 		case got.Responded != singleLastHopProbes || got.UnrespLastHop != singleLastHopProbes:
 			t.Errorf("%v stopped at %d responders (%d anonymous), want %d", b, got.Responded, got.UnrespLastHop, singleLastHopProbes)
-		case got.Degraded > want.Degraded || got.BudgetExhausted > want.BudgetExhausted:
-			t.Errorf("%v: degraded %d, exhausted %d; oracle %d, %d", b, got.Degraded, got.BudgetExhausted, want.Degraded, want.BudgetExhausted)
+		case got.Degraded > want.Degraded:
+			t.Errorf("%v: degraded %d, oracle %d", b, got.Degraded, want.Degraded)
 		case !w.UnresponsiveLastHop(b):
 			t.Errorf("%v stopped as Unresponsive last-hop, but its last hops answer", b)
 		}

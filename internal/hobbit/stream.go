@@ -96,9 +96,6 @@ func (c *Campaign) run(ctx context.Context, next func() (FeedItem, bool), known 
 				if br.Degraded > 0 {
 					met.degraded.Inc()
 				}
-				if br.LowConfidence() {
-					met.lowConf.Inc()
-				}
 				out <- item{seq: j.seq, br: &br}
 			}
 		}()

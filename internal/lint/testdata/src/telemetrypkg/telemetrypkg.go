@@ -16,5 +16,5 @@ func Register(reg *telemetry.Registry, stage string) {
 	// Deep dotted names with underscored metrics (the degraded-probing
 	// counters) satisfy the convention.
 	reg.Counter("probe." + stage + ".degraded_windows").Inc() // ok
-	reg.Counter("campaign.low_confidence_blocks").Inc()       // ok
+	reg.Counter("campaign.degraded_blocks").Inc()             // ok
 }

@@ -37,7 +37,7 @@ func TestCancelledBootstrapRecovers(t *testing.T) {
 					Scanner: w,
 					Blocks:  w.Blocks(),
 					Seed:    3,
-					Options: core.Options{Workers: 4, MDA: probe.MDAOptions{Adaptive: true}},
+					Options: core.Options{Workers: 4},
 				}
 				return &monitor.Monitor{Pipeline: p, Source: &monitor.WorldSource{W: w}}
 			}

@@ -259,8 +259,7 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 	out.Campaign = &hobbit.Result{Blocks: blocks, Order: m.eligible}
 
 	// Aggregation replay: cheap string grouping over cached results, in
-	// campaign order, so a block whose reprobe exhausted its budget this
-	// epoch drops out of aggregation this epoch.
+	// campaign order.
 	span := reg.StartSpan(core.StageAggregate)
 	agg := core.NewAggregation(nil)
 	for _, b := range m.eligible {

@@ -36,7 +36,7 @@ func monitorWorld(t *testing.T, plan string) (*netsim.World, *core.Pipeline) {
 		Scanner: w,
 		Blocks:  w.Blocks(),
 		Seed:    3,
-		Options: core.Options{Workers: 4, MDA: probe.MDAOptions{Adaptive: true}},
+		Options: core.Options{Workers: 4},
 	}
 	return w, p
 }

@@ -21,12 +21,8 @@ type LastHopResult struct {
 	// DestTTL is the hop distance at which the destination answered.
 	DestTTL int
 	// Degraded reports that at least one underlying MDA run crossed the
-	// consecutive-loss threshold (see MDAOptions.Adaptive).
+	// consecutive-loss threshold (see MDAResult.Degraded).
 	Degraded bool
-	// BudgetExhausted reports that at least one underlying MDA run
-	// spent its whole adaptive escalation budget; the measurement is
-	// complete but deserves less confidence.
-	BudgetExhausted bool
 }
 
 // pingAttempts is how many echo probes to try before declaring a
@@ -66,7 +62,7 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 
 	// Degradation accumulates across the back-off loop's MDA runs: a
 	// retrace that went fine does not launder an earlier faulted walk.
-	degraded, exhausted := false, false
+	degraded := false
 	// The runs share one row buffer. A walk from near the last hop fills
 	// a row or two; only a retrace from the source can outgrow it.
 	var rows [64]trace.Hop
@@ -74,7 +70,6 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 		opts.FirstTTL = firstTTL
 		res, lastHops, star := walk(net, dst, opts, rows[:0], false)
 		degraded = degraded || res.Degraded
-		exhausted = exhausted || res.BudgetExhausted
 		switch {
 		case res.ImmediateEcho() && firstTTL > 1:
 			// Overestimate: the destination answered before any
@@ -90,15 +85,14 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 		case !res.DestReached:
 			// A full trace could not reach the destination: it
 			// stopped answering mid-measurement.
-			return LastHopResult{Degraded: degraded, BudgetExhausted: exhausted}
+			return LastHopResult{Degraded: degraded}
 		}
 		return LastHopResult{
-			Responded:       true,
-			LastHops:        lastHops,
-			Unresponsive:    star,
-			DestTTL:         res.DestTTL,
-			Degraded:        degraded,
-			BudgetExhausted: exhausted,
+			Responded:    true,
+			LastHops:     lastHops,
+			Unresponsive: star,
+			DestTTL:      res.DestTTL,
+			Degraded:     degraded,
 		}
 	}
 }

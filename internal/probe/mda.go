@@ -27,32 +27,24 @@ type MDAOptions struct {
 	// and every later flow there gets a single attempt, until one of
 	// them draws a reply.
 	Retries int `json:"retries"`
-	// Adaptive enables fault-adaptive escalation: once probing looks
-	// faulted (degradedStreak consecutive windows lost even after the
-	// normal retries, at TTLs where some flow has answered), later
-	// windows get extra retransmissions, paid from a capped budget.
-	// Silence at a TTL where no flow answers is anonymity, not loss, so
-	// it never counts toward the streak. Disabled by default: runs with
-	// it off never escalate or mark anything degraded, and on a network
-	// whose TTLs either answer every flow or stay anonymous, runs with
-	// it on probe bit-identically to runs with it off.
-	Adaptive bool `json:"adaptive"`
-	// AdaptiveBudget caps the total escalated retransmissions one MDA
-	// run may spend after it turns degraded. Zero uses the default
-	// (32); pass a negative value for no escalation headroom (windows
-	// are still marked degraded, and exhaustion reports immediately).
-	AdaptiveBudget int `json:"adaptive_budget"`
+	// Adaptive and AdaptiveBudget are ignored: MDA has one retry policy,
+	// set by Retries, because escalating retransmissions on degraded
+	// runs changed almost no verdict (EXPERIMENTS.md, deviation 9). The
+	// fields stay for the v1 wire.
+	Adaptive       bool `json:"adaptive"`
+	AdaptiveBudget int  `json:"adaptive_budget"`
 }
 
 // Canonical maps every MDAOptions value onto one representative per
 // behaviour class: zero fields become the paper's operating parameters,
-// and the negative sentinels (Retries, AdaptiveBudget) collapse to -1.
-// Two option values with equal Canonical() forms produce bit-identical
-// measurements over the same surface, which is what lets a result cache
-// key on the canonical form. It is also the prober's one table of
-// defaults: MDA and FindLastHops run on the canonical form, which is
-// idempotent and keeps the sentinel/zero distinction, so applying it
-// twice cannot turn a sentinel back into the default.
+// the negative Retries sentinel collapses to -1, and the ignored
+// Adaptive fields fold to zero. Two option values with equal Canonical()
+// forms produce bit-identical measurements over the same surface, which
+// is what lets a result cache key on the canonical form. It is also the
+// prober's one table of defaults: MDA and FindLastHops run on the
+// canonical form, which is idempotent and keeps the sentinel/zero
+// distinction, so applying it twice cannot turn a sentinel back into the
+// default.
 func (o MDAOptions) Canonical() MDAOptions {
 	if o.FirstTTL <= 0 {
 		o.FirstTTL = 1
@@ -71,26 +63,14 @@ func (o MDAOptions) Canonical() MDAOptions {
 	} else if o.Retries < 0 {
 		o.Retries = -1
 	}
-	switch {
-	case !o.Adaptive:
-		// The budget is consulted only by adaptive runs; folding it away
-		// here widens cache hits without changing behaviour.
-		o.AdaptiveBudget = 0
-	case o.AdaptiveBudget == 0:
-		o.AdaptiveBudget = 32
-	case o.AdaptiveBudget < 0:
-		o.AdaptiveBudget = -1
-	}
+	o.Adaptive, o.AdaptiveBudget = false, 0
 	return o
 }
 
 // degradedStreak is how many consecutive fully-lost probing windows, at
-// TTLs where some flow has answered, mark an MDA run as degraded.
+// TTLs where some flow has answered, mark an MDA run as degraded. The
+// mark only reports the loss: it never changes a packet.
 const degradedStreak = 3
-
-// adaptiveEscalation is how many extra retransmissions a degraded run
-// adds per window, budget permitting.
-const adaptiveEscalation = 2
 
 // ttlState is what one MDA run has learned about one TTL, for the
 // silence rule (see MDAOptions.Retries).
@@ -122,13 +102,10 @@ type MDAResult struct {
 	// router). It is nil, an empty set, when the run saw no router
 	// hop.
 	Paths *trace.PathSet
-	// Degraded reports that the run crossed the consecutive-loss
-	// threshold and (with Adaptive set) escalated its retries.
+	// Degraded reports that the run lost degradedStreak windows in a
+	// row at TTLs where some flow had answered. Silence at an anonymous
+	// TTL never counts.
 	Degraded bool
-	// BudgetExhausted reports that a degraded run wanted to escalate
-	// but had spent its whole AdaptiveBudget; the remaining windows ran
-	// with normal retries only, so the result deserves less confidence.
-	BudgetExhausted bool
 }
 
 // ImmediateEcho reports whether the destination answered at the starting
@@ -166,11 +143,10 @@ func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepP
 		obs = discard{}
 	}
 	// failStreak counts consecutive windows lost even after every retry
-	// at TTLs that have answered; crossing degradedStreak turns the
-	// adaptive escalation on. budget is the escalated-retransmission
-	// allowance left once degraded.
+	// at TTLs that have answered; reaching degradedStreak marks the run
+	// degraded.
 	failStreak := 0
-	retries, budget := max(opts.Retries, 0), max(opts.AdaptiveBudget, 0)
+	retries := max(opts.Retries, 0)
 	// probeOnce sends flow's window at ttl and moves the TTL's state
 	// along: any reply marks it answered, and a window that dies while
 	// nothing there has answered marks it silent.
@@ -178,23 +154,11 @@ func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepP
 		maxAttempts := 0
 		if *state != ttlSilent {
 			maxAttempts = retries
-			if opts.Adaptive && res.Degraded {
-				extra := adaptiveEscalation
-				if extra > budget {
-					extra = budget
-				}
-				maxAttempts += extra
-			}
 		}
 		for attempt := 0; ; attempt++ {
 			salt++
 			if attempt > 0 {
 				obs.Observe(ProbeRetry)
-			}
-			if attempt > retries {
-				// An escalated retransmission, paid from the budget.
-				budget--
-				obs.Observe(DegradedRetry)
 			}
 			r := net.Probe(dst, ttl, flow, salt)
 			if r.Kind != NoReply {
@@ -214,15 +178,9 @@ func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepP
 				return r
 			}
 			failStreak++
-			if opts.Adaptive {
-				if !res.Degraded && failStreak >= degradedStreak {
-					res.Degraded = true
-					obs.Observe(DegradedWindow)
-				}
-				if res.Degraded && budget == 0 && !res.BudgetExhausted {
-					res.BudgetExhausted = true
-					obs.Observe(DegradedExhausted)
-				}
+			if !res.Degraded && failStreak >= degradedStreak {
+				res.Degraded = true
+				obs.Observe(DegradedWindow)
 			}
 			return r
 		}

@@ -75,14 +75,9 @@ const (
 	// unanswered at a TTL where no flow had answered, which the silence
 	// rule takes for an anonymous router (see MDAOptions.Retries).
 	SilentWindow
-	// DegradedWindow: an adaptive run crossed the consecutive-loss
-	// threshold and turned its escalation on (see MDAOptions.Adaptive).
+	// DegradedWindow: a run lost degradedStreak windows in a row at
+	// TTLs that had answered, and turned degraded (MDAResult.Degraded).
 	DegradedWindow
-	// DegradedRetry: one escalated retransmission was spent from the
-	// adaptive budget (also a ProbeRetry).
-	DegradedRetry
-	// DegradedExhausted: a degraded run ran out of escalation budget.
-	DegradedExhausted
 
 	// Instrumented's count tables hold the three packet counts after the
 	// signals.
@@ -109,7 +104,7 @@ func (discard) Observe(Signal) {}
 // ("probe.<stage>.pings", "probe.<stage>.probes",
 // "probe.<stage>.ping_retries", "probe.<stage>.probe_retries",
 // "probe.<stage>.recovered_retries", "probe.<stage>.silent_windows",
-// "probe.<stage>.degraded_*"), so census, measurement, and reprobe
+// "probe.<stage>.degraded_windows"), so census, measurement, and reprobe
 // validation load stay attributable after a run.
 //
 // Its own methods count each call as it happens; they serve callers that
@@ -149,15 +144,13 @@ func (n *Instrumented) SetStage(stage string) {
 	sc := &stageCounters{name: stage}
 	if n.reg != nil {
 		sc.counters = [numCounts]*telemetry.Counter{
-			pingsSent:         n.reg.Counter("probe." + stage + ".pings"),
-			probesSent:        n.reg.Counter("probe." + stage + ".probes"),
-			pingRetries:       n.reg.Counter("probe." + stage + ".ping_retries"),
-			ProbeRetry:        n.reg.Counter("probe." + stage + ".probe_retries"),
-			DegradedWindow:    n.reg.Counter("probe." + stage + ".degraded_windows"),
-			DegradedRetry:     n.reg.Counter("probe." + stage + ".degraded_retries"),
-			DegradedExhausted: n.reg.Counter("probe." + stage + ".degraded_exhausted"),
-			RecoveredRetry:    n.reg.Counter("probe." + stage + ".recovered_retries"),
-			SilentWindow:      n.reg.Counter("probe." + stage + ".silent_windows"),
+			pingsSent:      n.reg.Counter("probe." + stage + ".pings"),
+			probesSent:     n.reg.Counter("probe." + stage + ".probes"),
+			pingRetries:    n.reg.Counter("probe." + stage + ".ping_retries"),
+			ProbeRetry:     n.reg.Counter("probe." + stage + ".probe_retries"),
+			DegradedWindow: n.reg.Counter("probe." + stage + ".degraded_windows"),
+			RecoveredRetry: n.reg.Counter("probe." + stage + ".recovered_retries"),
+			SilentWindow:   n.reg.Counter("probe." + stage + ".silent_windows"),
 		}
 	}
 	n.stage.Store(sc)
@@ -204,11 +197,13 @@ func (n *Instrumented) ProbeRetries() int64 { return n.counts[ProbeRetry].Load()
 // DegradedWindows returns how many MDA runs turned degraded.
 func (n *Instrumented) DegradedWindows() int64 { return n.counts[DegradedWindow].Load() }
 
-// DegradedRetries returns how many retransmissions were escalations.
-func (n *Instrumented) DegradedRetries() int64 { return n.counts[DegradedRetry].Load() }
+// DegradedRetries returns 0: MDA no longer escalates retransmissions.
+// It stays only for cmd/hobbitbench, which still reports it.
+func (n *Instrumented) DegradedRetries() int64 { return 0 }
 
-// DegradedExhausted returns how many runs exhausted their budget.
-func (n *Instrumented) DegradedExhausted() int64 { return n.counts[DegradedExhausted].Load() }
+// DegradedExhausted returns 0: MDA no longer has an escalation budget.
+// It stays only for cmd/hobbitbench, which still reports it.
+func (n *Instrumented) DegradedExhausted() int64 { return 0 }
 
 // RecoveredRetries returns how many retransmissions drew a reply.
 func (n *Instrumented) RecoveredRetries() int64 { return n.counts[RecoveredRetry].Load() }

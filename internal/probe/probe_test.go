@@ -343,9 +343,6 @@ func TestBatch(t *testing.T) {
 	obs := v.(Observer)
 	obs.Observe(ProbeRetry)
 	obs.Observe(DegradedWindow)
-	obs.Observe(DegradedRetry)
-	obs.Observe(DegradedRetry)
-	obs.Observe(DegradedExhausted)
 	obs.Observe(RecoveredRetry)
 	obs.Observe(SilentWindow)
 	obs.Observe(SilentWindow)
@@ -364,8 +361,6 @@ func TestBatch(t *testing.T) {
 		{"ping_retries", c.PingRetries(), 1},
 		{"probe_retries", c.ProbeRetries(), 1},
 		{"degraded_windows", c.DegradedWindows(), 1},
-		{"degraded_retries", c.DegradedRetries(), 2},
-		{"degraded_exhausted", c.DegradedExhausted(), 1},
 		{"recovered_retries", c.RecoveredRetries(), 1},
 		{"silent_windows", c.SilentWindows(), 3},
 	}
@@ -409,7 +404,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 					net.Ping(1, r%3)
 					net.Probe(1, 3, uint16(r), 1)
 					net.Probe(1, 4, uint16(r), 2)
-					for s := ProbeRetry; s <= DegradedExhausted; s++ {
+					for s := ProbeRetry; s <= DegradedWindow; s++ {
 						for k := ProbeRetry; k <= s; k++ {
 							net.(Observer).Observe(s)
 						}
@@ -423,7 +418,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 		return map[string]int64{
 			"pings": n, "ping_retries": n - int64(goroutines*((rounds+2)/3)), "probes": 2 * n,
 			"probe_retries": n, "recovered_retries": 2 * n, "silent_windows": 3 * n,
-			"degraded_windows": 4 * n, "degraded_retries": 5 * n, "degraded_exhausted": 6 * n,
+			"degraded_windows": 4 * n,
 		}
 	}
 	measure := run(300)
@@ -433,7 +428,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 	flat := map[string]int64{
 		"pings": c.Pings(), "ping_retries": c.PingRetries(), "probes": c.Probes(),
 		"probe_retries": c.ProbeRetries(), "recovered_retries": c.RecoveredRetries(), "silent_windows": c.SilentWindows(),
-		"degraded_windows": c.DegradedWindows(), "degraded_retries": c.DegradedRetries(), "degraded_exhausted": c.DegradedExhausted(),
+		"degraded_windows": c.DegradedWindows(),
 	}
 	counters := reg.Snapshot().Counters
 	for name, got := range flat {

@@ -71,23 +71,20 @@ func TestMDASilenceRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, adaptive := range []bool{false, true} {
-				n := &silentNet{dist: 6, anon: 4, wake: tc.wake, wide: tc.wide, probes: map[int]int{}}
-				res := MDA(n, 1, MDAOptions{FirstTTL: 1, MaxTTL: 8, Adaptive: adaptive})
-				if !res.DestReached || res.DestTTL != 6 {
-					t.Fatalf("adaptive=%v: %+v", adaptive, res)
-				}
-				if got := n.probes[4]; got != tc.atAnon {
-					t.Errorf("adaptive=%v: %d probes at the anonymous TTL, want %d (retrying every flow: %d)",
-						adaptive, got, tc.atAnon, tc.retryAll)
-				}
-				if n.signals[ProbeRetry] != tc.retries || n.signals[SilentWindow] != tc.silent || n.signals[RecoveredRetry] != tc.recovered {
-					t.Errorf("adaptive=%v: retries %d, silent windows %d, recovered %d; want %d, %d, %d",
-						adaptive, n.signals[ProbeRetry], n.signals[SilentWindow], n.signals[RecoveredRetry], tc.retries, tc.silent, tc.recovered)
-				}
-				if res.Degraded || n.signals.degraded() != 0 {
-					t.Errorf("adaptive=%v: one anonymous hop read as loss: %+v", adaptive, res)
-				}
+			n := &silentNet{dist: 6, anon: 4, wake: tc.wake, wide: tc.wide, probes: map[int]int{}}
+			res := MDA(n, 1, MDAOptions{FirstTTL: 1, MaxTTL: 8})
+			if !res.DestReached || res.DestTTL != 6 {
+				t.Fatalf("%+v", res)
+			}
+			if got := n.probes[4]; got != tc.atAnon {
+				t.Errorf("%d probes at the anonymous TTL, want %d (retrying every flow: %d)", got, tc.atAnon, tc.retryAll)
+			}
+			if n.signals[ProbeRetry] != tc.retries || n.signals[SilentWindow] != tc.silent || n.signals[RecoveredRetry] != tc.recovered {
+				t.Errorf("retries %d, silent windows %d, recovered %d; want %d, %d, %d",
+					n.signals[ProbeRetry], n.signals[SilentWindow], n.signals[RecoveredRetry], tc.retries, tc.silent, tc.recovered)
+			}
+			if res.Degraded || n.signals[DegradedWindow] != 0 {
+				t.Errorf("one anonymous hop read as loss: %+v", res)
 			}
 		})
 	}

@@ -21,6 +21,10 @@
 #   The leg runs only the tests named *Alloc* (the prober's per-
 #   destination budgets, the measurer's per-/24 budgets and the other
 #   zero-alloc contracts);
+# - the benchmark module (cmd/hobbitbench) has its own go.mod, so the
+#   root's build, vet and test runs above all skip it; it is vetted and
+#   tested in its own directory, so a change to an internal API it
+#   reads cannot break the benchmark while this gate stays green;
 # - the fault-injection layer and the accuracy harness carry a coverage
 #   floor: they are the safety net that catches inference regressions in
 #   everything else, so untested paths there silently weaken every other
@@ -45,6 +49,7 @@ go build ./...
 go run ./cmd/hobbitlint ./...
 go test -race -count=1 -shuffle=on ./...
 go test -count=1 -run 'Alloc' ./...
+(cd cmd/hobbitbench && go vet ./... && go test -count=1 ./...)
 
 for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./internal/metadata \
     ./internal/cluster ./internal/mcl ./internal/graph ./internal/monitor \
