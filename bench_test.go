@@ -198,7 +198,7 @@ func BenchmarkFindLastHops(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if probe.FindLastHops(l.Net, dsts[i%len(dsts)], probe.MDAOptions{}).Responded {
+		if probe.FindLastHops(l.Net, dsts[i%len(dsts)], probe.MDAOptions{}, nil).Responded {
 			responded++
 		}
 	}

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
@@ -69,9 +68,9 @@ type Pipeline struct {
 	// in campaign order as soon as it is final — before clustering and
 	// validation run — so callers can stream results to disk instead of
 	// holding a rendered report for the whole run. The callback runs on
-	// the collector goroutine (never concurrently) and must not mutate
-	// the result: validation later resumes the block's measurement
-	// from it.
+	// the goroutine that called Run (never concurrently) and must not
+	// mutate the result: validation later resumes the block's
+	// measurement from it.
 	ResultSink func(*hobbit.BlockResult)
 	// Terminator overrides the hierarchical-sufficiency rule (nil uses
 	// the MDA stopping rule; a confidence.Table reproduces Figure 4's).
@@ -142,83 +141,103 @@ func (p *Pipeline) setStage(stage string) {
 	}
 }
 
-// Run executes the pipeline with its stages overlapped: census chunks
-// stream off zmap.Stream, a feeder filters each chunk for eligibility and
-// hands the eligible blocks — with their chunk-local actives — to the
-// campaign workers, the campaign's in-order result stream drives the
-// aggregation, and every aggregate delta grows the streaming clusterer's
-// similarity graph while the campaign is still probing (DESIGN.md §4d).
-// Chunks arrive in block order, so the eligible list, the campaign Order,
-// the low-confidence exclusions, and the aggregation grouping are the
-// same at any chunk size and worker count. MCL clustering and validation
-// run once the last aggregate is in, because both need the complete set.
-//
-// Peak memory is bounded by the stream window plus the campaign handout
-// window; the merged dataset and the campaign result are still retained,
-// because validation reprobes against the full census. On cancellation
-// Run returns the Output artifacts completed so far together with
-// ctx.Err(), so a partial run remains inspectable.
-func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
+// Check rejects a Pipeline that Run cannot execute: one without a
+// probing surface or a census scanner, an empty universe, invalid
+// Options or StreamChunk. Run and the monitor's Step call it first.
+func (p *Pipeline) Check() error {
 	if p.Net == nil || p.Scanner == nil {
-		return nil, errors.New("core: Pipeline needs Net and Scanner")
+		return errors.New("core: Pipeline needs Net and Scanner")
 	}
 	if len(p.Blocks) == 0 {
-		return nil, errors.New("core: no blocks to measure")
+		return errors.New("core: no blocks to measure")
 	}
 	if err := p.Options.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := ValidateStreamChunk(p.StreamChunk); err != nil {
-		return nil, err
-	}
+	return ValidateStreamChunk(p.StreamChunk)
+}
+
+// Measure streams the census into the measurement campaign, the stages
+// Run and the monitor's bootstrap start with. The campaign's feed
+// (hobbit.Campaign.RunFeed) reads zmap.Stream's chunks, merges each into
+// the dataset, and hands out its eligible blocks with their chunk-local
+// actives; chunks arrive in block order, so Eligible and the campaign
+// Order are the same at any chunk size and worker count. stage names the
+// campaign's span, probe attribution and progress events. sink, when
+// non-nil, receives every result in campaign order on the calling
+// goroutine. p must pass Check. Measure fills Output's Dataset, Eligible
+// and Campaign; on cancellation Eligible and Campaign.Order are prefixes
+// of the full lists, returned with ctx.Err().
+func (p *Pipeline) Measure(ctx context.Context, stage string, sink func(*hobbit.BlockResult)) (*Output, error) {
 	reg := p.Telemetry
-	out := &Output{}
-
-	// The pipelined stages overlap, so their spans do too: each span
-	// covers the window its stage was active in.
 	censusSpan := reg.StartSpan(StageCensus)
-	measureSpan := reg.StartSpan(StageMeasure)
-	p.setStage(StageMeasure)
+	defer censusSpan.End() // idempotent; covers cancelled sweeps too
+	span := reg.StartSpan(stage)
+	defer span.End()
+	p.setStage(stage)
 
-	// The stream's context is cancelled as soon as the campaign stops
-	// consuming (error or not), so scan workers never outlive the run.
-	sctx, cancelScan := context.WithCancel(ctx)
-	defer cancelScan()
-	chunks := zmap.Stream(sctx, p.Scanner, p.Blocks, zmap.StreamOptions{
+	chunks := zmap.Stream(ctx, p.Scanner, p.Blocks, zmap.StreamOptions{
 		Workers:   p.CensusWorkers,
 		ChunkSize: p.StreamChunk,
 		Telemetry: reg,
 	})
-
-	// The feeder owns dataset and eligible until feedWG.Wait below, then
-	// hands them to the collector goroutine (this one) with the Wait as
-	// the memory barrier.
-	dataset := zmap.NewDataset()
-	var eligible []iputil.Block24
-	feed := make(chan hobbit.FeedItem)
-	var feedWG sync.WaitGroup
-	feedWG.Add(1)
-	go func() {
-		defer feedWG.Done()
-		defer close(feed)
-		defer censusSpan.End() // idempotent; covers cancelled sweeps too
-		for c := range chunks {
-			dataset.MergeChunk(c)
-			for _, b := range c.Data.EligibleBlocks(c.Blocks, p.MinActiveOrDefault()) {
-				eligible = append(eligible, b)
-				select {
-				case feed <- hobbit.FeedItem{Block: b, By26: c.Data.ActivesBy26(b)}:
-				case <-ctx.Done():
-					return
-				}
+	out := &Output{Dataset: zmap.NewDataset()}
+	var chunk zmap.Chunk
+	var queue []iputil.Block24
+	next := func() (hobbit.FeedItem, bool) {
+		for len(queue) == 0 {
+			var ok bool
+			if chunk, ok = <-chunks; !ok {
+				// The census ends when its last eligible block has
+				// been handed out; the eligibility counter lands here,
+				// after the full universe was filtered.
+				reg.Counter("census.eligible_blocks").Add(int64(len(out.Eligible)))
+				censusSpan.End()
+				return hobbit.FeedItem{}, false
 			}
+			out.Dataset.MergeChunk(chunk)
+			queue = chunk.Data.EligibleBlocks(chunk.Blocks, p.MinActiveOrDefault())
+			out.Eligible = append(out.Eligible, queue...)
 		}
-		// The census stage ends when its last chunk has been handed
-		// over; the eligibility counter lands here, after the full
-		// universe was filtered.
-		reg.Counter("census.eligible_blocks").Add(int64(len(eligible)))
-		censusSpan.End()
-	}()
+		b := queue[0]
+		queue = queue[1:]
+		return hobbit.FeedItem{Block: b, By26: chunk.Data.ActivesBy26(b)}, true
+	}
+	campaign := &hobbit.Campaign{
+		Measurer:  p.Measurer(false),
+		Workers:   p.Workers,
+		Telemetry: reg,
+		Progress:  p.Progress,
+		Stage:     stage,
+	}
+	res, err := campaign.RunFeed(ctx, next, 0, sink)
+	out.Campaign = res
+	// A cancelled campaign stops reading the census; draining it waits
+	// for the sweep to stop, so no scan worker outlives the run.
+	for range chunks {
+	}
+	return out, err
+}
+
+// Run executes the pipeline with its stages overlapped: Measure streams
+// the census into the campaign, the campaign's in-order result stream
+// drives the aggregation, and every aggregate delta grows the streaming
+// clusterer's similarity graph while the campaign is still probing
+// (DESIGN.md §4d). The eligible list, the campaign Order and the
+// aggregation grouping are the same at any chunk size and worker count.
+// MCL clustering and validation run once the last aggregate is in,
+// because both need the complete set.
+//
+// Peak memory is bounded by the census window plus the campaign window;
+// the merged dataset and the campaign result are still retained,
+// because validation reprobes against the full census. On cancellation
+// Run returns the Output artifacts completed so far together with
+// ctx.Err(), so a partial run remains inspectable.
+func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
+	if err := p.Check(); err != nil {
+		return nil, err
+	}
+	reg := p.Telemetry
 
 	// Clustering streams too: Run feeds the clusterer one Observe per
 	// aggregate delta, so graph construction overlaps the campaign (nil
@@ -228,29 +247,25 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 		str = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Stream()
 	}
 	agg := NewAggregation(str)
-	aggSpan := reg.StartSpan(StageAggregate)
-	campaign := &hobbit.Campaign{
-		Measurer:  p.Measurer(false),
-		Workers:   p.Workers,
-		Telemetry: reg,
-		Progress:  p.Progress,
-		Stage:     StageMeasure,
-	}
-	res, cerr := campaign.RunStream(ctx, feed, func(br *hobbit.BlockResult) {
+	// The pipelined stages overlap, so their spans do too: each covers
+	// the window its stage was active in, and aggregation starts with
+	// the first result.
+	var aggSpan *telemetry.Span
+	out, err := p.Measure(ctx, StageMeasure, func(br *hobbit.BlockResult) {
+		if aggSpan == nil {
+			aggSpan = reg.StartSpan(StageAggregate)
+		}
 		if p.ResultSink != nil {
 			p.ResultSink(br)
 		}
 		agg.Add(br)
 	})
-	cancelScan()
-	feedWG.Wait()
-	out.Dataset = dataset
-	out.Eligible = eligible
-	out.Campaign = res
-	measureSpan.End()
-	if cerr != nil {
+	if aggSpan == nil {
+		aggSpan = reg.StartSpan(StageAggregate)
+	}
+	if err != nil {
 		aggSpan.End()
-		return out, cerr
+		return out, err
 	}
 	agg.Finish(out, reg)
 	aggSpan.End()

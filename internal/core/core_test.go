@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
+	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
@@ -393,5 +394,25 @@ func TestPipelineDegradedBlockAggregates(t *testing.T) {
 		if !found || len(list) != 2 {
 			t.Errorf("%d blocks, the degraded /24 among them: %v; want both /24s", len(list), found)
 		}
+	}
+}
+
+// TestPipelineGoroutineBound pins the pipelined stages' goroutine budget:
+// for W workers each, the census and the campaign run on 2W+1 goroutines
+// besides Run's own (the two ordered pools' workers and the census
+// emitter). The sink samples the count, and a small chunk size keeps the
+// census window open while the campaign measures.
+func TestPipelineGoroutineBound(t *testing.T) {
+	_, p := testPipeline(t, 400)
+	const w = 4
+	p.Workers, p.CensusWorkers, p.StreamChunk = w, w, 8
+	base := runtime.NumGoroutine()
+	peak := 0
+	p.ResultSink = func(*hobbit.BlockResult) { peak = max(peak, runtime.NumGoroutine()-base) }
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if peak > 2*w+1 {
+		t.Errorf("census and campaign ran %d goroutines at once for %d workers each, want at most %d", peak, w, 2*w+1)
 	}
 }

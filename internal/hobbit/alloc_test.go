@@ -17,8 +17,8 @@ import (
 // instrumented Net as a campaign probes: MeasureBlock from scratch, and
 // the exhaustive Resume of its campaign result that validation runs.
 // Drawing the order, the stop checks and the last-hop walks allocate
-// nothing, so what is left is the results: FindLastHops' last-hop list
-// per answering responder, the block's groups and their member lists as
+// nothing, so what is left is the results: the one last-hop buffer the
+// block's searches share, the block's groups and their member lists as
 // they grow (Resume first copies the campaign's), its LastHops list and
 // a hierarchical block's sub-blocks, plus the Batch view that counts the
 // block's packets.
@@ -39,8 +39,8 @@ func TestMeasureAllocBudget(t *testing.T) {
 		budget float64
 		fn     func(i int)
 	}{
-		{"MeasureBlock", 19, func(i int) { m.MeasureBlock(eligible[i], by26[i]) }},
-		{"Resume/exhaustive", 26.5, func(i int) { ex.Resume(&campaign[i], by26[i]) }},
+		{"MeasureBlock", 14, func(i int) { m.MeasureBlock(eligible[i], by26[i]) }},
+		{"Resume/exhaustive", 16.5, func(i int) { ex.Resume(&campaign[i], by26[i]) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

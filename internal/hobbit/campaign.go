@@ -8,14 +8,14 @@ import (
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
 
-// Campaign measures many /24 blocks in parallel with a worker pool, the
+// Campaign measures many /24 blocks in parallel on an ordered pool, the
 // way the paper's single-vantage measurement iterated over 3.37M blocks.
 type Campaign struct {
 	// Measurer is the per-block configuration; its Net must be safe for
 	// concurrent use (SimNetwork is).
 	Measurer *Measurer
-	// Dataset supplies the census actives per block to Run (RunStream
-	// takes them from each FeedItem instead).
+	// Dataset supplies the census actives per block to Run (RunFeed and
+	// RunStream take them from each FeedItem instead).
 	Dataset *zmap.Dataset
 	// Workers bounds concurrency; 0 uses GOMAXPROCS.
 	Workers int
@@ -130,15 +130,14 @@ func (c *Campaign) stage() string {
 }
 
 // Run measures the given blocks (typically Dataset.EligibleBlocks): it
-// feeds them, with their census actives from Dataset, through RunStream's
-// worker pool and reorder buffer, so Result.Order is the input order and
-// progress events carry the known total from the first block on. On
-// cancellation it stops feeding, drains the in-flight blocks, and returns
-// the measured prefix together with ctx.Err(). A nil error means every
-// block was measured.
+// feeds them, with their census actives from Dataset, to RunFeed, so
+// Result.Order is the input order and progress events carry the known
+// total from the first block on. On cancellation it stops feeding,
+// drains the in-flight blocks, and returns the measured prefix together
+// with ctx.Err(). A nil error means every block was measured.
 func (c *Campaign) Run(ctx context.Context, blocks []iputil.Block24) (*Result, error) {
 	i := 0
-	return c.run(ctx, func() (FeedItem, bool) {
+	return c.RunFeed(ctx, func() (FeedItem, bool) {
 		if i == len(blocks) {
 			return FeedItem{}, false
 		}

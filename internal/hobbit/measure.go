@@ -217,8 +217,9 @@ func (m *Measurer) MeasureBlock(b iputil.Block24, by26 [4][]iputil.Addr) BlockRe
 // probes through one probe.Batch view of Net, so an instrumented Net
 // counts the block's packets exactly but publishes them once, when the
 // block is done. prev is not modified. It draws the order lazily and
-// checks each stop on the groups as they stand, so it allocates only
-// FindLastHops' last-hop lists and the result's own slices.
+// checks each stop on the groups as they stand, and its last-hop
+// searches share one buffer, so it allocates only that buffer and the
+// result's own slices.
 //
 // Precondition: prev was measured from the same actives by a Measurer
 // whose Net gives the same answers and whose Seed, Opts, Term,
@@ -258,8 +259,12 @@ func (m *Measurer) Resume(prev *BlockResult, by26 [4][]iputil.Addr) BlockResult 
 	if len(gm) == 0 && res.UnrespLastHop >= settled || len(gm) > 0 && m.answeredStop(gm, res.Responded, settled, term) {
 		o = order{}
 	}
+	// Every search appends its last hops to the one buffer, which gm.add
+	// reads before the next search overwrites it.
+	var lastHops []iputil.Addr
 	for dst, ok := o.next(); ok; dst, ok = o.next() {
-		lr := probe.FindLastHops(net, dst, m.Opts)
+		lr := probe.FindLastHops(net, dst, m.Opts, lastHops)
+		lastHops = lr.LastHops
 		res.Probed++
 		if lr.Degraded {
 			res.Degraded++

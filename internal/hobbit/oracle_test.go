@@ -86,7 +86,7 @@ func (m *Measurer) measureBlockOracle(b iputil.Block24, by26 [4][]iputil.Addr) B
 	gm := groupMap{}
 	term := m.term()
 	for _, dst := range m.orderOracle(b, by26) {
-		lr := probe.FindLastHops(m.Net, dst, m.Opts)
+		lr := probe.FindLastHops(m.Net, dst, m.Opts, nil)
 		res.Probed++
 		if lr.Degraded {
 			res.Degraded++

@@ -3,7 +3,9 @@ package monitor_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/faultplan"
@@ -15,9 +17,10 @@ import (
 )
 
 // TestCancelledBootstrapRecovers: a Step cancelled during the bootstrap
-// — before the census or mid-campaign — must leave the monitor unbooted,
-// so the next Step bootstraps in full and matches a fresh monitor's
-// bootstrap byte for byte, on a clean world and under churn.
+// — before the census or mid-campaign — must leave the monitor unbooted
+// and no goroutine of its streamed census or campaign running, so the
+// next Step bootstraps in full and matches a fresh monitor's bootstrap
+// byte for byte, on a clean world and under churn.
 func TestCancelledBootstrapRecovers(t *testing.T) {
 	for _, plan := range []string{"", "churn"} {
 		for _, midCampaign := range []bool{false, true} {
@@ -50,6 +53,7 @@ func TestCancelledBootstrapRecovers(t *testing.T) {
 			}
 
 			m := newMonitor()
+			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			if midCampaign {
 				n := 0
@@ -65,6 +69,12 @@ func TestCancelledBootstrapRecovers(t *testing.T) {
 				t.Fatalf("plan %q mid=%v: cancelled Step returned nil error", plan, midCampaign)
 			}
 			cancel()
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("plan %q mid=%v: %d goroutines still running after a cancelled Step, %d before",
+						plan, midCampaign, runtime.NumGoroutine(), base)
+				}
+			}
 			m.Pipeline.Progress = nil
 			got, err := m.Step(context.Background())
 			m.Close()

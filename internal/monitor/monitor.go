@@ -97,8 +97,9 @@ type valEntry struct {
 // proportional to the churned blocks. End with Close.
 type Monitor struct {
 	// Pipeline supplies the probing surface, universe, seed, and run
-	// options. The monitor never calls its Run; it drives the same
-	// census, campaign, core.Aggregation, and ValidateClusters steps
+	// options. The monitor never calls its Run: the bootstrap measures
+	// through Pipeline.Measure, as Run does, and every Step drives the
+	// same campaign, core.Aggregation, and ValidateClusters steps
 	// incrementally.
 	Pipeline *core.Pipeline
 	// Source feeds epochs and change sets.
@@ -132,47 +133,41 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	if p == nil || m.Source == nil {
 		return nil, errors.New("monitor: Monitor needs Pipeline and Source")
 	}
-	if p.Net == nil || p.Scanner == nil {
-		return nil, errors.New("monitor: Pipeline needs Net and Scanner")
-	}
-	if len(p.Blocks) == 0 {
-		return nil, errors.New("monitor: no blocks to monitor")
-	}
-	if err := p.Options.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.ValidateStreamChunk(p.StreamChunk); err != nil {
+	if err := p.Check(); err != nil {
 		return nil, err
 	}
 	reg := p.Telemetry
 	e := m.epoch
 	m.Source.Advance(e)
 	rep := &EpochReport{Epoch: e}
-	ds, eligible := m.ds, m.eligible
-	var reprobe []iputil.Block24
 
-	bootstrap := m.results == nil
-	if bootstrap {
-		// Bootstrap census: the census ignores fault state, so one sweep
+	if m.results == nil {
+		// Bootstrap: the census streamed into a full campaign, the way
+		// Run measures. The census ignores fault state, so its one sweep
 		// serves every epoch — the universe and eligibility never move.
-		span := reg.StartSpan(core.StageCensus)
-		ds = zmap.Collect(zmap.Stream(ctx, p.Scanner, p.Blocks, zmap.StreamOptions{
-			Workers:   p.CensusWorkers,
-			ChunkSize: p.StreamChunk,
-			Telemetry: reg,
-		}))
-		eligible = ds.EligibleBlocks(p.Blocks, p.MinActiveOrDefault())
-		reg.Counter("census.eligible_blocks").Add(int64(len(eligible)))
-		span.End()
+		// Commit the bootstrap only once its campaign completed: a
+		// partial bootstrap would leave the next Step reprobing a change
+		// set against results that were never measured.
 		rep.All = true
-		reprobe = eligible
+		boot, err := p.Measure(ctx, StageReprobe, nil)
+		if err != nil {
+			return rep, err
+		}
+		m.ds, m.eligible, m.results = boot.Dataset, boot.Eligible, boot.Campaign.Blocks
+		rep.Reprobed = len(m.eligible)
+		if !p.SkipClustering {
+			m.roll = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
+		}
+		m.vals = make(map[string]valEntry)
+		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
 	} else {
 		changed, all := m.Source.Changed(e-1, e)
 		rep.All = all
 		rep.Changed = len(changed)
+		var reprobe []iputil.Block24
 		if all {
 			rep.Changed = len(p.Blocks)
-			reprobe = eligible
+			reprobe = m.eligible
 		} else {
 			// Intersect with the eligible list in eligible order, so the
 			// sub-campaign is a strict subsequence of the from-scratch one.
@@ -180,56 +175,39 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 			for _, b := range changed {
 				changedSet[b] = true
 			}
-			for _, b := range eligible {
+			for _, b := range m.eligible {
 				if changedSet[b] {
 					reprobe = append(reprobe, b)
 				}
 			}
 		}
 		m.dropStaleValidations(changed, all)
-	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-
-	rep.Reprobed = len(reprobe)
-	reg.Counter("monitor.epochs").Inc()
-	reg.Counter("monitor.changed_blocks").Add(int64(rep.Changed))
-	reg.Counter("monitor.reprobed_blocks").Add(int64(rep.Reprobed))
-
-	span := reg.StartSpan(StageReprobe)
-	m.setStage(StageReprobe)
-	campaign := &hobbit.Campaign{
-		Measurer:  p.Measurer(false),
-		Dataset:   ds,
-		Workers:   p.Workers,
-		Telemetry: reg,
-		Progress:  p.Progress,
-		Stage:     StageReprobe,
-	}
-	res, err := campaign.Run(ctx, reprobe)
-	span.End()
-	if bootstrap {
-		// Commit the bootstrap only once its campaign completed: a
-		// partial bootstrap would leave the next Step reprobing a change
-		// set against results that were never measured.
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		rep.Reprobed = len(reprobe)
+		span := reg.StartSpan(StageReprobe)
+		m.setStage(StageReprobe)
+		campaign := &hobbit.Campaign{
+			Measurer:  p.Measurer(false),
+			Dataset:   m.ds,
+			Workers:   p.Workers,
+			Telemetry: reg,
+			Progress:  p.Progress,
+			Stage:     StageReprobe,
+		}
+		res, err := campaign.Run(ctx, reprobe)
+		span.End()
+		for b, br := range res.Blocks {
+			m.results[b] = br
+		}
 		if err != nil {
 			return rep, err
 		}
-		m.ds, m.eligible = ds, eligible
-		m.results = make(map[iputil.Block24]*hobbit.BlockResult, len(eligible))
-		if !p.SkipClustering {
-			m.roll = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
-		}
-		m.vals = make(map[string]valEntry)
-		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
 	}
-	for b, br := range res.Blocks {
-		m.results[b] = br
-	}
-	if err != nil {
-		return rep, err
-	}
+	reg.Counter("monitor.epochs").Inc()
+	reg.Counter("monitor.changed_blocks").Add(int64(rep.Changed))
+	reg.Counter("monitor.reprobed_blocks").Add(int64(rep.Reprobed))
 
 	out, err := m.assemble(ctx, rep)
 	rep.Output = out

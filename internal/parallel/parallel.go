@@ -1,19 +1,23 @@
-// Package parallel is the sanctioned worker pool of the pipeline: a
-// bounded, context-aware fan-out over an index space with a deterministic
-// ordered merge. Post-campaign fan-outs over an index space (the MCL
-// component sweeps, reprobe validation and the evaluation's trace
-// corpus) run through this package, so concurrency policy (worker
-// bounds, cancellation, telemetry accounting) lives in one place, and
-// every worker it launches is joined before ForEach returns.
+// Package parallel holds the pipeline's worker pools, so concurrency
+// policy (worker bounds, cancellation, telemetry accounting) lives in
+// one place and every worker a pool launches has stopped before the
+// fan-out returns. Two fan-outs cover every production stage:
 //
-// The determinism contract: callers hand the pool an index space [0, n)
-// and a function whose result for index i depends only on i and on
-// inputs that existed before the fan-out. Results land in caller-owned,
-// index-addressed storage (slot i of a pre-sized slice), and the caller
-// merges them by ascending index after the pool drains. Scheduling then
-// affects only *when* a slot is written, never *what* it holds or the
-// order the merge reads it, so a Workers=1 run and a Workers=8 run
-// produce byte-identical output.
+//   - Pool.ForEach fans an index space [0, n) out over workers that
+//     claim indices from one atomic cursor: the MCL component sweeps,
+//     reprobe validation and the evaluation's trace corpus.
+//   - Ordered, the ordered pool, fans out a feed of unknown length with
+//     at most a window of items in flight, and emits the results in
+//     input order: the census (zmap.Stream) and the measurement
+//     campaign the census feeds (hobbit.Campaign.RunFeed).
+//
+// The determinism contract: an item's result depends only on the item
+// and on inputs that existed before the fan-out. ForEach results land in
+// caller-owned, index-addressed storage (slot i of a pre-sized slice)
+// that the caller merges by ascending index; Ordered emits them in input
+// order itself. Scheduling then affects only *when* a result is
+// computed, never *what* it holds or the order it is merged in, so a
+// Workers=1 run and a Workers=8 run produce byte-identical output.
 package parallel
 
 import (

@@ -16,9 +16,10 @@ import (
 // of the first 64 /24s that have one. What is left is the result itself.
 // For MDA that is the path set, its slice and a copy of each distinct
 // path. For FindLastHops it is the last-hop list alone: its walk builds no
-// path set. The TTL rows, the scratch path and every duplicate path cost
-// nothing, and so do counting through a Batch view and each last-hop run
-// that ends in an immediate echo.
+// path set, and a search handed the previous search's list as its buffer
+// allocates nothing. The TTL rows, the scratch path and every duplicate
+// path cost nothing, and so do counting through a Batch view and each
+// last-hop run that ends in an immediate echo.
 func TestProberAllocBudget(t *testing.T) {
 	w, net := simWorld(t, 300)
 	var dsts []iputil.Addr
@@ -35,14 +36,16 @@ func TestProberAllocBudget(t *testing.T) {
 	}
 	batched, flush := Batch(Instrument(net, nil, "measure"))
 	defer flush()
+	var buf []iputil.Addr
 	cases := []struct {
 		name   string
 		budget float64
 		fn     func(dst iputil.Addr)
 	}{
 		{"MDA", 10, func(dst iputil.Addr) { MDA(net, dst, MDAOptions{}) }},
-		{"FindLastHops", 1, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}) }},
-		{"FindLastHops/batched", 1, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}) }},
+		{"FindLastHops", 1, func(dst iputil.Addr) { FindLastHops(net, dst, MDAOptions{}, nil) }},
+		{"FindLastHops/batched", 1, func(dst iputil.Addr) { FindLastHops(batched, dst, MDAOptions{}, nil) }},
+		{"FindLastHops/reused", 0, func(dst iputil.Addr) { buf = FindLastHops(net, dst, MDAOptions{}, buf).LastHops }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

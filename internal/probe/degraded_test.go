@@ -75,7 +75,7 @@ func TestAdaptiveIgnored(t *testing.T) {
 		n, l := lossySpan(), lossyLastHops()
 		mdaOpts := opts
 		mdaOpts.FirstTTL, mdaOpts.MaxTTL = 1, 16
-		o := outcome{mda: MDA(n, 1, mdaOpts), lastHops: FindLastHops(l, 1, opts)}
+		o := outcome{mda: MDA(n, 1, mdaOpts), lastHops: FindLastHops(l, 1, opts, nil)}
 		o.probes = n.probes + l.probes
 		for s := range o.signals {
 			o.signals[s] = n.signals[s] + l.signals[s]
@@ -131,7 +131,7 @@ func TestFindLastHopsPropagatesDegradation(t *testing.T) {
 	// there, so the MDA run degrades on the first hop, before the clean
 	// hop at 11 and the echo at 12, and the flag must survive into the
 	// LastHopResult.
-	res := FindLastHops(lossyLastHops(), 1, MDAOptions{})
+	res := FindLastHops(lossyLastHops(), 1, MDAOptions{}, nil)
 	if !res.Responded || !res.Degraded {
 		t.Fatalf("degradation lost by FindLastHops: %+v", res)
 	}
@@ -142,13 +142,13 @@ func TestFindLastHopsPropagatesDegradation(t *testing.T) {
 // the lossy fixture where the defaults send some.
 func TestFindLastHopsSentinels(t *testing.T) {
 	def := lossyLastHops()
-	FindLastHops(def, 1, MDAOptions{})
+	FindLastHops(def, 1, MDAOptions{}, nil)
 	if def.signals[ProbeRetry] == 0 {
 		t.Fatal("defaults sent no retransmission: the fixture exercises nothing")
 	}
 
 	single := lossyLastHops()
-	if res := FindLastHops(single, 1, MDAOptions{Retries: -1}); !res.Responded {
+	if res := FindLastHops(single, 1, MDAOptions{Retries: -1}, nil); !res.Responded {
 		t.Fatalf("single-shot run: %+v", res)
 	}
 	if single.signals[ProbeRetry] != 0 {

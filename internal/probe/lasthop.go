@@ -37,10 +37,13 @@ const pingAttempts = 3
 // overestimate by D costs D one-window runs and the walk then starts at
 // the last hop, the only hop Hobbit reads (EXPERIMENTS.md, deviation 6).
 // Each run is MDA's walk without the path set: the last hops are read off
-// its last TTL row, so the last-hop list is the only allocation.
+// its last TTL row. The result's LastHops is buf[:0] with the last hops
+// appended, so a caller that passes the previous result's LastHops
+// reuses its array and the search allocates nothing; a nil buf costs
+// one allocation per search that finds a last hop.
 //
 //hobbit:hotpath
-func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
+func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions, buf []iputil.Addr) LastHopResult {
 	opts = opts.Canonical()
 
 	var ping PingResult
@@ -49,7 +52,7 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 		ping, ok = net.Ping(dst, seq)
 	}
 	if !ok {
-		return LastHopResult{}
+		return LastHopResult{LastHops: buf[:0]}
 	}
 
 	firstTTL := HopEstimate(ping.RespTTL) - 1
@@ -68,7 +71,7 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 	var rows [64]trace.Hop
 	for {
 		opts.FirstTTL = firstTTL
-		res, lastHops, star := walk(net, dst, opts, rows[:0], false)
+		res, lastHops, star := walk(net, dst, opts, rows[:0], buf, false)
 		degraded = degraded || res.Degraded
 		switch {
 		case res.ImmediateEcho() && firstTTL > 1:
@@ -85,7 +88,7 @@ func FindLastHops(net Network, dst iputil.Addr, opts MDAOptions) LastHopResult {
 		case !res.DestReached:
 			// A full trace could not reach the destination: it
 			// stopped answering mid-measurement.
-			return LastHopResult{Degraded: degraded}
+			return LastHopResult{LastHops: buf[:0], Degraded: degraded}
 		}
 		return LastHopResult{
 			Responded:    true,

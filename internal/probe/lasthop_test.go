@@ -38,7 +38,7 @@ func TestFindLastHopsExactEstimate(t *testing.T) {
 	// defaultTTL 64, reverse distance = forward distance = 10:
 	// respTTL 54 -> estimate 10 -> first_ttl 9 = the last-hop position.
 	n := &scriptedNet{dist: 10, respTTL: 54, lastHop: 0x64000001, midBase: 0x63000000}
-	res := FindLastHops(n, 1, MDAOptions{})
+	res := FindLastHops(n, 1, MDAOptions{}, nil)
 	if !res.Responded || len(res.LastHops) != 1 || res.LastHops[0] != n.lastHop {
 		t.Fatalf("result = %+v", res)
 	}
@@ -82,13 +82,13 @@ func TestFindLastHopsOverestimateBacksOff(t *testing.T) {
 		return immediate
 	}
 	opts := MDAOptions{MaxTTL: 64}
-	exact := FindLastHops(mk(dist, dist-1), 1, opts)
+	exact := FindLastHops(mk(dist, dist-1), 1, opts, nil)
 	if !exact.Responded || !slices.Equal(exact.LastHops, []iputil.Addr{0x64000001}) {
 		t.Fatalf("exact estimate: %+v", exact)
 	}
 	for d := 1; d <= 40; d++ {
 		n := mk(dist, dist-1+d)
-		res := FindLastHops(n, 1, opts)
+		res := FindLastHops(n, 1, opts, nil)
 		if res.Responded != exact.Responded || res.DestTTL != exact.DestTTL || !slices.Equal(res.LastHops, exact.LastHops) {
 			t.Errorf("D=%d: result %+v, want the exact estimate's %+v", d, res, exact)
 		}
@@ -103,7 +103,7 @@ func TestFindLastHopsOverestimateBacksOff(t *testing.T) {
 	// One hop away every TTL from first_ttl 5 down to 1 echoes at once,
 	// and the run at TTL 1 is the answer: no router hop, no probe below.
 	n := mk(1, 5)
-	res := FindLastHops(n, 1, opts)
+	res := FindLastHops(n, 1, opts, nil)
 	if !res.Responded || res.DestTTL != 1 || len(res.LastHops) != 0 {
 		t.Errorf("one hop away: %+v", res)
 	}
@@ -117,7 +117,7 @@ func TestFindLastHopsUnderestimateWalks(t *testing.T) {
 	// through intermediate routers to the last hop ("find some more
 	// routers than the last hop").
 	n := &scriptedNet{dist: 10, respTTL: 57, lastHop: 0x64000001, midBase: 0x63000000}
-	res := FindLastHops(n, 1, MDAOptions{})
+	res := FindLastHops(n, 1, MDAOptions{}, nil)
 	if !res.Responded {
 		t.Fatal("did not respond")
 	}
@@ -143,7 +143,7 @@ func (deadAfterPing) Probe(iputil.Addr, int, uint16, uint32) Result {
 }
 
 func TestFindLastHopsDiesMidMeasurement(t *testing.T) {
-	res := FindLastHops(deadAfterPing{}, 1, MDAOptions{MaxTTL: 12})
+	res := FindLastHops(deadAfterPing{}, 1, MDAOptions{MaxTTL: 12}, nil)
 	if res.Responded {
 		t.Errorf("dest that never echoes should not count as responded: %+v", res)
 	}

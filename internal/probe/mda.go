@@ -123,7 +123,7 @@ func (r MDAResult) ImmediateEcho() bool {
 func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 	// A full trace's rows fill up to a few hundred hops.
 	var rows [256]trace.Hop
-	res, _, _ := walk(net, dst, opts.Canonical(), rows[:0], true)
+	res, _, _ := walk(net, dst, opts.Canonical(), rows[:0], nil, true)
 	return res
 }
 
@@ -132,9 +132,8 @@ func MDA(net Network, dst iputil.Addr, opts MDAOptions) MDAResult {
 // the caller makes. MDA keeps the per-flow paths it assembles
 // (keepPaths). FindLastHops keeps only each path's last hop: after the
 // same probes, walk returns the distinct responsive last hops, sorted,
-// in the one slice it allocates, and whether some flow's last hop is a
-// star.
-func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepPaths bool) (res MDAResult, lastHops []iputil.Addr, star bool) {
+// appended to buf[:0], and whether some flow's last hop is a star.
+func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, buf []iputil.Addr, keepPaths bool) (res MDAResult, lastHops []iputil.Addr, star bool) {
 	res.FirstTTL = opts.FirstTTL
 
 	var salt uint32
@@ -244,7 +243,7 @@ func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepP
 	// A run that recorded no row, such as an immediate echo, returns
 	// without allocating.
 	if len(ends) == 0 {
-		return res, nil, false
+		return res, buf[:0], false
 	}
 	if keepPaths {
 		res.Paths = trace.NewPathSet()
@@ -286,10 +285,8 @@ func walk(net Network, dst iputil.Addr, opts MDAOptions, hops []trace.Hop, keepP
 			last = append(last, h.Addr)
 		}
 	}
-	if len(last) > 0 {
-		lastHops = append([]iputil.Addr(nil), last...)
-		iputil.SortAddrs(lastHops)
-	}
+	lastHops = append(buf[:0], last...)
+	iputil.SortAddrs(lastHops)
 	return res, lastHops, star
 }
 

@@ -75,7 +75,7 @@ func compareHalvingOracle(t *testing.T, seed uint64) {
 				continue
 			}
 			dst := b.Addr(i)
-			g, o := FindLastHops(got, dst, MDAOptions{}), halvingLastHops(want, dst, MDAOptions{})
+			g, o := FindLastHops(got, dst, MDAOptions{}, nil), halvingLastHops(want, dst, MDAOptions{})
 			dsts++
 			if g.Responded != o.Responded || g.DestTTL != o.DestTTL || g.Unresponsive != o.Unresponsive || !slices.Equal(g.LastHops, o.LastHops) {
 				differ++

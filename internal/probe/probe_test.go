@@ -194,7 +194,7 @@ func TestFindLastHopsMatchesTruth(t *testing.T) {
 		trueLH, _ := w.TrueLastHops(addrs[0])
 		found := map[iputil.Addr]struct{}{}
 		for _, a := range addrs[:6] {
-			res := FindLastHops(net, a, MDAOptions{})
+			res := FindLastHops(net, a, MDAOptions{}, nil)
 			if !res.Responded {
 				t.Fatalf("responsive %v did not respond", a)
 			}
@@ -243,7 +243,7 @@ func TestFindLastHopsUnresponsiveDest(t *testing.T) {
 			break
 		}
 	}
-	res := FindLastHops(net, dst, MDAOptions{})
+	res := FindLastHops(net, dst, MDAOptions{}, nil)
 	if res.Responded {
 		t.Error("unresponsive destination should not respond")
 	}
@@ -269,7 +269,7 @@ func TestFindLastHopsUnresponsiveLastHop(t *testing.T) {
 	if target == 0 {
 		t.Skip("no responsive host behind an unresponsive last hop")
 	}
-	res := FindLastHops(net, target, MDAOptions{})
+	res := FindLastHops(net, target, MDAOptions{}, nil)
 	if !res.Responded {
 		t.Fatal("destination should respond")
 	}

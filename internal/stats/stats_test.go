@@ -42,6 +42,10 @@ func TestCDFQuantileEdges(t *testing.T) {
 	if c.Quantile(0) != 5 || c.Quantile(1) != 5 || c.Quantile(0.5) != 5 {
 		t.Error("singleton quantiles should all be 5")
 	}
+	// A CDF with one distinct value renders as a single step at it.
+	if pts := c.Points(16); len(pts) != 1 || pts[0] != (Point{X: 5, Y: 1}) {
+		t.Errorf("singleton Points = %v, want [{5 1}]", pts)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Quantile of empty CDF should panic")

@@ -3,10 +3,9 @@ package zmap
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
+	"github.com/hobbitscan/hobbit/internal/parallel"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
@@ -52,19 +51,20 @@ func (o StreamOptions) chunkSize(n, workers int) int {
 // Stream is the census: it sweeps every address of the given blocks
 // through the scanner and emits the responders as block-ordered chunks
 // over the returned channel, never materializing the full sweep (Collect
-// does that for callers that need it). Workers claim chunk indices from
-// a shared cursor and scan into index-addressed slots; a single emitter
-// then applies the "census.…" counters and sends each chunk strictly in
-// input order, so the concatenated chunks — and every counter — are
-// byte-identical at any worker count and chunk size
+// does that for callers that need it). The chunks fan out over an
+// ordered pool (parallel.Ordered) of Workers, each scanned into a fresh
+// dataset; the emitter, the one goroutine Stream starts besides the
+// pool's, then applies the "census.…" counters and sends each chunk
+// strictly in input order, so the concatenated chunks — and every
+// counter — are byte-identical at any worker count and chunk size
 // (TestStreamMatchesScanWith pins this against a one-shot sweep).
 //
-// A worker may only claim a chunk after taking a window token, and the
-// emitter returns the token once the consumer has received the chunk, so
-// at most 2× workers (minimum 2) chunk datasets exist at a time: a slow
-// consumer stalls the sweep instead of buffering it. The sweep's peak
-// memory is one Dataset per in-flight chunk, so the window is what keeps
-// a million-block census from materializing.
+// A chunk stays in the pool's window until the consumer has received
+// it, and the window is 2× workers (minimum 2) chunks, so at most that
+// many chunk datasets exist at a time: a slow consumer stalls the sweep
+// instead of buffering it. The sweep's peak memory is one Dataset per
+// in-flight chunk, so the window is what keeps a million-block census
+// from materializing.
 //
 // The channel is closed when the sweep completes or ctx is cancelled;
 // on cancellation the already-scanned prefix may be partially emitted.
@@ -78,86 +78,47 @@ func Stream(ctx context.Context, s Scanner, blocks []iputil.Block24, opts Stream
 		}
 		workers := opts.workers()
 		cs := opts.chunkSize(n, workers)
-		nc := (n + cs - 1) / cs
-		workers = min(workers, nc)
-
-		slots := make([]*Dataset, nc)
-		ready := make([]chan struct{}, nc)
-		for i := range ready {
-			ready[i] = make(chan struct{})
-		}
-		// gate holds one token per in-flight chunk; workers must place a
-		// token before claiming a chunk and the emitter removes it after
-		// the consumer receives the chunk.
-		gate := make(chan struct{}, max(2, 2*workers))
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case gate <- struct{}{}:
-					case <-ctx.Done():
-						return
-					}
-					i := int(cursor.Add(1)) - 1
-					if i >= nc {
-						return
-					}
-					lo := i * cs
-					hi := lo + cs
-					if hi > n {
-						hi = n
-					}
-					slots[i] = scanChunk(s, blocks[lo:hi])
-					close(ready[i])
-				}
-			}()
-		}
-		defer wg.Wait()
+		workers = min(workers, (n+cs-1)/cs)
 
 		reg := opts.Telemetry
 		scanPings := reg.Counter("census.scan_pings")
 		responders := reg.Counter("census.responders")
 		activeBlocks := reg.Counter("census.active_blocks")
 		activePerBlock := reg.Histogram("census.active_per_block", []int64{4, 16, 64, 256})
-		for i := 0; i < nc; i++ {
-			select {
-			case <-ready[i]:
-			case <-ctx.Done():
-				return
+		lo := 0
+		next := func() (Chunk, bool) {
+			if lo == n {
+				return Chunk{}, false
 			}
-			d := slots[i]
-			slots[i] = nil
-			lo := i * cs
-			hi := lo + cs
-			if hi > n {
-				hi = n
-			}
-			chunkBlocks := blocks[lo:hi]
-			for _, b := range chunkBlocks {
+			c := Chunk{Start: lo, Blocks: blocks[lo:min(lo+cs, n)]}
+			lo += len(c.Blocks)
+			return c, true
+		}
+		scan := func(c Chunk) Chunk {
+			c.Data = scanChunk(s, c.Blocks)
+			return c
+		}
+		err := parallel.Ordered(ctx, workers, max(2, 2*workers), next, scan, func(c Chunk) {
+			for _, b := range c.Blocks {
 				scanPings.Add(256)
-				if active := d.ActiveCount(b); active > 0 {
+				if active := c.Data.ActiveCount(b); active > 0 {
 					responders.Add(int64(active))
 					activeBlocks.Inc()
 					activePerBlock.Observe(int64(active))
 				}
 			}
 			select {
-			case out <- Chunk{Start: lo, Blocks: chunkBlocks, Data: d}:
-				<-gate
+			case out <- c:
 			case <-ctx.Done():
-				return
 			}
-		}
+		})
 		// Account the sweep the way internal/parallel accounts every
 		// other fan-out ("<stage>.parallel_items/_runs"). Cancelled
-		// sweeps return above and, like cancelled ForEach runs, go
-		// uncounted.
-		reg.Counter("census.parallel_items").Add(int64(n))
-		reg.Counter("census.parallel_runs").Inc()
+		// sweeps, like cancelled ForEach runs, go uncounted.
+		if err == nil {
+			reg.Counter("census.parallel_items").Add(int64(n))
+			reg.Counter("census.parallel_runs").Inc()
+		}
 	}()
 	return out
 }
@@ -189,7 +150,7 @@ func (d *Dataset) MergeChunk(c Chunk) {
 }
 
 // Collect drains a stream into one dataset — the census for callers that
-// need the whole sweep at once, such as the monitor's bootstrap.
+// need the whole sweep at once.
 func Collect(ch <-chan Chunk) *Dataset {
 	d := NewDataset()
 	for c := range ch {

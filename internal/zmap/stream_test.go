@@ -3,7 +3,9 @@ package zmap
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
@@ -109,12 +111,12 @@ func TestStreamDerivedChunks(t *testing.T) {
 
 // TestStreamCancel checks that an abandoned consumer does not wedge the
 // sweep: cancellation closes the channel after at most the in-flight
-// window, with no goroutine left blocked (the -race run would catch a
-// leaked worker via the test's world outliving it).
+// window, and no goroutine of the sweep outlives it.
 func TestStreamCancel(t *testing.T) {
 	cfg := netsim.DefaultConfig(200)
 	cfg.BigBlockScale = 0.02
 	w := netsim.MustNew(cfg)
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := Stream(ctx, w, w.Blocks(), StreamOptions{Workers: 4, ChunkSize: 8})
 	if _, ok := <-ch; !ok {
@@ -122,6 +124,13 @@ func TestStreamCancel(t *testing.T) {
 	}
 	cancel()
 	for range ch {
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("cancelled stream: %d goroutines still running, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

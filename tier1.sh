@@ -37,10 +37,13 @@
 #   and the simulator whose ground truth the oracle tests read (netsim);
 #   and the shared plumbing every stage counts and fans out through: the
 #   telemetry registry the probe accounting writes to (telemetry) and
-#   the worker pool (parallel). internal/probe itself stays out until
-#   its raw-socket paths have tests. -short skips the multi-run
-#   determinism legs (already covered by the -race run above), keeping
-#   the coverage pass cheap.
+#   the worker pools (parallel); and the leaf libraries beneath them:
+#   address and prefix arithmetic (iputil), the statistical toolkit
+#   (stats), the keyed deterministic randomness (rng), the RTT model and
+#   cellular detector (rttmodel) and the published block map (blockmap).
+#   internal/probe itself stays out until its raw-socket paths have
+#   tests. -short skips the multi-run determinism legs (already covered
+#   by the -race run above), keeping the coverage pass cheap.
 set -ex
 
 test -z "$(gofmt -l . | tee /dev/stderr)"
@@ -55,7 +58,8 @@ for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./inter
     ./internal/cluster ./internal/mcl ./internal/graph ./internal/monitor \
     ./internal/hobbit ./internal/trace ./internal/core \
     ./internal/zmap ./internal/aggregate ./internal/netsim \
-    ./internal/telemetry ./internal/parallel; do
+    ./internal/telemetry ./internal/parallel \
+    ./internal/iputil ./internal/stats ./internal/rng ./internal/rttmodel ./internal/blockmap; do
     cov=$(go test -short -count=1 -cover "$pkg" | tee /dev/stderr \
         | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     test -n "$cov"
