@@ -131,6 +131,9 @@ func run(ctx context.Context, rc runConfig) error {
 	if rc.monitorEpochs < 0 {
 		return errors.New("-monitor-epochs must be >= 0")
 	}
+	if rc.top < 0 {
+		return errors.New("-top must be >= 0")
+	}
 	if rc.monitorEpochs > 0 && rc.output != "" {
 		// The monitor re-emits every per-/24 result each epoch; the
 		// streamed result file is defined as one record per block.

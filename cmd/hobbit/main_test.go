@@ -168,6 +168,20 @@ func TestRunRejectsBadStreamChunk(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeTop: a negative -top fails with the other flag
+// errors, before the world is built, instead of reaching
+// aggregate.TopBySize after the whole run and panicking there.
+func TestRunRejectsNegativeTop(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run(context.Background(), runConfig{blocks: 100, top: -1, stdout: &stdout})
+	if err == nil || !strings.Contains(err.Error(), "-top") {
+		t.Errorf("top=-1: err = %v, want a -top error", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("top=-1 built the world before failing: %q", stdout.String())
+	}
+}
+
 func TestRunJSONShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline smoke test is slow")

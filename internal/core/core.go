@@ -15,6 +15,10 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/cluster"
@@ -108,13 +112,12 @@ type Output struct {
 }
 
 // MinActiveOrDefault resolves the census eligibility threshold (0 means
-// the paper's default of 4). The monitor replays the census selection
-// epoch over epoch and must agree with Run on it.
+// hobbit.DefaultMinActive, the paper's 4).
 func (p *Pipeline) MinActiveOrDefault() int {
 	if p.MinActive > 0 {
 		return p.MinActive
 	}
-	return 4
+	return hobbit.DefaultMinActive
 }
 
 // Measurer builds the per-block Measurer shared by the measurement
@@ -138,6 +141,20 @@ func (p *Pipeline) Measurer(exhaustive bool) *hobbit.Measurer {
 func (p *Pipeline) setStage(stage string) {
 	if s, ok := p.Net.(interface{ SetStage(string) }); ok {
 		s.SetStage(stage)
+	}
+}
+
+// campaign builds the measurement campaign of the named stage and
+// attributes the probes that follow to it. Measure and Remeasure run it,
+// so every campaign is configured in this one place.
+func (p *Pipeline) campaign(stage string) *hobbit.Campaign {
+	p.setStage(stage)
+	return &hobbit.Campaign{
+		Measurer:  p.Measurer(false),
+		Workers:   p.Workers,
+		Telemetry: p.Telemetry,
+		Progress:  p.Progress,
+		Stage:     stage,
 	}
 }
 
@@ -174,7 +191,7 @@ func (p *Pipeline) Measure(ctx context.Context, stage string, sink func(*hobbit.
 	defer censusSpan.End() // idempotent; covers cancelled sweeps too
 	span := reg.StartSpan(stage)
 	defer span.End()
-	p.setStage(stage)
+	campaign := p.campaign(stage)
 
 	chunks := zmap.Stream(ctx, p.Scanner, p.Blocks, zmap.StreamOptions{
 		Workers:   p.CensusWorkers,
@@ -203,13 +220,6 @@ func (p *Pipeline) Measure(ctx context.Context, stage string, sink func(*hobbit.
 		queue = queue[1:]
 		return hobbit.FeedItem{Block: b, By26: chunk.Data.ActivesBy26(b)}, true
 	}
-	campaign := &hobbit.Campaign{
-		Measurer:  p.Measurer(false),
-		Workers:   p.Workers,
-		Telemetry: reg,
-		Progress:  p.Progress,
-		Stage:     stage,
-	}
 	res, err := campaign.RunFeed(ctx, next, 0, sink)
 	out.Campaign = res
 	// A cancelled campaign stops reading the census; draining it waits
@@ -217,6 +227,20 @@ func (p *Pipeline) Measure(ctx context.Context, stage string, sink func(*hobbit.
 	for range chunks {
 	}
 	return out, err
+}
+
+// Remeasure measures blocks again, in the given order, with the census
+// actives in ds: the monitor's incremental epochs re-measure their
+// churned eligible /24s this way. stage names the campaign's span, probe
+// attribution and progress events. Each result equals the one Measure
+// would return for the block against the same surface. On cancellation
+// the result holds the measured prefix, returned with ctx.Err().
+func (p *Pipeline) Remeasure(ctx context.Context, stage string, ds *zmap.Dataset, blocks []iputil.Block24) (*hobbit.Result, error) {
+	span := p.Telemetry.StartSpan(stage)
+	defer span.End()
+	campaign := p.campaign(stage)
+	campaign.Dataset = ds
+	return campaign.Run(ctx, blocks)
 }
 
 // Run executes the pipeline with its stages overlapped: Measure streams
@@ -283,7 +307,8 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-	return out, p.ValidateClusters(ctx, StageValidate, out, agg, nil)
+	_, err = p.ValidateClusters(ctx, StageValidate, out, agg, nil)
+	return out, err
 }
 
 // Aggregation is the Section 5 step shared by Run and the monitor: it
@@ -326,13 +351,62 @@ func (a *Aggregation) Finish(out *Output, reg *telemetry.Registry) {
 	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
 }
 
-// ValidationCache is the hook an incremental driver passes to
-// ValidateClusters: Validation returns a validation computed earlier for
-// an identical cluster, when it is still sound, and Reprobe answers the
-// exhaustive reprobes of the clusters that miss.
-type ValidationCache interface {
-	cluster.Reprober
-	Validation(c *cluster.Cluster) (cluster.Validation, bool)
+// ValidationCache carries Section 6.5 work from one ValidateClusters
+// call to the next over the same census, for a driver that validates
+// epoch after epoch. It holds the validations of the last call that
+// completed, keyed by cluster identity (the ID, which keys the reprobe
+// pair sampling, plus the member /24s), and each /24's exhaustive
+// reprobe answer. An entry is sound while none of the /24s it rests on
+// has changed, because a /24's measurement is pure in the block; Evict
+// drops the others. The zero value is empty.
+type ValidationCache struct {
+	vals map[string]cachedValidation
+
+	mu       sync.Mutex // guards lastHops: the validation pool shares it
+	lastHops map[iputil.Block24][]iputil.Addr
+}
+
+// cachedValidation is one cached cluster validation and the member /24s
+// whose reprobe answers it rests on.
+type cachedValidation struct {
+	v       cluster.Validation
+	members []iputil.Block24
+}
+
+// Evict drops the validations that rest on a /24 in changed, and those
+// /24s' reprobe answers; all drops everything.
+func (c *ValidationCache) Evict(changed map[iputil.Block24]bool, all bool) {
+	if all {
+		clear(c.vals)
+		clear(c.lastHops)
+		return
+	}
+	if len(changed) == 0 {
+		return
+	}
+	for b := range changed {
+		delete(c.lastHops, b)
+	}
+	for k, ent := range c.vals {
+		for _, b := range ent.members {
+			if changed[b] {
+				delete(c.vals, k)
+				break
+			}
+		}
+	}
+}
+
+// validationKey is a cluster's identity in the cache: its ID plus its
+// member /24s.
+func validationKey(c *cluster.Cluster) string {
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(c.ID))
+	for _, blk := range c.Blocks24() {
+		b.WriteByte(0)
+		b.WriteString(blk.String())
+	}
+	return b.String()
 }
 
 // ValidateClusters is the Section 6.5 step shared by Run and the
@@ -340,11 +414,16 @@ type ValidationCache interface {
 // reprobing, fills out.Validations and out.Validated, and merges the
 // accepted clusters into out.Final, drawing merged last-hop sets from
 // agg's interner. stage names the span, the probe attribution, and the
-// pool's telemetry. cache may be nil: every cluster then reprobes live,
-// each member resuming its campaign measurement in out.Campaign from
-// the first destination the campaign left unprobed, with out.Dataset's
-// actives, so validation never resends a campaign packet. Otherwise
-// cache's hits are used as they are and its Reprobe answers the misses.
+// pool's telemetry. Every reprobe resumes the member's campaign
+// measurement in out.Campaign from the first destination the campaign
+// left unprobed, with out.Dataset's actives, so validation never resends
+// a campaign packet.
+//
+// cache may be nil, as in Run: every cluster then validates live. With a
+// cache, a cluster it holds is not validated again, the reprobes of the
+// others answer from its per-/24 answers before probing, and a completed
+// call leaves it holding this call's validations and no others. The
+// returned count is the validations served from the cache.
 //
 // Clusters validate independently (each owns its member /24s, and
 // reprobe randomness is keyed by cluster ID), so the misses fan out over
@@ -352,15 +431,16 @@ type ValidationCache interface {
 // order, so maps and counters tally identically whether the run was
 // serial or sharded. The "validate.…" work counters count only the
 // validations this call computed. On cancellation the merged prefix stays
-// inspectable, but no final block list is produced.
-func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Output, agg *Aggregation, cache ValidationCache) error {
+// inspectable, but no final block list is produced and the cache keeps
+// its validations.
+func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Output, agg *Aggregation, cache *ValidationCache) (reused int, err error) {
 	reg := p.Telemetry
 	span := reg.StartSpan(stage)
 	defer span.End()
 	p.setStage(stage)
-	var rp cluster.Reprober = cache
-	if cache == nil {
-		rp = &exhaustiveReprober{m: p.Measurer(true), ds: out.Dataset, campaign: out.Campaign.Blocks}
+	rp := &reprober{m: p.Measurer(true), ds: out.Dataset, campaign: out.Campaign.Blocks, cache: cache}
+	if cache != nil && cache.lastHops == nil {
+		cache.lastHops = make(map[iputil.Block24][]iputil.Addr)
 	}
 	clusters := out.Clustering.Clusters
 	vals := make([]cluster.Validation, len(clusters))
@@ -369,8 +449,10 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 	var misses []int
 	for i, c := range clusters {
 		if cache != nil {
-			if vals[i], cached[i] = cache.Validation(c); cached[i] {
-				done[i] = true
+			var ent cachedValidation
+			if ent, cached[i] = cache.vals[validationKey(c)]; cached[i] {
+				vals[i], done[i] = ent.v, true
+				reused++
 				continue
 			}
 		}
@@ -409,25 +491,52 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 		}
 	}
 	if perr != nil {
-		return perr
+		return reused, perr
+	}
+	if cache != nil {
+		// Keep only this call's validations, so clusters that dissolved
+		// do not accumulate.
+		cache.vals = make(map[string]cachedValidation, len(clusters))
+		for i, c := range clusters {
+			cache.vals[validationKey(c)] = cachedValidation{v: vals[i], members: c.Blocks24()}
+		}
 	}
 	out.Final = cluster.ApplyValidatedInterned(out.Clustering, out.Validated, agg.interner)
 	reg.Counter("validate.final_blocks").Add(int64(len(out.Final)))
-	return nil
+	return reused, nil
 }
 
-// exhaustiveReprober adapts the Section 6.5 modified probing strategy to
-// the cluster.Reprober interface. It resumes each block's campaign
+// reprober adapts the Section 6.5 modified probing strategy to the
+// cluster.Reprober interface. It resumes each block's campaign
 // measurement, so a reprobe sends only the packets past the campaign's
-// last destination (hobbit.Measurer.Resume).
-type exhaustiveReprober struct {
+// last destination (hobbit.Measurer.Resume). With a cache it answers a
+// block the cache holds from there and stores the answers it measures.
+type reprober struct {
 	m        *hobbit.Measurer
 	ds       *zmap.Dataset
 	campaign map[iputil.Block24]*hobbit.BlockResult
+	cache    *ValidationCache
 }
 
 // Reprobe measures the block exhaustively and returns its observed
 // last-hop set (nil when the block no longer answers usefully).
-func (r *exhaustiveReprober) Reprobe(b iputil.Block24) []iputil.Addr {
-	return r.m.Resume(r.campaign[b], r.ds.ActivesBy26(b)).LastHops
+func (r *reprober) Reprobe(b iputil.Block24) []iputil.Addr {
+	c := r.cache
+	if c == nil {
+		return r.m.Resume(r.campaign[b], r.ds.ActivesBy26(b)).LastHops
+	}
+	c.mu.Lock()
+	lhs, ok := c.lastHops[b]
+	c.mu.Unlock()
+	if !ok {
+		// A concurrent miss on the same block measures twice; purity
+		// makes both answers identical, so last-write-wins is safe.
+		lhs = r.m.Resume(r.campaign[b], r.ds.ActivesBy26(b)).LastHops
+		c.mu.Lock()
+		c.lastHops[b] = lhs
+		c.mu.Unlock()
+	}
+	// cluster.Validate sorts the answer in place: hand out a copy, so
+	// no caller writes the cached slice.
+	return slices.Clone(lhs)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/probe"
 )
 
@@ -49,7 +50,7 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		MDA:           probe.MDAOptions{}.Canonical(),
-		MinActive:     4,
+		MinActive:     hobbit.DefaultMinActive,
 		ValidatePairs: 0, // all pairs
 	}
 }
@@ -72,7 +73,7 @@ func (o Options) Validate() error {
 		}
 	}
 	if o.MinActive < 0 {
-		return fmt.Errorf("core: options: min_active must be >= 0 (0 = default 4), got %d", o.MinActive)
+		return fmt.Errorf("core: options: min_active must be >= 0 (0 = default %d), got %d", hobbit.DefaultMinActive, o.MinActive)
 	}
 	if o.ValidatePairs < 0 {
 		return fmt.Errorf("core: options: validate_pairs must be >= 0 (0 = all pairs), got %d", o.ValidatePairs)
@@ -130,7 +131,7 @@ func (o Options) Canonical() Options {
 	o.MDA = o.MDA.Canonical()
 	o.MDA.FirstTTL = 1
 	if o.MinActive == 0 {
-		o.MinActive = 4
+		o.MinActive = hobbit.DefaultMinActive
 	}
 	return o
 }

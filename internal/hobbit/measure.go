@@ -57,7 +57,7 @@ type Measurer struct {
 	// MDATerminator at 95%.
 	Term Terminator
 	// MinActive is the minimum number of responsive destinations for a
-	// block to be analyzable (the paper requires 4).
+	// block to be analyzable (0 uses DefaultMinActive).
 	MinActive int
 	// Exhaustive disables early termination on answering last hops
 	// (the Section 6.5 reprobing strategy): probing continues past
@@ -108,11 +108,16 @@ func (m *Measurer) term() Terminator {
 	return MDATerminator{}
 }
 
+// DefaultMinActive is the paper's eligibility threshold: a /24 needs
+// four responsive destinations, in the census and when measured, to be
+// analyzable.
+const DefaultMinActive = 4
+
 func (m *Measurer) minActive() int {
 	if m.MinActive > 0 {
 		return m.MinActive
 	}
-	return 4
+	return DefaultMinActive
 }
 
 // singleLastHopProbes is how many responsive destinations with a common

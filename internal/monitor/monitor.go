@@ -19,9 +19,6 @@ package monitor
 import (
 	"context"
 	"errors"
-	"strconv"
-	"strings"
-	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/core"
@@ -75,20 +72,12 @@ type EpochReport struct {
 	Reprobed int
 	// Cluster is the rolling clusterer's work accounting.
 	Cluster cluster.EpochStats
-	// ValReused and ValRecomputed count validation-cache hits and the
-	// clusters revalidated with live reprobes.
+	// ValReused and ValRecomputed count the validations served from the
+	// cache and the clusters validated again.
 	ValReused, ValRecomputed int
 	// Output is the epoch's full artifact set, byte-identical to a
 	// from-scratch run at this epoch.
 	Output *core.Output
-}
-
-// valEntry is one cached cluster validation: the outcome plus the
-// member /24s whose reprobe responses it rests on, kept for eviction
-// against later change sets.
-type valEntry struct {
-	v       cluster.Validation
-	members []iputil.Block24
 }
 
 // Monitor runs the continuous-monitoring loop over a pipeline
@@ -98,9 +87,9 @@ type valEntry struct {
 type Monitor struct {
 	// Pipeline supplies the probing surface, universe, seed, and run
 	// options. The monitor never calls its Run: the bootstrap measures
-	// through Pipeline.Measure, as Run does, and every Step drives the
-	// same campaign, core.Aggregation, and ValidateClusters steps
-	// incrementally.
+	// through Pipeline.Measure, as Run does, later Steps re-measure
+	// through Pipeline.Remeasure, and every Step drives the same
+	// core.Aggregation and ValidateClusters steps incrementally.
 	Pipeline *core.Pipeline
 	// Source feeds epochs and change sets.
 	Source Source
@@ -110,16 +99,11 @@ type Monitor struct {
 	eligible []iputil.Block24
 	results  map[iputil.Block24]*hobbit.BlockResult
 	roll     *cluster.Rolling
-	vals     map[string]valEntry
-	// lastHops caches exhaustive validation reprobes across epochs,
-	// evicted by the same conservative change sets as the validation
-	// cache. Every recomputed cluster reprobes up to 2·ValidatePairs
-	// members, and per-/24 measurement purity makes an unchanged
-	// block's cached response exactly what a live reprobe would return.
-	// A miss resumes the block's result in results, which the same
-	// eviction keeps current, so it pays only for the destinations the
-	// campaign left unprobed.
-	lastHops map[iputil.Block24][]iputil.Addr
+	// cache carries validations and exhaustive reprobe answers across
+	// epochs, evicted by the change sets that pick the blocks to
+	// reprobe. Every recomputed cluster reprobes up to 2·ValidatePairs
+	// members, and a miss resumes the block's current result.
+	cache core.ValidationCache
 }
 
 // Step advances to the next epoch: pins the source, reprobes the
@@ -158,20 +142,19 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 		if !p.SkipClustering {
 			m.roll = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
 		}
-		m.vals = make(map[string]valEntry)
-		m.lastHops = make(map[iputil.Block24][]iputil.Addr)
 	} else {
 		changed, all := m.Source.Changed(e-1, e)
 		rep.All = all
 		rep.Changed = len(changed)
 		var reprobe []iputil.Block24
+		var changedSet map[iputil.Block24]bool
 		if all {
 			rep.Changed = len(p.Blocks)
 			reprobe = m.eligible
 		} else {
 			// Intersect with the eligible list in eligible order, so the
 			// sub-campaign is a strict subsequence of the from-scratch one.
-			changedSet := make(map[iputil.Block24]bool, len(changed))
+			changedSet = make(map[iputil.Block24]bool, len(changed))
 			for _, b := range changed {
 				changedSet[b] = true
 			}
@@ -181,23 +164,12 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 				}
 			}
 		}
-		m.dropStaleValidations(changed, all)
+		m.cache.Evict(changedSet, all)
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
 		rep.Reprobed = len(reprobe)
-		span := reg.StartSpan(StageReprobe)
-		m.setStage(StageReprobe)
-		campaign := &hobbit.Campaign{
-			Measurer:  p.Measurer(false),
-			Dataset:   m.ds,
-			Workers:   p.Workers,
-			Telemetry: reg,
-			Progress:  p.Progress,
-			Stage:     StageReprobe,
-		}
-		res, err := campaign.Run(ctx, reprobe)
-		span.End()
+		res, err := p.Remeasure(ctx, StageReprobe, m.ds, reprobe)
 		for b, br := range res.Blocks {
 			m.results[b] = br
 		}
@@ -264,70 +236,15 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 		return out, err
 	}
 
-	// Validation, with the monitor's caches behind the hook. Entries
-	// whose members appeared in any change set since computation were
-	// already evicted, so a hit is provably what a live revalidation
-	// would return.
-	rp := &reprober{m: p.Measurer(true), ds: m.ds, mon: m}
-	err := p.ValidateClusters(ctx, StageValidate, out, agg, rp)
-	clusters := out.Clustering.Clusters
-	rep.ValReused = rp.hits
-	rep.ValRecomputed = len(clusters) - rp.hits
+	// Validation through the cross-epoch cache. Entries resting on a /24
+	// in any change set since they were computed were already evicted, so
+	// a hit is what a live revalidation would return.
+	reused, err := p.ValidateClusters(ctx, StageValidate, out, agg, &m.cache)
+	rep.ValReused = reused
+	rep.ValRecomputed = len(out.Clustering.Clusters) - reused
 	reg.Counter("monitor.validations_reused").Add(int64(rep.ValReused))
 	reg.Counter("monitor.validations_recomputed").Add(int64(rep.ValRecomputed))
-	if err != nil {
-		// Cancelled mid-validation: keep the old cache (it stays sound —
-		// eviction already happened against this epoch's change set).
-		return out, err
-	}
-	// Rebuild the cache from this epoch's validations only, so clusters
-	// that dissolved do not accumulate.
-	next := make(map[string]valEntry, len(clusters))
-	for _, c := range clusters {
-		next[valKey(c)] = valEntry{v: out.Validations[c.ID], members: c.Blocks24()}
-	}
-	m.vals = next
-	return out, nil
-}
-
-// dropStaleValidations evicts validation-cache entries whose member
-// /24s intersect the epoch's change set (all of them when the delta
-// degraded to All) — their reprobe responses may differ this epoch —
-// and the changed blocks' cached reprobe responses with them.
-func (m *Monitor) dropStaleValidations(changed []iputil.Block24, all bool) {
-	if all {
-		clear(m.vals)
-		clear(m.lastHops)
-		return
-	}
-	if len(changed) == 0 {
-		return
-	}
-	changedSet := make(map[iputil.Block24]bool, len(changed))
-	for _, b := range changed {
-		changedSet[b] = true
-		delete(m.lastHops, b)
-	}
-	for k, ent := range m.vals {
-		for _, b := range ent.members {
-			if changedSet[b] {
-				delete(m.vals, k)
-				break
-			}
-		}
-	}
-}
-
-// valKey is a cluster's validation-cache identity: the ID (the reprobe
-// pair sampling is keyed by it) plus the member /24 list.
-func valKey(c *cluster.Cluster) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(c.ID))
-	for _, blk := range c.Blocks24() {
-		b.WriteByte(0)
-		b.WriteString(blk.String())
-	}
-	return b.String()
+	return out, err
 }
 
 // Epoch returns the next epoch Step will pin (equivalently, how many
@@ -354,60 +271,4 @@ func (m *Monitor) Run(ctx context.Context, n int) ([]*EpochReport, error) {
 // afterwards.
 func (m *Monitor) Close() {
 	m.roll = nil
-}
-
-func (m *Monitor) setStage(stage string) {
-	if s, ok := m.Pipeline.Net.(interface{ SetStage(string) }); ok {
-		s.SetStage(stage)
-	}
-}
-
-// reprober is the monitor's core.ValidationCache. Validation serves a
-// cluster validation from the cross-epoch cache, keyed by cluster
-// identity — ID plus member /24s, because the reprobe pair sampling is
-// keyed by cluster ID. Reprobe adapts the exhaustive measurement
-// strategy exactly as the pipeline's validation stage does, resuming
-// the block's current measurement, but consults the cross-epoch reprobe
-// cache first: a block absent from every change set since its last
-// reprobe answers from the cache (purity makes the bytes identical), so
-// a revalidated cluster only pays live probes for its churned members.
-type reprober struct {
-	m   *hobbit.Measurer
-	ds  *zmap.Dataset
-	mon *Monitor
-	// hits counts Validation cache hits; Validation runs serially,
-	// before the fan-out.
-	hits int
-
-	mu sync.Mutex
-}
-
-func (r *reprober) Validation(c *cluster.Cluster) (cluster.Validation, bool) {
-	ent, ok := r.mon.vals[valKey(c)]
-	if ok {
-		r.hits++
-	}
-	return ent.v, ok
-}
-
-func (r *reprober) Reprobe(b iputil.Block24) []iputil.Addr {
-	r.mu.Lock()
-	lhs, ok := r.mon.lastHops[b]
-	r.mu.Unlock()
-	if !ok {
-		// A concurrent miss on the same block measures twice; purity makes
-		// both answers identical, so last-write-wins is safe.
-		lhs = r.m.Resume(r.mon.results[b], r.ds.ActivesBy26(b)).LastHops
-		r.mu.Lock()
-		r.mon.lastHops[b] = lhs
-		r.mu.Unlock()
-	}
-	// Callers sort the returned slice in place, and concurrent
-	// validations may share a member: hand each its own copy.
-	if lhs == nil {
-		return nil
-	}
-	out := make([]iputil.Addr, len(lhs))
-	copy(out, lhs)
-	return out
 }

@@ -40,7 +40,9 @@
 #   the worker pools (parallel); and the leaf libraries beneath them:
 #   address and prefix arithmetic (iputil), the statistical toolkit
 #   (stats), the keyed deterministic randomness (rng), the RTT model and
-#   cellular detector (rttmodel) and the published block map (blockmap).
+#   cellular detector (rttmodel) and the published block map (blockmap);
+#   and the v1 wire types both front ends marshal through (api), whose
+#   summary builders copy the pipeline's and the monitor's results.
 #   internal/probe itself stays out until its raw-socket paths have
 #   tests. -short skips the multi-run determinism legs (already covered
 #   by the -race run above), keeping the coverage pass cheap.
@@ -59,7 +61,8 @@ for pkg in ./internal/faultplan ./internal/harness ./internal/confidence ./inter
     ./internal/hobbit ./internal/trace ./internal/core \
     ./internal/zmap ./internal/aggregate ./internal/netsim \
     ./internal/telemetry ./internal/parallel \
-    ./internal/iputil ./internal/stats ./internal/rng ./internal/rttmodel ./internal/blockmap; do
+    ./internal/iputil ./internal/stats ./internal/rng ./internal/rttmodel ./internal/blockmap \
+    ./internal/api; do
     cov=$(go test -short -count=1 -cover "$pkg" | tee /dev/stderr \
         | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
     test -n "$cov"
