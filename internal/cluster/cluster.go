@@ -260,9 +260,11 @@ func Validate(c *Cluster, rp Reprober, maxPairs int, seed uint64) Validation {
 			}
 		}
 	} else {
+		id := rng.Seed(seed).Key(uint64(c.ID))
 		for d := 0; d < maxPairs; d++ {
-			i := rng.Intn(len(blocks), seed, uint64(c.ID), uint64(d), 0)
-			j := rng.Intn(len(blocks)-1, seed, uint64(c.ID), uint64(d), 1)
+			pair := id.Key(uint64(d))
+			i := pair.Key(0).Intn(len(blocks))
+			j := pair.Key(1).Intn(len(blocks) - 1)
 			if j >= i {
 				j++
 			}

@@ -14,10 +14,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
@@ -397,16 +396,14 @@ func (c *ValidationCache) Evict(changed map[iputil.Block24]bool, all bool) {
 	}
 }
 
-// validationKey is a cluster's identity in the cache: its ID plus its
-// member /24s.
-func validationKey(c *cluster.Cluster) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(c.ID))
-	for _, blk := range c.Blocks24() {
-		b.WriteByte(0)
-		b.WriteString(blk.String())
+// validationKey is a cluster's identity in the cache: its ID in 8 bytes,
+// then each sorted member /24 in 3.
+func validationKey(id int, members []iputil.Block24) string {
+	key := binary.BigEndian.AppendUint64(make([]byte, 0, 8+3*len(members)), uint64(id))
+	for _, b := range members {
+		key = append(key, byte(b>>16), byte(b>>8), byte(b))
 	}
-	return b.String()
+	return string(key)
 }
 
 // ValidateClusters is the Section 6.5 step shared by Run and the
@@ -446,11 +443,21 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 	vals := make([]cluster.Validation, len(clusters))
 	done := make([]bool, len(clusters))
 	cached := make([]bool, len(clusters))
+	// With a cache, each cluster's members and key are built once, for
+	// both the lookup and the store.
+	var members [][]iputil.Block24
+	var keys []string
+	if cache != nil {
+		members = make([][]iputil.Block24, len(clusters))
+		keys = make([]string, len(clusters))
+	}
 	var misses []int
 	for i, c := range clusters {
 		if cache != nil {
+			members[i] = c.Blocks24()
+			keys[i] = validationKey(c.ID, members[i])
 			var ent cachedValidation
-			if ent, cached[i] = cache.vals[validationKey(c)]; cached[i] {
+			if ent, cached[i] = cache.vals[keys[i]]; cached[i] {
 				vals[i], done[i] = ent.v, true
 				reused++
 				continue
@@ -497,8 +504,8 @@ func (p *Pipeline) ValidateClusters(ctx context.Context, stage string, out *Outp
 		// Keep only this call's validations, so clusters that dissolved
 		// do not accumulate.
 		cache.vals = make(map[string]cachedValidation, len(clusters))
-		for i, c := range clusters {
-			cache.vals[validationKey(c)] = cachedValidation{v: vals[i], members: c.Blocks24()}
+		for i := range clusters {
+			cache.vals[keys[i]] = cachedValidation{v: vals[i], members: members[i]}
 		}
 	}
 	out.Final = cluster.ApplyValidatedInterned(out.Clustering, out.Validated, agg.interner)

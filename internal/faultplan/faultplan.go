@@ -301,7 +301,7 @@ func (s *Schedule) stormFiring(i int, e *Event, epoch int) bool {
 	if e.Duty == 0 || e.Duty == 1 {
 		return true
 	}
-	return rng.Bool(e.Duty, s.salt, uint64(i), uint64(epoch), saltBurst)
+	return rng.Seed(s.salt).Key(uint64(i)).Key(uint64(epoch)).Key(saltBurst).Bool(e.Duty)
 }
 
 // RateBoost implements netsim.FaultView. Overlapping storms on one pop
@@ -346,7 +346,7 @@ func (s *Schedule) FlapKey(epoch int, b iputil.Block24) (uint64, bool) {
 	for j := s.flaps.first(k); j < len(s.flaps) && s.flaps[j].key == k; j++ {
 		i := int(s.flaps[j].ev)
 		if s.events[i].active(epoch) {
-			return rng.Mix(s.salt, uint64(i), uint64(epoch), saltFlap), true
+			return rng.Seed(s.salt).Key(uint64(i)).Key(uint64(epoch)).Key(saltFlap).Sum(), true
 		}
 	}
 	return 0, false

@@ -195,13 +195,15 @@ func (o *order) next() (iputil.Addr, bool) {
 }
 
 // deterministicPerm fills perm with a seeded Fisher-Yates permutation of
-// [0, len(perm)).
+// [0, len(perm)); swap i draws rng.Intn(i+1, seed, k1, k2, i), with the
+// (seed, k1, k2) prefix hashed once.
 func deterministicPerm(perm []int, seed, k1, k2 uint64) {
 	for i := range perm {
 		perm[i] = i
 	}
+	prefix := rng.Seed(seed).Key(k1).Key(k2)
 	for i := len(perm) - 1; i > 0; i-- {
-		j := rng.Intn(i+1, seed, k1, k2, uint64(i))
+		j := prefix.Key(uint64(i)).Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 }

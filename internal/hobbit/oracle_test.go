@@ -13,6 +13,7 @@ import (
 	"github.com/hobbitscan/hobbit/internal/iputil"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
+	"github.com/hobbitscan/hobbit/internal/rng"
 	"github.com/hobbitscan/hobbit/internal/zmap"
 )
 
@@ -151,8 +152,16 @@ func (m *Measurer) orderOracle(b iputil.Block24, by26 [4][]iputil.Addr) []iputil
 	out := make([]iputil.Addr, 0, total)
 	idx := make([]int, len(quarters))
 	for round := 0; len(out) < total; round++ {
+		// The round's Fisher-Yates shuffle, drawn with the variadic
+		// rng form so the oracle stays independent of Order's chain.
 		perm := make([]int, len(quarters))
-		deterministicPerm(perm, m.Seed, uint64(b), uint64(round))
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := len(perm) - 1; i > 0; i-- {
+			j := rng.Intn(i+1, m.Seed, uint64(b), uint64(round), uint64(i))
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		for _, qi := range perm {
 			if idx[qi] < len(quarters[qi]) {
 				out = append(out, quarters[qi][idx[qi]])

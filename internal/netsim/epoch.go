@@ -31,7 +31,7 @@ func (w *World) popDown(p *pop) bool {
 	if w.epoch == 0 || w.cfg.POutage <= 0 {
 		return false
 	}
-	return rng.Bool(w.cfg.POutage, w.seed, uint64(p.id), uint64(w.epoch), saltOutage)
+	return rng.Seed(w.seed).Key(uint64(p.id)).Key(uint64(w.epoch)).Key(saltOutage).Bool(w.cfg.POutage)
 }
 
 // TrueOutage reports whether the block's aggregate is dark at the current
@@ -68,7 +68,7 @@ func (w *World) epochKey(a iputil.Addr) uint64 {
 	if w.epoch == 0 {
 		return uint64(a)
 	}
-	return rng.Mix(w.seed, uint64(a), uint64(w.epoch), saltEpochAct)
+	return rng.Seed(w.seed).Key(uint64(a)).Key(uint64(w.epoch)).Key(saltEpochAct).Sum()
 }
 
 // splitAt reports whether the block's pending sub-allocation split has

@@ -402,7 +402,7 @@ func TestScanActivePersistRates(t *testing.T) {
 		total += 256
 		for _, a := range addrs {
 			active++
-			if w.persists(a) {
+			if w.persistsRec(w.rec(b), a) {
 				persist++
 			}
 		}

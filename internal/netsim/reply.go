@@ -74,7 +74,9 @@ func (w *World) ScanPing(a iputil.Addr) bool {
 // (word i>>6, bit i&63) is ScanPing(b.Addr(i)). The block record is
 // resolved once for all 256 addresses; checkInvariants guarantees every
 // address of a universe block is routed, so no per-address pop lookup is
-// needed. Blocks outside the universe answer all zeros.
+// needed. Blocks outside the universe answer all zeros. Without churn to
+// draw, each /26 word is one straight-line loop of scanActiveRec's first
+// draw.
 //
 //hobbit:hotpath
 func (w *World) ScanBlock(b iputil.Block24) (bm [4]uint64) {
@@ -82,25 +84,42 @@ func (w *World) ScanBlock(b iputil.Block24) (bm [4]uint64) {
 	if rec == nil {
 		return bm
 	}
-	for i := 0; i < 256; i++ {
-		if w.scanActiveRec(rec, b.Addr(i)) {
-			bm[i>>6] |= 1 << uint(i&63)
+	if w.epoch > 0 && w.cfg.EpochChurn > 0 {
+		for i := 0; i < 256; i++ {
+			if w.scanActiveRec(rec, b.Addr(i)) {
+				bm[i>>6] |= 1 << uint(i&63)
+			}
 		}
+		return bm
+	}
+	seed := rng.Seed(w.seed)
+	for q := range bm {
+		rate, base := rec.rate26[q], uint64(b.Addr(q<<6))
+		var word uint64
+		for j := uint64(0); j < 64; j++ {
+			if seed.Key(base + j).Key(saltActive).Bool(rate) {
+				word |= 1 << j
+			}
+		}
+		bm[q] = word
 	}
 	return bm
 }
 
 // scanActiveRec is ScanPing with the block record already resolved
 // (rates are clamped ≥ 0.15/64 at build time, so a present record always
-// has a non-zero rate — the zero-rate guard is the nil-record case).
+// has a non-zero rate — the zero-rate guard is the nil-record case). The
+// availability and churn draws share the (seed, address) key prefix.
 //
 //hobbit:hotpath
 func (w *World) scanActiveRec(rec *blockRec, a iputil.Addr) bool {
 	rate := rec.rate26[a.Block26()]
-	active := rng.Bool(rate, w.seed, uint64(a), saltActive)
+	host := rng.Seed(w.seed).Key(uint64(a))
+	active := host.Key(saltActive).Bool(rate)
 	if w.epoch > 0 && w.cfg.EpochChurn > 0 {
+		churn := host.Key(uint64(w.epoch)).Key(saltEpochAct)
 		if active {
-			if rng.Bool(w.cfg.EpochChurn, w.seed, uint64(a), uint64(w.epoch), saltEpochAct) {
+			if churn.Bool(w.cfg.EpochChurn) {
 				active = false
 			}
 		} else if rate < 1 {
@@ -109,7 +128,7 @@ func (w *World) scanActiveRec(rec *blockRec, a iputil.Addr) bool {
 			if pOn > 1 {
 				pOn = 1
 			}
-			if rng.Bool(pOn, w.seed, uint64(a), uint64(w.epoch), saltEpochAct) {
+			if churn.Bool(pOn) {
 				active = true
 			}
 		}
@@ -117,21 +136,9 @@ func (w *World) scanActiveRec(rec *blockRec, a iputil.Addr) bool {
 	return active
 }
 
-// persists reports whether a scan-active host still answers at probe time;
-// the paper saw 54.05M of 64.45M probed destinations respond. Hosts in
-// low-activity blocks churn harder.
-//
-//hobbit:hotpath
-func (w *World) persists(a iputil.Addr) bool {
-	rec := w.rec(a.Block24())
-	p := w.cfg.PersistProb
-	if rec != nil && rec.lowActivity() {
-		p = w.cfg.PersistProbLow
-	}
-	return rng.Bool(p, w.seed, w.epochKey(a), saltPersist)
-}
-
-// persistsRec is persists with the block record already resolved.
+// persistsRec reports whether a scan-active host of the block still
+// answers at probe time; the paper saw 54.05M of 64.45M probed
+// destinations respond. Hosts in low-activity blocks churn harder.
 //
 //hobbit:hotpath
 func (w *World) persistsRec(rec *blockRec, a iputil.Addr) bool {
@@ -139,7 +146,7 @@ func (w *World) persistsRec(rec *blockRec, a iputil.Addr) bool {
 	if rec.lowActivity() {
 		p = w.cfg.PersistProbLow
 	}
-	return rng.Bool(p, w.seed, w.epochKey(a), saltPersist)
+	return rng.Seed(w.seed).Key(w.epochKey(a)).Key(saltPersist).Bool(p)
 }
 
 // RespondsNow reports whether the destination answers probes at
@@ -189,7 +196,8 @@ var revSkewWeights = []float64{0.4, 0.4, 0.2}
 //
 //hobbit:hotpath
 func (w *World) revSkew(a iputil.Addr) int {
-	if !rng.Bool(w.cfg.PReverseSkew, w.seed, uint64(a), saltSkew) {
+	skew := rng.Seed(w.seed).Key(uint64(a)).Key(saltSkew)
+	if !skew.Bool(w.cfg.PReverseSkew) {
 		return 0
 	}
 	switch rng.WeightedChoice(revSkewWeights, w.seed, uint64(a), saltSkew, 1) {
@@ -267,11 +275,8 @@ func (w *World) Ping(dst iputil.Addr, seq int) (ProbeReply, bool) {
 // pingFrom is Ping from vantage v: one block-record and pop lookup serve
 // the availability, loss, and echo-reply derivations.
 //
-// The per-reply loss draws here and in probeFrom key vantage 0 exactly
-// as the single-vantage world always has and fold any other vantage in
-// just before the salt — the flap-key rule of DESIGN §4f: an extra key
-// only when it is non-zero. World and Vantage(0) therefore answer
-// byte-identically, and vantages ≥1 keep their historical draws.
+// The per-reply loss draws here and in probeFrom fold the vantage in
+// through withVantage.
 //
 //hobbit:hotpath
 func (w *World) pingFrom(v int, dst iputil.Addr, seq int) (ProbeReply, bool) {
@@ -283,12 +288,8 @@ func (w *World) pingFrom(v int, dst iputil.Addr, seq int) (ProbeReply, bool) {
 	if !routed || !w.respondsNowRec(rec, p, dst) || w.faultBlackholed(dst) {
 		return ProbeReply{}, false
 	}
-	loss := w.faultPingLoss(v)
-	if v == 0 {
-		if rng.Bool(loss, w.seed, uint64(dst), uint64(seq), saltLoss) {
-			return ProbeReply{}, false
-		}
-	} else if rng.Bool(loss, w.seed, uint64(dst), uint64(seq), uint64(v), saltLoss) {
+	k := rng.Seed(w.seed).Key(uint64(dst)).Key(uint64(seq))
+	if withVantage(k, v).Key(saltLoss).Bool(w.faultPingLoss(v)) {
 		return ProbeReply{}, false
 	}
 	return w.echoReply(p, dst, seq), true
@@ -358,12 +359,8 @@ func (w *World) probeFrom(v int, dst iputil.Addr, ttl int, flowID uint16, salt u
 		if !r.responsive {
 			return ProbeReply{}
 		}
-		drop := w.faultRateLimit(v, p)
-		if v == 0 {
-			if rng.Bool(drop, w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), saltRate) {
-				return ProbeReply{}
-			}
-		} else if rng.Bool(drop, w.seed, uint64(dst), uint64(ttl), uint64(flowID), uint64(salt), uint64(v), saltRate) {
+		k := rng.Seed(w.seed).Key(uint64(dst)).Key(uint64(ttl)).Key(uint64(flowID)).Key(uint64(salt))
+		if withVantage(k, v).Key(saltRate).Bool(w.faultRateLimit(v, p)) {
 			return ProbeReply{}
 		}
 		return ProbeReply{Kind: TTLExceeded, From: r.addr}
@@ -373,13 +370,21 @@ func (w *World) probeFrom(v int, dst iputil.Addr, ttl int, flowID uint16, salt u
 	if p == nil || !w.respondsNowRec(rec, p, dst) || w.faultBlackholed(dst) {
 		return ProbeReply{}
 	}
-	loss := w.faultPingLoss(v)
-	if v == 0 {
-		if rng.Bool(loss, w.seed, uint64(dst), uint64(ttl), uint64(salt), saltLoss) {
-			return ProbeReply{}
-		}
-	} else if rng.Bool(loss, w.seed, uint64(dst), uint64(ttl), uint64(salt), uint64(v), saltLoss) {
+	k := rng.Seed(w.seed).Key(uint64(dst)).Key(uint64(ttl)).Key(uint64(salt))
+	if withVantage(k, v).Key(saltLoss).Bool(w.faultPingLoss(v)) {
 		return ProbeReply{}
 	}
 	return w.echoReply(p, dst, int(salt))
+}
+
+// withVantage folds vantage v into a per-reply draw just before its salt,
+// by the flap-key rule of DESIGN §4f: an extra key only when it is
+// non-zero. Vantage 0 keys its draws exactly as the single-vantage world
+// always has, so World and Vantage(0) answer byte-identically, and
+// vantages ≥1 keep their historical draws.
+func withVantage(k rng.Chain, v int) rng.Chain {
+	if v != 0 {
+		return k.Key(uint64(v))
+	}
+	return k
 }

@@ -337,9 +337,28 @@ func TestProbeConcurrent(t *testing.T) {
 	}
 }
 
-// TestScanBlockMatchesScanPing pins the block-granular census against the
-// per-address answer at epochs 0-3, with scheduled splits in force, for
-// the world and every vantage; blocks outside the universe answer zeros.
+// scanActiveRef is the reference census answer for a routed address,
+// drawn with the variadic rng forms so that it stays independent of the
+// key chains the reply path spells out: the address answered the scan
+// with its /26's activity rate, and from epoch 1 on flipped state with
+// the churn probability (arrivals balancing departures).
+func scanActiveRef(w *World, rec *blockRec, a iputil.Addr) bool {
+	rate := rec.rate26[a.Block26()]
+	active := rng.Bool(rate, w.seed, uint64(a), saltActive)
+	if w.epoch == 0 || w.cfg.EpochChurn <= 0 {
+		return active
+	}
+	if active {
+		return !rng.Bool(w.cfg.EpochChurn, w.seed, uint64(a), uint64(w.epoch), saltEpochAct)
+	}
+	pOn := min(w.cfg.EpochChurn*rate/(1-rate), 1)
+	return rate < 1 && rng.Bool(pOn, w.seed, uint64(a), uint64(w.epoch), saltEpochAct)
+}
+
+// TestScanBlockMatchesScanPing pins the block-granular census and the
+// per-address answer against the variadic-draw reference at epochs 0-3,
+// with scheduled splits in force, for the world and every vantage; blocks
+// outside the universe answer zeros.
 func TestScanBlockMatchesScanPing(t *testing.T) {
 	cfg := testConfig(600)
 	cfg.PEpochSplit = 0.3
@@ -353,13 +372,12 @@ func TestScanBlockMatchesScanPing(t *testing.T) {
 			if rec.splitAt(epoch) {
 				splitSeen++
 			}
-			// The per-address census answer as it stood before the
-			// block entry point: routed and scan-active.
+			// The per-address census answer: routed and scan-active.
 			var want [4]uint64
 			for j := 0; j < 256; j++ {
 				a := b.Addr(j)
 				_, routed := w.popOfRec(rec, a)
-				active := routed && w.scanActiveRec(rec, a)
+				active := routed && scanActiveRef(w, rec, a)
 				if active {
 					want[j>>6] |= 1 << uint(j&63)
 				}

@@ -122,3 +122,69 @@ func TestWeightedChoice(t *testing.T) {
 	}()
 	WeightedChoice(nil, 1)
 }
+
+// TestMixKnownAnswers pins the hash itself: every simulated world, fault
+// plan and reply digest rests on these values.
+func TestMixKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		seed uint64
+		keys []uint64
+		want uint64
+	}{
+		{0, nil, 0xe220a8397b1dcdaf},
+		{1, []uint64{2, 3}, 0x0e553b5afa5c18d5},
+		{42, []uint64{7}, 0xc73cafda1a5ef526},
+		{0xdeadbeef, []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 0xd5a765a7e89e7f91},
+		{7, []uint64{0x0a000001, 0x55}, 0x1535f0dabaff95ec},
+	} {
+		if got := Mix(tc.seed, tc.keys...); got != tc.want {
+			t.Errorf("Mix(%#x, %#x) = %#x, want %#x", tc.seed, tc.keys, got, tc.want)
+		}
+	}
+}
+
+// TestChainMatchesVariadic holds the key chain to the variadic forms: for
+// 0 to 8 keys drawn at random, Seed(s).Key(k1)…Key(kn) sums, and draws
+// floats, booleans and bounded integers, exactly as Mix, Float64, Bool and
+// Intn do over the same tuple.
+func TestChainMatchesVariadic(t *testing.T) {
+	for trial := uint64(0); trial < 2000; trial++ {
+		seed := Mix(0x5eed, trial)
+		keys := make([]uint64, trial%9)
+		c := Seed(seed)
+		for i := range keys {
+			keys[i] = Mix(0xbee5, trial, uint64(i))
+			if i%3 == 0 {
+				keys[i] &= 0xff // small keys, like salts and epochs
+			}
+			c = c.Key(keys[i])
+		}
+		if got, want := c.Sum(), Mix(seed, keys...); got != want {
+			t.Fatalf("Seed(%#x) chain over %#x: Sum %#x, Mix %#x", seed, keys, got, want)
+		}
+		if got, want := c.Float64(), Float64(seed, keys...); got != want {
+			t.Fatalf("chain Float64 %v, variadic %v", got, want)
+		}
+		p := Float64(seed, append(keys, 1)...)
+		if got, want := c.Bool(p), Bool(p, seed, keys...); got != want {
+			t.Fatalf("chain Bool(%v) %v, variadic %v", p, got, want)
+		}
+		n := 1 + int(trial%37)
+		if trial%5 == 0 {
+			n = 1 << 40
+		}
+		if got, want := c.Intn(n), Intn(n, seed, keys...); got != want {
+			t.Fatalf("chain Intn(%d) %d, variadic %d", n, got, want)
+		}
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("chain Intn(%d) should panic", n)
+				}
+			}()
+			Seed(1).Key(2).Intn(n)
+		}()
+	}
+}
