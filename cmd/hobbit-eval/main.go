@@ -19,13 +19,14 @@ import (
 	"time"
 
 	"github.com/hobbitscan/hobbit/internal/eval"
+	"github.com/hobbitscan/hobbit/internal/netsim"
 )
 
 func main() {
 	var (
 		blocks  = flag.Int("blocks", 8000, "number of /24 blocks in the synthetic universe")
 		scale   = flag.Float64("scale", 0.08, "scale factor for the planted Table-5 aggregates")
-		seed    = flag.Uint64("seed", 0x40bb17, "world and measurement seed")
+		seed    = flag.Uint64("seed", netsim.DefaultSeed, "world and measurement seed")
 		exp     = flag.String("exp", "all", "experiment ID to run, or 'all'")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		metrics = flag.String("metrics", "", "also write all experiment metrics as CSV to this file")

@@ -13,9 +13,12 @@
 //	       [-metrics-addr HOST:PORT]
 //
 // Every run is instrumented: -json emits the versioned api.RunSummaryV1
-// (the same bytes hobbitd serves from /v1/campaigns/{id}/result) with a
-// telemetry section (per-stage durations, per-stage probe counts,
-// histograms), -progress streams live progress lines to stderr, and
+// with a telemetry section (per-stage durations, per-stage probe counts,
+// histograms). The campaign flags form the api.SubmitRequestV1 hobbitd
+// takes, with options.validate_pairs fixed at 20000 (a submission's 0
+// means all pairs), and both front ends run it through internal/api, so
+// -json equals hobbitd's /v1/campaigns/{id}/result for that request up
+// to span durations. -progress streams live progress lines to stderr, and
 // -metrics-addr serves the live registry snapshot as JSON over HTTP while
 // the run executes. -output streams every per-/24 measurement result to a
 // file as it becomes final — one JSON document, one record per line, run
@@ -32,10 +35,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"time"
-
-	"strings"
 
 	"github.com/hobbitscan/hobbit/internal/aggregate"
 	"github.com/hobbitscan/hobbit/internal/api"
@@ -43,63 +45,54 @@ import (
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/hobbit"
-	"github.com/hobbitscan/hobbit/internal/monitor"
 	"github.com/hobbitscan/hobbit/internal/netsim"
-	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
 func main() {
-	var (
-		blocks   = flag.Int("blocks", 20000, "number of /24 blocks in the synthetic universe")
-		scale    = flag.Float64("scale", 0.25, "scale factor for the planted Table-5 aggregates")
-		seed     = flag.Uint64("seed", 0x40bb17, "world and measurement seed")
-		workers  = flag.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
-		clWorker = flag.Int("cluster-workers", 0, "clustering stage workers: MCL, validation (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		cnWorker = flag.Int("census-workers", 0, "census sweep workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		stream   = flag.Int("stream-chunk", 0, "census chunk size in /24s for the pipelined census, measurement, and aggregation (0 = size derived from the input; output is identical at any size)")
-		skipCl   = flag.Bool("skip-clustering", false, "stop after identical-set aggregation")
-		monEp    = flag.Int("monitor-epochs", 0, "after the initial run, advance the fault epoch this many times and re-measure incrementally (continuous-monitoring mode; the summary reports the final epoch)")
-		plan     = flag.String("fault-plan", "", "inject a built-in fault plan into the synthetic world (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")
-		dump     = flag.String("dump", "", "write the final homogeneous block map to this file")
-		output   = flag.String("output", "", "stream per-/24 measurement results to this file as JSON (records written as they become final, summary appended)")
-		top      = flag.Int("top", 15, "number of largest blocks to characterize")
-		jsonOut  = flag.Bool("json", false, "emit a machine-readable run summary instead of tables")
-		progress = flag.Bool("progress", false, "stream live measurement progress lines to stderr")
-		metrics  = flag.String("metrics-addr", "", "serve the live telemetry snapshot as JSON on this address")
-	)
-	flag.Parse()
-
-	if err := run(context.Background(), runConfig{
-		blocks: *blocks, scale: *scale, seed: *seed, workers: *workers,
-		clusterWorkers: *clWorker, censusWorkers: *cnWorker,
-		streamChunk: *stream, skipClustering: *skipCl, faultPlan: *plan,
-		monitorEpochs: *monEp,
-		dump:          *dump, output: *output, top: *top, json: *jsonOut,
-		progress: *progress, metricsAddr: *metrics,
-	}); err != nil {
+	// flag.CommandLine exits on a parse error itself.
+	rc, _ := parseFlags(flag.CommandLine, os.Args[1:])
+	if err := run(context.Background(), rc); err != nil {
 		fmt.Fprintln(os.Stderr, "hobbit:", err)
 		os.Exit(1)
 	}
 }
 
+// parseFlags binds the command line into the run it asks for. The
+// campaign flags fill req, the request hobbitd takes for the same
+// campaign; validate_pairs has no flag and stays at 20000.
+func parseFlags(fs *flag.FlagSet, args []string) (runConfig, error) {
+	rc := runConfig{req: api.SubmitRequestV1{Options: core.Options{ValidatePairs: 20000}}}
+	w, o := &rc.req.World, &rc.req.Options
+	fs.IntVar(&w.Blocks, "blocks", 20000, "number of /24 blocks in the synthetic universe")
+	fs.Float64Var(&w.Scale, "scale", 0.25, "scale factor for the planted Table-5 aggregates")
+	fs.Uint64Var(&w.Seed, "seed", netsim.DefaultSeed, "world and measurement seed")
+	fs.IntVar(&o.Workers, "workers", 0, "measurement workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.ClusterWorkers, "cluster-workers", 0, "clustering stage workers: MCL, validation (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
+	fs.IntVar(&o.CensusWorkers, "census-workers", 0, "census sweep workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
+	fs.IntVar(&rc.streamChunk, "stream-chunk", 0, "census chunk size in /24s for the pipelined census, measurement, and aggregation (0 = size derived from the input; output is identical at any size)")
+	fs.BoolVar(&o.SkipClustering, "skip-clustering", false, "stop after identical-set aggregation")
+	fs.IntVar(&rc.req.MonitorEpochs, "monitor-epochs", 0, "after the initial run, advance the fault epoch this many times and re-measure incrementally (continuous-monitoring mode; the summary reports the final epoch)")
+	fs.StringVar(&w.FaultPlan, "fault-plan", "", "inject a built-in fault plan into the synthetic world (one of: "+strings.Join(faultplan.BuiltinNames(), ", ")+")")
+	fs.StringVar(&rc.dump, "dump", "", "write the final homogeneous block map to this file")
+	fs.StringVar(&rc.output, "output", "", "stream per-/24 measurement results to this file as JSON (records written as they become final, summary appended)")
+	fs.IntVar(&rc.top, "top", 15, "number of largest blocks to characterize")
+	fs.BoolVar(&rc.json, "json", false, "emit a machine-readable run summary instead of tables")
+	fs.BoolVar(&rc.progress, "progress", false, "stream live measurement progress lines to stderr")
+	fs.StringVar(&rc.metricsAddr, "metrics-addr", "", "serve the live telemetry snapshot as JSON on this address")
+	return rc, fs.Parse(args)
+}
+
 type runConfig struct {
-	blocks         int
-	scale          float64
-	seed           uint64
-	workers        int
-	clusterWorkers int
-	censusWorkers  int
-	streamChunk    int
-	skipClustering bool
-	faultPlan      string
-	monitorEpochs  int
-	dump           string
-	output         string
-	top            int
-	json           bool
-	progress       bool
-	metricsAddr    string
+	// req is the campaign to run.
+	req         api.SubmitRequestV1
+	streamChunk int
+	dump        string
+	output      string
+	top         int
+	json        bool
+	progress    bool
+	metricsAddr string
 	// stdout overrides the output stream (tests capture it; nil means
 	// os.Stdout).
 	stdout io.Writer
@@ -118,23 +111,16 @@ func run(ctx context.Context, rc runConfig) error {
 	// serial run the user probably wanted; core.Options.Validate rejects
 	// them (and any other out-of-range knob) up front. Zero stays the
 	// documented "use GOMAXPROCS" value.
-	opts := core.Options{
-		Workers:        rc.workers,
-		ClusterWorkers: rc.clusterWorkers,
-		CensusWorkers:  rc.censusWorkers,
-		SkipClustering: rc.skipClustering,
-		ValidatePairs:  20000,
-	}
-	if err := opts.Validate(); err != nil {
+	if err := rc.req.Options.Validate(); err != nil {
 		return err
 	}
-	if rc.monitorEpochs < 0 {
+	if rc.req.MonitorEpochs < 0 {
 		return errors.New("-monitor-epochs must be >= 0")
 	}
 	if rc.top < 0 {
 		return errors.New("-top must be >= 0")
 	}
-	if rc.monitorEpochs > 0 && rc.output != "" {
+	if rc.req.MonitorEpochs > 0 && rc.output != "" {
 		// The monitor re-emits every per-/24 result each epoch; the
 		// streamed result file is defined as one record per block.
 		return errors.New("-output is not supported with -monitor-epochs")
@@ -144,18 +130,18 @@ func run(ctx context.Context, rc runConfig) error {
 	if err := core.ValidateStreamChunk(rc.streamChunk); err != nil {
 		return err
 	}
-	cfg := netsim.DefaultConfig(rc.blocks)
-	cfg.BigBlockScale = rc.scale
-	cfg.Seed = rc.seed
 
 	start := time.Now()
-	world, err := netsim.New(cfg)
+	world, err := rc.req.World.World()
 	if err != nil {
 		return err
 	}
 	if !rc.json {
 		fmt.Fprintf(stdout, "world: %d /24 blocks, %d routers (built in %v)\n",
 			len(world.Blocks()), world.NumRouters(), time.Since(start).Round(time.Millisecond))
+		if sched, ok := world.Faults().(*faultplan.Schedule); ok {
+			fmt.Fprintf(stdout, "fault plan: %s (%d events)\n", sched.Name(), len(sched.Events()))
+		}
 	}
 
 	reg := telemetry.NewRegistry()
@@ -194,27 +180,7 @@ func run(ctx context.Context, rc runConfig) error {
 		}
 	}
 
-	if rc.faultPlan != "" {
-		sched, err := faultplan.CompileBuiltin(rc.faultPlan, world)
-		if err != nil {
-			return err
-		}
-		world.SetFaults(sched)
-		if !rc.json {
-			fmt.Fprintf(stdout, "fault plan: %s (%d events)\n", sched.Name(), len(sched.Events()))
-		}
-	}
-
-	pnet := probe.Instrument(probe.NewSimNetwork(world), reg, core.StageMeasure)
-	p := &core.Pipeline{
-		Net:         pnet,
-		Scanner:     world,
-		Blocks:      world.Blocks(),
-		Seed:        rc.seed,
-		Options:     opts,
-		StreamChunk: rc.streamChunk,
-		Telemetry:   reg,
-	}
+	p := core.Pipeline{StreamChunk: rc.streamChunk, Telemetry: reg}
 	if rc.progress {
 		p.Progress = telemetry.NewLineSink(os.Stderr, 100)
 	}
@@ -228,28 +194,12 @@ func run(ctx context.Context, rc runConfig) error {
 		p.ResultSink = rw.sink
 	}
 	start = time.Now()
-	var out *core.Output
-	var monSum *api.MonitorSummaryV1
-	if rc.monitorEpochs > 0 {
-		mon := &monitor.Monitor{Pipeline: p, Source: &monitor.WorldSource{W: world}}
-		defer mon.Close()
-		reps, err := mon.Run(ctx, rc.monitorEpochs+1)
-		if err != nil {
-			return err
-		}
-		monSum = api.BuildMonitorSummaryV1(reps)
-		out = reps[len(reps)-1].Output
-		if !rc.json {
-			printMonitorEpochs(stdout, reps)
-		}
-	} else {
-		out, err = p.Run(ctx)
-		if err != nil {
-			return err
-		}
+	c, err := rc.req.Run(ctx, world, p)
+	if err != nil {
+		return err
 	}
 	if rw != nil {
-		if err := rw.finish(api.BuildRunSummaryV1(len(world.Blocks()), rc.faultPlan, out, pnet, reg)); err != nil {
+		if err := rw.finish(c.Summary); err != nil {
 			return err
 		}
 		if !rc.json {
@@ -257,13 +207,15 @@ func run(ctx context.Context, rc runConfig) error {
 		}
 	}
 	if rc.json {
-		sum := api.BuildRunSummaryV1(len(world.Blocks()), rc.faultPlan, out, pnet, reg)
-		sum.Monitor = monSum
-		return api.EncodeRunSummaryV1(stdout, sum)
+		return api.EncodeRunSummaryV1(stdout, c.Summary)
 	}
+	if c.Summary.Monitor != nil {
+		printMonitorEpochs(stdout, c.Summary.Monitor)
+	}
+	out := c.Output
 	fmt.Fprintf(stdout, "pipeline: %d eligible /24s measured in %v (%d pings, %d probes, %d retries)\n\n",
-		len(out.Eligible), time.Since(start).Round(time.Millisecond), pnet.Pings(), pnet.Probes(),
-		pnet.PingRetries()+pnet.ProbeRetries())
+		len(out.Eligible), time.Since(start).Round(time.Millisecond), c.Summary.Pings, c.Summary.Probes,
+		c.Summary.Retries)
 
 	// Table 1-style classification summary.
 	sum := out.Campaign.Summary()
@@ -283,14 +235,8 @@ func run(ctx context.Context, rc runConfig) error {
 	fmt.Fprintf(stdout, "identical-set aggregation: %d homogeneous /24s -> %d blocks\n",
 		sum.Homogeneous(), len(out.Aggregates))
 	if out.Clustering != nil {
-		validated := 0
-		for _, c := range out.Clustering.Clusters {
-			if out.Validated[c.ID] {
-				validated++
-			}
-		}
 		fmt.Fprintf(stdout, "clustering: %d clusters (inflation %.2f), %d validated by reprobing -> %d final blocks\n",
-			len(out.Clustering.Clusters), out.Clustering.ChosenInflation, validated, len(out.Final))
+			c.Summary.Clusters, out.Clustering.ChosenInflation, c.Summary.Validated, c.Summary.Final)
 	}
 
 	fmt.Fprintln(stdout, "\nstage timings:")
@@ -320,16 +266,12 @@ func run(ctx context.Context, rc runConfig) error {
 
 // printMonitorEpochs renders the monitoring session's per-epoch
 // accounting as a table.
-func printMonitorEpochs(w io.Writer, reps []*monitor.EpochReport) {
-	fmt.Fprintf(w, "monitoring: %d epochs (epoch 0 bootstraps, later epochs reprobe only churned blocks)\n", len(reps))
+func printMonitorEpochs(w io.Writer, m *api.MonitorSummaryV1) {
+	fmt.Fprintf(w, "monitoring: %d epochs (epoch 0 bootstraps, later epochs reprobe only churned blocks)\n", len(m.Epochs))
 	fmt.Fprintf(w, "  %-6s %-8s %-9s %-12s %-11s %s\n", "epoch", "changed", "reprobed", "comp-reused", "val-reused", "final")
-	for _, r := range reps {
-		final := 0
-		if r.Output != nil {
-			final = len(r.Output.Final)
-		}
+	for _, e := range m.Epochs {
 		fmt.Fprintf(w, "  %-6d %-8d %-9d %-12d %-11d %d\n",
-			r.Epoch, r.Changed, r.Reprobed, r.Cluster.Reused, r.ValReused, final)
+			e.Epoch, e.Changed, e.Reprobed, e.ComponentsReused, e.ValidationsReused, e.Final)
 	}
 	fmt.Fprintln(w)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,15 +15,30 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hobbitscan/hobbit/internal/api"
 	"github.com/hobbitscan/hobbit/internal/blockmap"
+	"github.com/hobbitscan/hobbit/internal/core"
+	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
+
+// cli parses a command line as main does, with the report going to
+// stdout (nil means os.Stdout).
+func cli(t *testing.T, stdout io.Writer, args ...string) runConfig {
+	t.Helper()
+	rc, err := parseFlags(flag.NewFlagSet("hobbit", flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.stdout = stdout
+	return rc
+}
 
 func TestRunSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline smoke test is slow")
 	}
 	dump := filepath.Join(t.TempDir(), "map.txt")
-	if err := run(context.Background(), runConfig{blocks: 500, scale: 0.02, seed: 7, dump: dump, top: 5}); err != nil {
+	if err := run(context.Background(), cli(t, nil, "-blocks=500", "-scale=0.02", "-seed=7", "-dump="+dump, "-top=5")); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(dump)
@@ -48,7 +65,7 @@ func TestRunDumpError(t *testing.T) {
 		t.Skip("no /dev/full on this system")
 	}
 	var stdout bytes.Buffer
-	err := run(context.Background(), runConfig{blocks: 300, scale: 0.02, seed: 7, dump: "/dev/full", top: 3, stdout: &stdout})
+	err := run(context.Background(), cli(t, &stdout, "-blocks=300", "-scale=0.02", "-seed=7", "-dump=/dev/full", "-top=3"))
 	if err == nil {
 		t.Fatal("run with -dump /dev/full succeeded")
 	}
@@ -61,7 +78,7 @@ func TestRunSkipClustering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline smoke test is slow")
 	}
-	if err := run(context.Background(), runConfig{blocks: 300, scale: 0.02, seed: 7, workers: 2, skipClustering: true, top: 3}); err != nil {
+	if err := run(context.Background(), cli(t, nil, "-blocks=300", "-scale=0.02", "-seed=7", "-workers=2", "-skip-clustering", "-top=3")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,10 +106,8 @@ type jsonSummary struct {
 func runJSON(t *testing.T, seed uint64) (jsonSummary, map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
-	err := run(context.Background(), runConfig{
-		blocks: 300, scale: 0.02, seed: seed, workers: 4, top: 3,
-		json: true, stdout: &buf,
-	})
+	err := run(context.Background(), cli(t, &buf,
+		"-blocks=300", "-scale=0.02", fmt.Sprint("-seed=", seed), "-workers=4", "-top=3", "-json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +134,9 @@ func TestRunOutputFile(t *testing.T) {
 	}
 	for _, streamChunk := range []int{0, 32} {
 		path := filepath.Join(t.TempDir(), "out.json")
-		if err := run(context.Background(), runConfig{
-			blocks: 300, scale: 0.02, seed: 7, streamChunk: streamChunk,
-			output: path, top: 3, stdout: io.Discard,
-		}); err != nil {
+		if err := run(context.Background(), cli(t, io.Discard,
+			"-blocks=300", "-scale=0.02", "-seed=7", fmt.Sprint("-stream-chunk=", streamChunk),
+			"-output="+path, "-top=3")); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(path)
@@ -161,7 +175,7 @@ func TestRunOutputFile(t *testing.T) {
 // before building the world.
 func TestRunRejectsBadStreamChunk(t *testing.T) {
 	for _, chunk := range []int{-1, 1<<20 + 1} {
-		err := run(context.Background(), runConfig{blocks: 100, streamChunk: chunk, stdout: io.Discard})
+		err := run(context.Background(), cli(t, io.Discard, "-blocks=100", fmt.Sprint("-stream-chunk=", chunk)))
 		if err == nil || !strings.Contains(err.Error(), "stream chunk") {
 			t.Errorf("streamChunk=%d: err = %v, want stream-chunk validation error", chunk, err)
 		}
@@ -173,7 +187,7 @@ func TestRunRejectsBadStreamChunk(t *testing.T) {
 // aggregate.TopBySize after the whole run and panicking there.
 func TestRunRejectsNegativeTop(t *testing.T) {
 	var stdout bytes.Buffer
-	err := run(context.Background(), runConfig{blocks: 100, top: -1, stdout: &stdout})
+	err := run(context.Background(), cli(t, &stdout, "-blocks=100", "-top=-1"))
 	if err == nil || !strings.Contains(err.Error(), "-top") {
 		t.Errorf("top=-1: err = %v, want a -top error", err)
 	}
@@ -264,14 +278,14 @@ func TestRunJSONDeterministic(t *testing.T) {
 func TestRunRejectsNegativeWorkers(t *testing.T) {
 	cases := []struct {
 		field string
-		rc    runConfig
+		flag  string
 	}{
-		{"workers", runConfig{blocks: 10, workers: -1}},
-		{"census_workers", runConfig{blocks: 10, censusWorkers: -2}},
-		{"cluster_workers", runConfig{blocks: 10, clusterWorkers: -8}},
+		{"workers", "-workers=-1"},
+		{"census_workers", "-census-workers=-2"},
+		{"cluster_workers", "-cluster-workers=-8"},
 	}
 	for _, tc := range cases {
-		err := run(context.Background(), tc.rc)
+		err := run(context.Background(), cli(t, nil, "-blocks=10", tc.flag))
 		if err == nil {
 			t.Errorf("%s: negative value accepted", tc.field)
 			continue
@@ -281,8 +295,8 @@ func TestRunRejectsNegativeWorkers(t *testing.T) {
 		}
 	}
 	// Zero remains the documented auto value, not an error.
-	if err := run(context.Background(), runConfig{blocks: 60, scale: 0.02, seed: 7, top: 1,
-		skipClustering: true, stdout: io.Discard}); err != nil {
+	if err := run(context.Background(), cli(t, io.Discard,
+		"-blocks=60", "-scale=0.02", "-seed=7", "-top=1", "-skip-clustering")); err != nil {
 		t.Errorf("zero worker counts rejected: %v", err)
 	}
 }
@@ -296,23 +310,22 @@ func TestRunMetricsServerLifecycle(t *testing.T) {
 		t.Skip("pipeline smoke test is slow")
 	}
 	var addr string
-	err := run(context.Background(), runConfig{
-		blocks: 60, scale: 0.02, seed: 7, top: 1, skipClustering: true,
-		stdout: io.Discard, metricsAddr: "127.0.0.1:0",
-		metricsReady: func(a net.Addr) {
-			addr = a.String()
-			resp, err := http.Get("http://" + addr + "/")
-			if err != nil {
-				t.Errorf("metrics fetch during run: %v", err)
-				return
-			}
-			defer resp.Body.Close()
-			var snap map[string]any
-			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-				t.Errorf("metrics snapshot not JSON: %v", err)
-			}
-		},
-	})
+	rc := cli(t, io.Discard, "-blocks=60", "-scale=0.02", "-seed=7", "-top=1", "-skip-clustering",
+		"-metrics-addr=127.0.0.1:0")
+	rc.metricsReady = func(a net.Addr) {
+		addr = a.String()
+		resp, err := http.Get("http://" + addr + "/")
+		if err != nil {
+			t.Errorf("metrics fetch during run: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		var snap map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Errorf("metrics snapshot not JSON: %v", err)
+		}
+	}
+	err := run(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,15 +338,16 @@ func TestRunMetricsServerLifecycle(t *testing.T) {
 	}
 
 	// And the synchronous bind: an unusable address is a startup error.
-	if err := run(context.Background(), runConfig{blocks: 10, metricsAddr: "256.0.0.1:bad"}); err == nil {
-		t.Error("bad -metrics-addr accepted")
+	err = run(context.Background(), cli(t, nil, "-blocks=60", "-scale=0.02", "-metrics-addr=256.0.0.1:bad"))
+	if err == nil || !strings.Contains(err.Error(), "metrics server") {
+		t.Errorf("bad -metrics-addr: err = %v, want a metrics server error", err)
 	}
 }
 
 // TestRunUnknownFaultPlan pins the -fault-plan error path.
 func TestRunUnknownFaultPlan(t *testing.T) {
-	err := run(context.Background(), runConfig{blocks: 60, scale: 0.02, seed: 7,
-		faultPlan: "meteor-strike", stdout: io.Discard})
+	err := run(context.Background(), cli(t, io.Discard,
+		"-blocks=60", "-scale=0.02", "-seed=7", "-fault-plan=meteor-strike"))
 	if err == nil || !strings.Contains(err.Error(), "meteor-strike") {
 		t.Fatalf("unknown plan error = %v", err)
 	}
@@ -346,10 +360,8 @@ func TestRunFaultPlanJSON(t *testing.T) {
 		t.Skip("pipeline smoke test is slow")
 	}
 	var buf bytes.Buffer
-	err := run(context.Background(), runConfig{
-		blocks: 300, scale: 0.02, seed: 7, workers: 4, top: 3,
-		faultPlan: "rate-storm", json: true, stdout: &buf,
-	})
+	err := run(context.Background(), cli(t, &buf,
+		"-blocks=300", "-scale=0.02", "-seed=7", "-workers=4", "-top=3", "-fault-plan=rate-storm", "-json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +391,9 @@ func TestRunMonitorEpochs(t *testing.T) {
 		t.Skip("pipeline smoke test is slow")
 	}
 	var buf bytes.Buffer
-	err := run(context.Background(), runConfig{
-		blocks: 400, scale: 0.02, seed: 7, workers: 2, faultPlan: "flap",
-		monitorEpochs: 2, top: 3, json: true, stdout: &buf,
-	})
+	err := run(context.Background(), cli(t, &buf,
+		"-blocks=400", "-scale=0.02", "-seed=7", "-workers=2", "-fault-plan=flap",
+		"-monitor-epochs=2", "-top=3", "-json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,11 +425,81 @@ func TestRunMonitorEpochs(t *testing.T) {
 }
 
 func TestRunMonitorEpochsFlagErrors(t *testing.T) {
-	if err := run(context.Background(), runConfig{blocks: 100, monitorEpochs: -1}); err == nil {
+	if err := run(context.Background(), cli(t, nil, "-blocks=100", "-monitor-epochs=-1")); err == nil {
 		t.Error("negative -monitor-epochs accepted")
 	}
-	err := run(context.Background(), runConfig{blocks: 100, monitorEpochs: 2, output: "x.json"})
+	err := run(context.Background(), cli(t, nil, "-blocks=100", "-monitor-epochs=2", "-output=x.json"))
 	if err == nil || !strings.Contains(err.Error(), "-output") {
 		t.Errorf("-output with -monitor-epochs: err = %v, want rejection", err)
+	}
+}
+
+// withoutDurations re-encodes a run summary with its span durations,
+// the one wall-clock part of it, zeroed.
+func withoutDurations(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var s api.RunSummaryV1
+	if err := json.Unmarshal(b, &s); err != nil {
+		t.Fatalf("decoding summary: %v\n%s", err, b)
+	}
+	for i := range s.Telemetry.Stages {
+		s.Telemetry.Stages[i].DurationMS = 0
+	}
+	out, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestJSONMatchesAPIRun pins what the package doc promises: the
+// campaign flags form the api.SubmitRequestV1 hobbitd takes, with
+// validate_pairs fixed at 20000, and -json prints the summary an
+// in-process internal/api run of that request produces (the one hobbitd
+// serves for it), up to span durations.
+func TestJSONMatchesAPIRun(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		req  api.SubmitRequestV1
+	}{
+		{
+			[]string{"-blocks=300", "-scale=0.02", "-seed=5", "-fault-plan=rate-storm"},
+			api.SubmitRequestV1{
+				World:   api.WorldSpecV1{Blocks: 300, Scale: 0.02, Seed: 5, FaultPlan: "rate-storm"},
+				Options: core.Options{ValidatePairs: 20000},
+			},
+		},
+		{
+			[]string{"-blocks=300", "-scale=0.02", "-seed=9", "-fault-plan=churn", "-monitor-epochs=2", "-workers=2"},
+			api.SubmitRequestV1{
+				World:         api.WorldSpecV1{Blocks: 300, Scale: 0.02, Seed: 9, FaultPlan: "churn"},
+				Options:       core.Options{Workers: 2, ValidatePairs: 20000},
+				MonitorEpochs: 2,
+			},
+		},
+	} {
+		var got bytes.Buffer
+		rc := cli(t, &got, append(tc.args, "-json")...)
+		if !reflect.DeepEqual(rc.req, tc.req) {
+			t.Errorf("%v: request %+v, want %+v", tc.args, rc.req, tc.req)
+		}
+		if err := run(context.Background(), rc); err != nil {
+			t.Fatal(err)
+		}
+		w, err := tc.req.World.World()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := tc.req.Run(context.Background(), w, core.Pipeline{Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := api.EncodeRunSummaryV1(&want, c.Summary); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := withoutDurations(t, got.Bytes()), withoutDurations(t, want.Bytes()); !bytes.Equal(g, w) {
+			t.Errorf("%v: -json differs from the api run of its request:\n%s\nwant:\n%s", tc.args, g, w)
+		}
 	}
 }

@@ -203,7 +203,7 @@ func TestEventLogAppendAllocs(t *testing.T) {
 // they replace took about 190). The replay must still be byte-identical.
 func TestEventLogBytesPerEvent(t *testing.T) {
 	spec := api.WorldSpecV1{Blocks: 2000, Scale: 0.25, Seed: 7}
-	world, err := buildWorld(keyOf(spec))
+	world, err := spec.World()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -50,28 +51,36 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
+// parseFlags binds the command line into the listen address and the
+// server configuration. Every flag defaults to serverConfig's own
+// default, so -help shows the values the daemon runs with.
+func parseFlags(args []string, logw io.Writer) (addr string, cfg serverConfig, err error) {
+	def := serverConfig{}.withDefaults()
+	fs := flag.NewFlagSet("hobbitd", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", "127.0.0.1:8347", "listen address")
+	fs.IntVar(&cfg.DefaultWorld.Blocks, "default-blocks", def.DefaultWorld.Blocks, "universe size when a request omits world.blocks")
+	fs.Float64Var(&cfg.DefaultWorld.Scale, "default-scale", def.DefaultWorld.Scale, "aggregate scale when a request omits world.scale")
+	fs.IntVar(&cfg.MaxBlocks, "max-blocks", def.MaxBlocks, "per-request universe ceiling")
+	fs.IntVar(&cfg.MaxCampaigns, "max-campaigns", def.MaxCampaigns, "concurrent campaign bound (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxWorlds, "max-worlds", def.MaxWorlds, "worlds kept warm")
+	fs.IntVar(&cfg.MaxResults, "max-results", def.MaxResults, "cached results kept")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", def.MaxSessions, "sessions retained")
+	fs.IntVar(&cfg.MaxMonitorEpochs, "max-monitor-epochs", def.MaxMonitorEpochs, "ceiling on monitor_epochs per submission")
+	fs.DurationVar(&cfg.RunTimeout, "run-timeout", def.RunTimeout, "default per-campaign deadline")
+	fs.DurationVar(&cfg.MaxTimeout, "max-timeout", def.MaxTimeout, "ceiling on requested timeout_ms")
+	fs.IntVar(&cfg.ProgressEvery, "progress-every", def.ProgressEvery, "thin the SSE progress stream to every Nth block, plus each stage's first and last (0 = all); bounds SSE volume, not memory")
+	fs.SetOutput(logw)
+	err = fs.Parse(args)
+	return addr, cfg, err
+}
+
 // run is the testable entry point: parse flags, bind the listener,
 // serve until the context (signals, or the test's cancel) ends, then
 // shut down gracefully — drain in-flight requests, cancel campaigns,
 // join the runners.
 func run(args []string, logw *os.File) error {
-	fs := flag.NewFlagSet("hobbitd", flag.ContinueOnError)
-	var (
-		addr          = fs.String("addr", "127.0.0.1:8347", "listen address")
-		defaultBlocks = fs.Int("default-blocks", 2000, "universe size when a request omits world.blocks")
-		defaultScale  = fs.Float64("default-scale", 0.25, "aggregate scale when a request omits world.scale")
-		maxBlocks     = fs.Int("max-blocks", 100000, "per-request universe ceiling")
-		maxCampaigns  = fs.Int("max-campaigns", 0, "concurrent campaign bound (0 = GOMAXPROCS)")
-		maxWorlds     = fs.Int("max-worlds", 4, "worlds kept warm")
-		maxResults    = fs.Int("max-results", 256, "cached results kept")
-		maxSessions   = fs.Int("max-sessions", 1024, "sessions retained")
-		maxMonitor    = fs.Int("max-monitor-epochs", 64, "ceiling on monitor_epochs per submission")
-		runTimeout    = fs.Duration("run-timeout", 10*time.Minute, "default per-campaign deadline")
-		maxTimeout    = fs.Duration("max-timeout", 30*time.Minute, "ceiling on requested timeout_ms")
-		progressEvery = fs.Int("progress-every", 0, "thin the SSE progress stream to every Nth block, plus each stage's first and last (0 = all); bounds SSE volume, not memory")
-	)
-	fs.SetOutput(logw)
-	if err := fs.Parse(args); err != nil {
+	addr, cfg, err := parseFlags(args, logw)
+	if err != nil {
 		return err
 	}
 	logger := log.New(logw, "hobbitd: ", log.LstdFlags)
@@ -79,31 +88,14 @@ func run(args []string, logw *os.File) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := newServer(serverConfig{
-		DefaultWorld:     api.WorldSpecV1{Blocks: *defaultBlocks, Scale: *defaultScale},
-		MaxBlocks:        *maxBlocks,
-		MaxCampaigns:     *maxCampaigns,
-		MaxWorlds:        *maxWorlds,
-		MaxResults:       *maxResults,
-		MaxSessions:      *maxSessions,
-		MaxMonitorEpochs: *maxMonitor,
-		RunTimeout:       *runTimeout,
-		MaxTimeout:       *maxTimeout,
-		ProgressEvery: func() int {
-			if *progressEvery < 0 {
-				return 0
-			}
-			return *progressEvery
-		}(),
-		Now: time.Now,
-	})
+	srv := newServer(cfg)
 	defer srv.Close()
 
 	// Bind synchronously so "address in use" is a startup error, not a
 	// lost goroutine log line.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("listening on %s: %w", *addr, err)
+		return fmt.Errorf("listening on %s: %w", addr, err)
 	}
 	hs := newHTTPServer(srv)
 

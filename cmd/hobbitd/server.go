@@ -14,17 +14,16 @@ import (
 	"github.com/hobbitscan/hobbit/internal/api"
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/faultplan"
-	"github.com/hobbitscan/hobbit/internal/monitor"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/parallel"
-	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
 // serverConfig bounds the daemon: how big a requested universe may be,
 // how many campaigns run at once (the parallel.Limiter), how many worlds
 // and results stay warm, and how long one run may take. The zero value
-// of any field falls back to the listed default.
+// of any field falls back to the listed default, and hobbitd's flags take
+// their defaults from withDefaults.
 type serverConfig struct {
 	// DefaultWorld fills the blocks/scale a submission omits.
 	DefaultWorld api.WorldSpecV1
@@ -49,9 +48,9 @@ type serverConfig struct {
 	RunTimeout time.Duration
 	MaxTimeout time.Duration
 	// ProgressEvery thins the SSE progress stream to every Nth block
-	// (plus each stage's first and last); 0 keeps every event. It bounds
-	// SSE volume, not memory: a retained event costs about 10 bytes of
-	// the session's event log.
+	// (plus each stage's first and last); 0 or less keeps every event.
+	// It bounds SSE volume, not memory: a retained event costs about 10
+	// bytes of the session's event log.
 	ProgressEvery int
 	// Now is the clock (tests inject a fake; main passes time.Now).
 	Now func() time.Time
@@ -84,6 +83,9 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 30 * time.Minute
+	}
+	if c.ProgressEvery < 0 {
+		c.ProgressEvery = 0
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -342,7 +344,7 @@ func (s *server) admit(req api.SubmitRequestV1, key string) (*session, error) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("c-%d", s.nextID)
-	sess := newSession(id, req.World, req.Options, key, req.MonitorEpochs, s.nowMS())
+	sess := newSession(id, req, key, s.nowMS())
 	sess.events.every = s.cfg.ProgressEvery
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
@@ -363,12 +365,12 @@ func (s *server) runSession(ctx context.Context, sess *session) {
 	sess.setRunning(s.nowMS())
 
 	var world *netsim.World
-	if sess.monitorEpochs > 0 {
+	var err error
+	if sess.req.MonitorEpochs > 0 {
 		// A monitoring session advances the world's fault epoch as it
 		// steps — mutable state no concurrent session may observe — so it
 		// builds a private world instead of borrowing from the pool.
-		var err error
-		world, err = buildWorld(keyOf(sess.world))
+		world, err = sess.req.World.World()
 		if err != nil {
 			s.finishErr(sess, err)
 			return
@@ -376,8 +378,7 @@ func (s *server) runSession(ctx context.Context, sess *session) {
 		s.reg.Counter("serve.monitor_worlds_built").Inc()
 	} else {
 		var release func()
-		var err error
-		world, release, err = s.worlds.acquire(ctx, keyOf(sess.world))
+		world, release, err = s.worlds.acquire(ctx, sess.req.World)
 		if err != nil {
 			s.finishErr(sess, err)
 			return
@@ -385,49 +386,26 @@ func (s *server) runSession(ctx context.Context, sess *session) {
 		defer release()
 	}
 
-	net := probe.Instrument(probe.NewSimNetwork(world), sess.reg, core.StageMeasure)
-	p := &core.Pipeline{
-		Net:       net,
-		Scanner:   world,
-		Blocks:    world.Blocks(),
-		Seed:      sess.world.Seed,
-		Options:   sess.opts,
+	c, err := sess.req.Run(ctx, world, core.Pipeline{
 		Telemetry: sess.reg,
 		Progress:  telemetry.SinkFunc(sess.events.append),
+	})
+	if err != nil {
+		s.finishErr(sess, err)
+		return
 	}
-	var out *core.Output
-	var monSum *api.MonitorSummaryV1
-	if sess.monitorEpochs > 0 {
-		mon := &monitor.Monitor{Pipeline: p, Source: &monitor.WorldSource{W: world}}
-		defer mon.Close()
-		reps, err := mon.Run(ctx, sess.monitorEpochs+1)
-		if err != nil {
-			s.finishErr(sess, err)
-			return
-		}
-		s.reg.Counter("serve.monitor_epochs").Add(int64(len(reps)))
-		monSum = api.BuildMonitorSummaryV1(reps)
-		out = reps[len(reps)-1].Output
-	} else {
-		var err error
-		out, err = p.Run(ctx)
-		if err != nil {
-			s.finishErr(sess, err)
-			return
-		}
+	if sess.req.MonitorEpochs > 0 {
+		s.reg.Counter("serve.monitor_epochs").Add(int64(len(c.Reports)))
 	}
-
-	summary := api.BuildRunSummaryV1(len(world.Blocks()), sess.world.FaultPlan, out, net, sess.reg)
-	summary.Monitor = monSum
 	var buf bytes.Buffer
-	if err := api.EncodeRunSummaryV1(&buf, summary); err != nil {
+	if err := api.EncodeRunSummaryV1(&buf, c.Summary); err != nil {
 		s.finishErr(sess, err)
 		return
 	}
 	s.cache.put(sess.cacheKey, buf.Bytes())
 	s.reg.Counter("serve.campaigns_completed").Inc()
-	s.reg.Counter("serve.probes_total").Add(net.Probes())
-	s.reg.Counter("serve.pings_total").Add(net.Pings())
+	s.reg.Counter("serve.probes_total").Add(c.Summary.Probes)
+	s.reg.Counter("serve.pings_total").Add(c.Summary.Pings)
 	sess.finish(api.StateDone, buf.Bytes(), "", s.nowMS())
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/api"
-	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
@@ -16,15 +15,13 @@ import (
 // terminal state, so waiters (result?wait=1, the load test) can block
 // without polling.
 type session struct {
-	id       string
-	world    api.WorldSpecV1
-	opts     core.Options
+	id string
+	// req is the normalized submission. MonitorEpochs > 0 makes this a
+	// monitoring session: the runner bootstraps, then steps the fault
+	// epoch that many times on a private world (the monitor mutates the
+	// world's fault epoch, so it never shares a pooled one).
+	req      api.SubmitRequestV1
 	cacheKey string
-	// monitorEpochs > 0 makes this a monitoring session: the runner
-	// bootstraps, then steps the fault epoch this many times on a private
-	// world (the monitor mutates the world's fault epoch, so it never
-	// shares a pooled one).
-	monitorEpochs int
 
 	events *eventLog
 	// reg is the session-scoped telemetry registry
@@ -44,18 +41,16 @@ type session struct {
 	errMsg   string
 }
 
-func newSession(id string, world api.WorldSpecV1, opts core.Options, key string, monitorEpochs int, createdMS int64) *session {
+func newSession(id string, req api.SubmitRequestV1, key string, createdMS int64) *session {
 	return &session{
-		id:            id,
-		world:         world,
-		opts:          opts,
-		cacheKey:      key,
-		monitorEpochs: monitorEpochs,
-		events:        newEventLog(),
-		reg:           telemetry.NewRegistry(),
-		done:          make(chan struct{}),
-		state:         api.StateQueued,
-		created:       createdMS,
+		id:       id,
+		req:      req,
+		cacheKey: key,
+		events:   newEventLog(),
+		reg:      telemetry.NewRegistry(),
+		done:     make(chan struct{}),
+		state:    api.StateQueued,
+		created:  createdMS,
 	}
 }
 
@@ -67,8 +62,8 @@ func (s *session) view() api.SessionV1 {
 		ID:             s.id,
 		State:          s.state,
 		CacheHit:       s.cacheHit,
-		World:          s.world,
-		Options:        s.opts,
+		World:          s.req.World,
+		Options:        s.req.Options,
 		CreatedUnixMS:  s.created,
 		StartedUnixMS:  s.started,
 		FinishedUnixMS: s.finished,

@@ -2,45 +2,18 @@ package main
 
 import (
 	"context"
-	"fmt"
-
 	"sync"
 
 	"github.com/hobbitscan/hobbit/internal/api"
-	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
-
-// worldKey identifies one immutable world configuration. Fault plan and
-// epoch are part of the key, not mutable state: netsim.World.SetFaults
-// and SetEpoch are not safe to flip under live probing, so the pool
-// builds a separate world per adversity view and every session sharing a
-// key probes an identical, frozen surface — the property the determinism
-// contract (and the result cache) rests on.
-type worldKey struct {
-	blocks    int
-	scale     float64
-	seed      uint64
-	faultPlan string
-	epoch     int
-}
-
-func keyOf(spec api.WorldSpecV1) worldKey {
-	return worldKey{
-		blocks:    spec.Blocks,
-		scale:     spec.Scale,
-		seed:      spec.Seed,
-		faultPlan: spec.FaultPlan,
-		epoch:     spec.Epoch,
-	}
-}
 
 // worldEntry is one pooled world. ready closes when the build finishes
 // (successfully or not); refs counts sessions currently probing it, so
 // eviction never tears a world out from under a run.
 type worldEntry struct {
-	key     worldKey
+	key     api.WorldSpecV1
 	ready   chan struct{}
 	world   *netsim.World
 	err     error
@@ -53,26 +26,33 @@ type worldEntry struct {
 // the reason the daemon exists), so concurrent requests for the same key
 // share one build: the first acquirer constructs while later ones wait on
 // ready.
+//
+// The pool keys on the whole world spec. Fault plan and epoch are part of
+// the key, not mutable state: netsim.World.SetFaults and SetEpoch are not
+// safe to flip under live probing, so the pool builds a separate world
+// per adversity view and every session sharing a key probes an
+// identical, frozen surface — the property the determinism contract (and
+// the result cache) rests on.
 type worldPool struct {
 	max int
 	reg *telemetry.Registry
 
 	mu      sync.Mutex
 	seq     int64
-	entries map[worldKey]*worldEntry
+	entries map[api.WorldSpecV1]*worldEntry
 }
 
 func newWorldPool(max int, reg *telemetry.Registry) *worldPool {
 	if max < 1 {
 		max = 1
 	}
-	return &worldPool{max: max, reg: reg, entries: make(map[worldKey]*worldEntry)}
+	return &worldPool{max: max, reg: reg, entries: make(map[api.WorldSpecV1]*worldEntry)}
 }
 
 // acquire returns the world for key, building it on first use, and a
 // release func the caller must invoke when its run no longer touches the
 // world. Waiting on another goroutine's in-flight build honors ctx.
-func (p *worldPool) acquire(ctx context.Context, key worldKey) (*netsim.World, func(), error) {
+func (p *worldPool) acquire(ctx context.Context, key api.WorldSpecV1) (*netsim.World, func(), error) {
 	p.mu.Lock()
 	e, ok := p.entries[key]
 	if ok {
@@ -100,7 +80,7 @@ func (p *worldPool) acquire(ctx context.Context, key worldKey) (*netsim.World, f
 	p.evictLocked()
 	p.mu.Unlock()
 
-	e.world, e.err = buildWorld(key)
+	e.world, e.err = key.World()
 	close(e.ready)
 	if e.err != nil {
 		// A failed build must not poison the key: drop the entry so a
@@ -142,28 +122,4 @@ func (p *worldPool) evictLocked() {
 		delete(p.entries, victim.key)
 		p.reg.Counter("serve.worlds_evicted").Inc()
 	}
-}
-
-// buildWorld constructs the immutable world a key names: the synthetic
-// universe, plus the compiled fault schedule and the epoch pinned at
-// build time.
-func buildWorld(key worldKey) (*netsim.World, error) {
-	cfg := netsim.DefaultConfig(key.blocks)
-	cfg.BigBlockScale = key.scale
-	cfg.Seed = key.seed
-	w, err := netsim.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("building world: %w", err)
-	}
-	if key.faultPlan != "" {
-		sched, err := faultplan.CompileBuiltin(key.faultPlan, w)
-		if err != nil {
-			return nil, err
-		}
-		w.SetFaults(sched)
-	}
-	if key.epoch != 0 {
-		w.SetEpoch(key.epoch)
-	}
-	return w, nil
 }

@@ -10,9 +10,11 @@
 // golden files under testdata/ pin the v1 byte format, so an accidental
 // break fails the tier-1 gate instead of a client.
 //
-// Both consumers of these types — the hobbitd daemon and cmd/hobbit
-// -json — marshal through this package, so a summary produced by the CLI
-// is byte-for-byte the summary the service caches and serves.
+// The package is also the one campaign path both front ends share:
+// hobbitd and cmd/hobbit build worlds with WorldSpecV1.World and run
+// campaigns with SubmitRequestV1.Run, so the summary cmd/hobbit -json
+// prints for a request is the one the service caches and serves for it,
+// up to span durations (wall-clock).
 package api
 
 import (

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/hobbitscan/hobbit/internal/api"
 	"github.com/hobbitscan/hobbit/internal/core"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
@@ -49,7 +50,7 @@ func (c LabConfig) withDefaults() LabConfig {
 		c.BigBlockScale = 0.05
 	}
 	if c.Seed == 0 {
-		c.Seed = 0x40bb17
+		c.Seed = netsim.DefaultSeed
 	}
 	return c
 }
@@ -57,10 +58,7 @@ func (c LabConfig) withDefaults() LabConfig {
 // NewLab builds a laboratory world.
 func NewLab(cfg LabConfig) (*Lab, error) {
 	cfg = cfg.withDefaults()
-	wcfg := netsim.DefaultConfig(cfg.NumBlocks)
-	wcfg.BigBlockScale = cfg.BigBlockScale
-	wcfg.Seed = cfg.Seed
-	w, err := netsim.New(wcfg)
+	w, err := api.WorldSpecV1{Blocks: cfg.NumBlocks, Scale: cfg.BigBlockScale, Seed: cfg.Seed}.World()
 	if err != nil {
 		return nil, err
 	}

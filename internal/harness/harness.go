@@ -10,8 +10,8 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/hobbitscan/hobbit/internal/api"
 	"github.com/hobbitscan/hobbit/internal/core"
-	"github.com/hobbitscan/hobbit/internal/faultplan"
 	"github.com/hobbitscan/hobbit/internal/netsim"
 	"github.com/hobbitscan/hobbit/internal/probe"
 )
@@ -134,18 +134,16 @@ func Run(sc Scenario, opt Options) (*Report, *core.Output, error) {
 // built-in fault plan installed and the epoch set, and the pipeline that
 // measures it.
 func scenario(plan string, opt Options) (*netsim.World, *core.Pipeline, error) {
-	cfg := netsim.DefaultConfig(opt.Blocks)
-	cfg.BigBlockScale = opt.BigBlockScale
-	w, err := netsim.New(cfg)
+	w, err := api.WorldSpecV1{
+		Blocks:    opt.Blocks,
+		Scale:     opt.BigBlockScale,
+		Seed:      netsim.DefaultSeed,
+		FaultPlan: plan,
+		Epoch:     opt.Epoch,
+	}.World()
 	if err != nil {
 		return nil, nil, err
 	}
-	sched, err := faultplan.CompileBuiltin(plan, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	w.SetFaults(sched)
-	w.SetEpoch(opt.Epoch)
 	return w, &core.Pipeline{
 		Net:     probe.NewSimNetwork(w),
 		Scanner: w,

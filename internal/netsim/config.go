@@ -211,11 +211,15 @@ type Config struct {
 	HeteroCompWeights  []float64
 }
 
+// DefaultSeed is the world seed DefaultConfig starts from, and the
+// default -seed of the command-line tools.
+const DefaultSeed = 0x40bb17
+
 // DefaultConfig returns the configuration tuned to the paper's measured
 // shapes at the given universe size.
 func DefaultConfig(numBlocks int) Config {
 	return Config{
-		Seed:          0x40bb17,
+		Seed:          DefaultSeed,
 		NumBlocks:     numBlocks,
 		BigBlockScale: 1.0,
 

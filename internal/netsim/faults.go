@@ -66,6 +66,9 @@ func (w *World) SetFaults(f FaultView) {
 	w.faults = f
 }
 
+// Faults returns the installed fault plan (nil for a clean world).
+func (w *World) Faults() FaultView { return w.faults }
+
 // faultBlackholed reports whether dst sits behind a withdrawn route
 // entry this epoch.
 //

@@ -79,7 +79,7 @@ func Bool(p float64, seed uint64, keys ...uint64) bool { return fold(seed, keys)
 // standard deviation, via the Box-Muller transform over two derived
 // uniforms.
 func Norm(mean, stddev float64, seed uint64, keys ...uint64) float64 {
-	base := Mix(seed, keys...)
+	base := fold(seed, keys).Sum()
 	u1 := float64(splitmix(base)>>11) / (1 << 53)
 	u2 := float64(splitmix(base+1)>>11) / (1 << 53)
 	if u1 < 1e-300 {
@@ -91,7 +91,7 @@ func Norm(mean, stddev float64, seed uint64, keys ...uint64) float64 {
 
 // Exp returns a draw from an exponential distribution with the given mean.
 func Exp(mean float64, seed uint64, keys ...uint64) float64 {
-	u := Float64(seed, keys...)
+	u := fold(seed, keys).Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
@@ -108,7 +108,7 @@ func WeightedChoice(weights []float64, seed uint64, keys ...uint64) int {
 	if len(weights) == 0 || total <= 0 {
 		panic("rng: WeightedChoice with empty or zero weights")
 	}
-	target := Float64(seed, keys...) * total
+	target := fold(seed, keys).Float64() * total
 	for i, w := range weights {
 		target -= w
 		if target < 0 {
