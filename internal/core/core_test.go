@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +169,23 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// cancelAfter is a probe.Network that cancels a run's context when the
+// n-th probe goes out. The trigger sits on the probing side, so no /24
+// is handed out after it however far the campaign's workers may run
+// ahead of the emitted prefix.
+type cancelAfter struct {
+	probe.Network
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Network.Probe(dst, ttl, flowID, salt)
+}
+
 // TestPipelineMidCampaignCancellation cancels a run from inside its
 // campaign: Run returns the partial artifacts with context.Canceled, and
 // neither that run nor a completed one leaves a goroutine behind.
@@ -181,13 +199,11 @@ func TestPipelineMidCampaignCancellation(t *testing.T) {
 	waitGoroutines(t, base, "completed run")
 	p.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	// Cancel from inside the campaign, after a handful of blocks.
-	p.Progress = telemetry.SinkFunc(func(ev telemetry.ProgressEvent) {
-		if n++; n == 5 {
-			cancel()
-		}
-	})
+	defer cancel()
+	// Cancel from inside the campaign, after a few hundred probes.
+	net := &cancelAfter{Network: p.Net, cancel: cancel}
+	net.left.Store(300)
+	p.Net = net
 	base = runtime.NumGoroutine()
 	out, err := p.Run(ctx)
 	if err != context.Canceled {

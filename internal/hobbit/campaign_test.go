@@ -537,6 +537,23 @@ func (c *callCounter) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32
 
 func (c *callCounter) Observe(s probe.Signal) { c.signals[s].Add(1) }
 
+// cancelAfter is a probe.Network that cancels its campaign's context
+// when the n-th probe goes out. The trigger sits on the probing side, so
+// no /24 is handed out after it however far the workers may run ahead
+// of the emitted prefix.
+type cancelAfter struct {
+	probe.Network
+	left   atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Network.Probe(dst, ttl, flowID, salt)
+}
+
 func TestCampaignCancellation(t *testing.T) {
 	_, c, eligible := campaignWorld(t, 400)
 	if len(eligible) < 20 {
@@ -544,12 +561,10 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	c.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
-	done := 0
-	c.Progress = telemetry.SinkFunc(func(telemetry.ProgressEvent) {
-		if done++; done == 3 {
-			cancel()
-		}
-	})
+	defer cancel()
+	net := &cancelAfter{Network: c.Measurer.Net, cancel: cancel}
+	net.left.Store(300)
+	c.Measurer.Net = net
 	res, err := c.Run(ctx, eligible)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -19,6 +19,19 @@ type FeedItem struct {
 	By26  [4][]iputil.Addr
 }
 
+// reorderDepth is how many blocks per worker RunFeed lets finish past
+// the oldest one not yet emitted. Work per /24 is uneven by design (a
+// /24 stops at six responders behind one last hop, while a hierarchical
+// one is probed much further), and a worker that reaches the end of the
+// window waits for the slow block. Process CPU over wall time of a
+// clean-100k-shaped Pipeline.Run (100,000 /24s, scale 0.05) on a 2-CPU
+// host, median of 5 rounds at seeds 7 and 11, read 1.76 at 4 per
+// worker, 1.91–1.92 at 32, 1.92–1.93 at 64, 1.93–1.94 at 128 and 1.95
+// at 256. Every slot costs about 17 bytes per RunFeed call, and 256 per
+// worker would take BenchmarkCampaign/workers-8 past its 20% B/op gate,
+// so 128 is the deepest window on the plateau that stays inside it.
+const reorderDepth = 128
+
 // RunStream is RunFeed over a channel: it measures the blocks feed
 // carries until feed closes or ctx is done.
 func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink func(*BlockResult)) (*Result, error) {
@@ -39,9 +52,11 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 // list therefore produces that list's exact Result, and a sink consuming
 // results incrementally (the pipeline's aggregation) sees them in
 // campaign order (TestRunStreamMatchesRun pins this). next runs on the
-// pool's workers, one call at a time, and at most 4×Workers blocks are
-// in flight past the emitted prefix, so a single slow block stalls the
-// feed rather than buffering the campaign.
+// pool's workers, one call at a time. Workers may finish up to
+// reorderDepth×Workers blocks past the oldest unemitted one: deep enough
+// that one slow block does not park the other workers
+// (TestRunFeedWorkConserving), and bounded, so a stalled block or sink
+// stalls the feed rather than buffering the campaign.
 //
 // known, when the caller knows it up front, is the progress events'
 // Total. With known 0 they carry Total 0 until next has run out and the
@@ -104,7 +119,7 @@ func (c *Campaign) RunFeed(ctx context.Context, next func() (FeedItem, bool), kn
 	if c.Progress != nil {
 		classes = make(map[string]int)
 	}
-	err := parallel.Ordered(ctx, workers, 4*workers, feed, measure, func(br *BlockResult) {
+	err := parallel.Ordered(ctx, workers, reorderDepth*workers, feed, measure, func(br *BlockResult) {
 		res.Blocks[br.Block] = br
 		res.Order = append(res.Order, br.Block)
 		if sink != nil {

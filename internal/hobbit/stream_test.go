@@ -3,9 +3,12 @@ package hobbit
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/hobbitscan/hobbit/internal/iputil"
+	"github.com/hobbitscan/hobbit/internal/probe"
 	"github.com/hobbitscan/hobbit/internal/telemetry"
 )
 
@@ -162,5 +165,93 @@ func TestRunStreamEmptyFeed(t *testing.T) {
 	}
 	if len(res.Blocks) != 0 || len(res.Order) != 0 {
 		t.Fatalf("empty feed produced %d blocks", len(res.Blocks))
+	}
+}
+
+// holdBlock is a probe.Network that holds every packet toward one /24
+// until packets toward want other /24s have started, or until the
+// deadline releases it.
+type holdBlock struct {
+	probe.Network
+	held iputil.Block24
+	want int
+
+	mu       sync.Mutex
+	started  map[iputil.Block24]bool
+	released bool
+	// timedOut is set when the deadline released the hold, and atTimeout
+	// is how many other /24s had started by then.
+	timedOut  bool
+	atTimeout int
+	release   chan struct{}
+}
+
+func (h *holdBlock) send(dst iputil.Addr) {
+	b := dst.Block24()
+	if b == h.held {
+		<-h.release
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.started[b] = true
+	if len(h.started) >= h.want {
+		h.open(false)
+	}
+}
+
+// open releases the hold once; h.mu must be held.
+func (h *holdBlock) open(deadline bool) {
+	if h.released {
+		return
+	}
+	h.released, h.timedOut, h.atTimeout = true, deadline, len(h.started)
+	close(h.release)
+}
+
+func (h *holdBlock) Ping(dst iputil.Addr, seq int) (probe.PingResult, bool) {
+	h.send(dst)
+	return h.Network.Ping(dst, seq)
+}
+
+func (h *holdBlock) Probe(dst iputil.Addr, ttl int, flowID uint16, salt uint32) probe.Result {
+	h.send(dst)
+	return h.Network.Probe(dst, ttl, flowID, salt)
+}
+
+// TestRunFeedWorkConserving: a slow /24 does not park the other worker.
+// With two workers, every packet toward the first eligible /24 waits
+// until packets toward 64 later /24s have gone out. A reorder window
+// that stops the free worker short of that stalls the campaign until
+// the deadline releases the hold, and the test fails.
+func TestRunFeedWorkConserving(t *testing.T) {
+	const later = 64
+	_, c, eligible := campaignWorld(t, 400)
+	if len(eligible) <= later {
+		t.Fatalf("only %d eligible blocks", len(eligible))
+	}
+	h := &holdBlock{
+		Network: c.Measurer.Net, held: eligible[0], want: later,
+		started: make(map[iputil.Block24]bool), release: make(chan struct{}),
+	}
+	c.Measurer.Net = h
+	c.Workers = 2
+	deadline := time.AfterFunc(3*time.Second, func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.open(true)
+	})
+	defer deadline.Stop()
+	res, err := c.Run(context.Background(), eligible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Order) != len(eligible) {
+		t.Fatalf("measured %d of %d eligible blocks", len(res.Order), len(eligible))
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.timedOut {
+		t.Fatalf("started only %d of %d later blocks while the first was held", h.atTimeout, later)
 	}
 }

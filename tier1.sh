@@ -15,6 +15,12 @@
 #   warmed by an earlier test, say) surfaces as a flake here instead of
 #   an ordering accident that only breaks when someone adds a test —
 #   the seed is printed on failure for reproduction with -shuffle=SEED;
+# - the tests whose outcome rests on goroutine scheduling (cancellation,
+#   the ordered pool's window and emit order, the campaign's work
+#   conservation) then run twenty times more under -race: one pass
+#   cannot show a test that holds only under the scheduling it happened
+#   to get, as two cancellation tests once held only because the
+#   campaign's reorder window was narrow;
 # - the allocation budgets then run in a second, non-race leg: the race
 #   detector instruments allocation sites, so every AllocsPerRun test
 #   sits in a //go:build !race file that the -race leg compiles out.
@@ -53,6 +59,8 @@ go vet ./...
 go build ./...
 go run ./cmd/hobbitlint ./...
 go test -race -count=1 -shuffle=on ./...
+go test -race -count=20 -run 'Cancel|Ordered|WorkConserving' \
+    ./internal/parallel ./internal/hobbit ./internal/core ./internal/monitor ./internal/zmap ./internal/api
 go test -count=1 -run 'Alloc' ./...
 (cd cmd/hobbitbench && go vet ./... && go test -count=1 ./...)
 
