@@ -5,8 +5,9 @@
 package aggregate
 
 import (
-	"strconv"
-	"strings"
+	"cmp"
+	"encoding/binary"
+	"slices"
 
 	"github.com/hobbitscan/hobbit/internal/hobbit"
 	"github.com/hobbitscan/hobbit/internal/iputil"
@@ -30,17 +31,20 @@ func (b *Block) Size() int { return len(b.Blocks24) }
 // Key canonicalizes a sorted last-hop set for identity comparison: two
 // sets are identical iff their sizes match and every member of one is in
 // the other (footnote 9 of the paper), which for sorted sets is string
-// equality of this encoding.
+// equality of this encoding, each hop's four bytes in order. Keys are
+// only ever compared and hashed, never written to an output.
 func Key(lastHops []iputil.Addr) string {
-	var sb strings.Builder
-	sb.Grow(len(lastHops) * 9)
-	for i, a := range lastHops {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatUint(uint64(a), 16))
+	return string(AppendKey(make([]byte, 0, 4*len(lastHops)), lastHops))
+}
+
+// AppendKey appends lastHops' Key encoding to dst and returns the
+// extended buffer, so a caller that only looks a set up can reuse one
+// buffer instead of allocating a key string.
+func AppendKey(dst []byte, lastHops []iputil.Addr) []byte {
+	for _, a := range lastHops {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(a))
 	}
-	return sb.String()
+	return dst
 }
 
 // Identical aggregates measurement results by identical last-hop sets.
@@ -71,15 +75,45 @@ func IdenticalInterned(results []*hobbit.BlockResult, in *Interner) []*Block {
 // lets the streaming pipeline aggregate against the measurement campaign
 // without a barrier and still stay byte-identical to a one-shot
 // aggregation of the finished campaign.
+//
+// A Builder can instead be carried from one campaign to the next, as the
+// monitor carries it across epochs: Move files each /24 under its
+// campaign position and re-files it when its set changes, and Snapshot
+// returns the aggregation as it stands, in the order Finish would give
+// the same results fed in position order. One Builder is driven either
+// by Add and Finish or by Move and Snapshot, never both.
 type Builder struct {
 	in    *Interner
-	byKey map[string]*Block
-	order []*Block
+	byKey map[string]*group
+	// order is first-seen order. Under Move it is kept sorted by each
+	// group's first position as of the last Snapshot, and moved lists
+	// the groups created, emptied or given a new first position since;
+	// spare is the backing array the next Snapshot rebuilds order in.
+	order []*group
+	moved []*group
+	spare []*group
+	buf   []byte
+}
+
+// group is one aggregate under construction. Under Move it also keeps
+// each member's campaign position and whether a Snapshot block shares
+// its member list.
+type group struct {
+	Block
+	key string // the interned Key of LastHops
+	// pos[i] is Blocks24[i]'s campaign position, and first the smallest.
+	pos   []int32
+	first int32
+	// shared is set once a Snapshot block holds Blocks24: the next write
+	// copies it first, so earlier snapshots never see later epochs.
+	shared bool
+	// queued marks a group already in moved.
+	queued bool
 }
 
 // NewBuilder returns an empty builder drawing last-hop storage from in.
 func NewBuilder(in *Interner) *Builder {
-	return &Builder{in: in, byKey: make(map[string]*Block)}
+	return &Builder{in: in, byKey: make(map[string]*group)}
 }
 
 // Add folds one measurement result into the aggregation. Results with
@@ -94,26 +128,159 @@ func (bd *Builder) Add(r *hobbit.BlockResult) (*Block, bool) {
 	if len(r.LastHops) == 0 {
 		return nil, false
 	}
-	set, k := bd.in.Intern(r.LastHops)
-	blk, ok := bd.byKey[k]
-	if !ok {
-		blk = &Block{LastHops: set}
-		bd.byKey[k] = blk
-		bd.order = append(bd.order, blk)
+	g, isNew := bd.group(r.LastHops)
+	if isNew {
+		bd.order = append(bd.order, g)
 	}
-	blk.Blocks24 = append(blk.Blocks24, r.Block)
-	return blk, !ok
+	g.Blocks24 = append(g.Blocks24, r.Block)
+	return &g.Block, isNew
+}
+
+// group returns the group of the non-empty set, creating it if needed.
+func (bd *Builder) group(set []iputil.Addr) (*group, bool) {
+	set, k := bd.in.Intern(set)
+	if g, ok := bd.byKey[k]; ok {
+		return g, false
+	}
+	g := &group{Block: Block{LastHops: set}, key: k}
+	bd.byKey[k] = g
+	return g, true
 }
 
 // Finish sorts every block's member list, assigns dense IDs in
 // first-seen order, and returns the aggregated blocks. The builder must
 // not be used after Finish.
 func (bd *Builder) Finish() []*Block {
-	for i, b := range bd.order {
-		iputil.SortBlocks(b.Blocks24)
-		b.ID = i
+	out := make([]*Block, len(bd.order))
+	for i, g := range bd.order {
+		iputil.SortBlocks(g.Blocks24)
+		g.ID = i
+		out[i] = &g.Block
 	}
-	return bd.order
+	return out
+}
+
+// Move re-files the /24 b at campaign position pos: it leaves the
+// aggregate of set from and joins the aggregate of set to, where an
+// empty set means none (a /24 first filed passes from empty). Both sets
+// must be sorted, and from must be the set b was last filed under. Work
+// is proportional to the two aggregates' sizes, and a /24 whose set did
+// not change costs a comparison.
+func (bd *Builder) Move(pos int, b iputil.Block24, from, to []iputil.Addr) {
+	if slices.Equal(from, to) {
+		return
+	}
+	if len(from) > 0 {
+		bd.buf = AppendKey(bd.buf[:0], from)
+		bd.leave(bd.byKey[string(bd.buf)], b)
+	}
+	if len(to) > 0 {
+		g, isNew := bd.group(to)
+		bd.join(g, int32(pos), b, isNew)
+	}
+}
+
+// join adds b at position pos to g's sorted member list.
+func (bd *Builder) join(g *group, pos int32, b iputil.Block24, isNew bool) {
+	g.own()
+	i, _ := slices.BinarySearch(g.Blocks24, b)
+	g.Blocks24 = slices.Insert(g.Blocks24, i, b)
+	g.pos = slices.Insert(g.pos, i, pos)
+	if isNew || pos < g.first {
+		g.first = pos
+		bd.queue(g)
+	}
+}
+
+// leave removes b from g's sorted member list; a group left empty is
+// dropped, along with its interned set.
+func (bd *Builder) leave(g *group, b iputil.Block24) {
+	g.own()
+	i, _ := slices.BinarySearch(g.Blocks24, b)
+	pos := g.pos[i]
+	g.Blocks24 = slices.Delete(g.Blocks24, i, i+1)
+	g.pos = slices.Delete(g.pos, i, i+1)
+	switch {
+	case len(g.pos) == 0:
+		// The set leaves the interner too, so sets that churn away do
+		// not accumulate; a later return interns it afresh.
+		delete(bd.byKey, g.key)
+		delete(bd.in.byKey, g.key)
+		bd.queue(g)
+	case pos == g.first:
+		g.first = slices.Min(g.pos)
+		bd.queue(g)
+	}
+}
+
+// own makes g's member list private before a write.
+func (g *group) own() {
+	if g.shared {
+		g.Blocks24 = append(make([]iputil.Block24, 0, len(g.Blocks24)+1), g.Blocks24...)
+		g.shared = false
+	}
+}
+
+func (bd *Builder) queue(g *group) {
+	if !g.queued {
+		g.queued = true
+		bd.moved = append(bd.moved, g)
+	}
+}
+
+// Snapshot returns the aggregation Move has built: fresh blocks, ordered
+// by each aggregate's first position, with dense IDs, sorted member
+// lists and interned sets. The blocks are the caller's: a later Move
+// never writes them or their member lists, so an earlier Snapshot stays
+// as it was. Work is one pass over the aggregates plus a sort of those
+// moved since the last Snapshot.
+func (bd *Builder) Snapshot() []*Block {
+	if len(bd.moved) > 0 {
+		live := bd.moved[:0]
+		for _, g := range bd.moved {
+			if len(g.pos) > 0 {
+				live = append(live, g)
+			}
+		}
+		slices.SortFunc(live, func(a, b *group) int { return cmp.Compare(a.first, b.first) })
+		// The groups that did not move kept their first positions, so
+		// order without the moved ones is still sorted: merge them in.
+		ins, order := live, bd.spare[:0]
+		for _, g := range bd.order {
+			if g.queued {
+				continue
+			}
+			for len(ins) > 0 && ins[0].first < g.first {
+				order = append(order, ins[0])
+				ins = ins[1:]
+			}
+			order = append(order, g)
+		}
+		order = append(order, ins...)
+		for _, g := range live {
+			g.queued = false
+		}
+		clear(bd.moved)
+		bd.moved = bd.moved[:0]
+		bd.order, bd.spare = order, bd.order
+	}
+	// Sets that only the interner's other users added (the merged sets
+	// of validation) have no group to drop them: once the interner
+	// holds twice the live sets, it keeps only those.
+	if bd.in.Len() > 2*len(bd.order) {
+		clear(bd.in.byKey)
+		for _, g := range bd.order {
+			bd.in.byKey[g.key] = internEnt{set: g.LastHops, key: g.key}
+		}
+	}
+	blocks := make([]Block, len(bd.order))
+	out := make([]*Block, len(bd.order))
+	for i, g := range bd.order {
+		g.shared = true
+		blocks[i] = Block{ID: i, Blocks24: g.Blocks24, LastHops: g.LastHops}
+		out[i] = &blocks[i]
+	}
+	return out
 }
 
 // SizeHistogram tallies aggregate sizes in /24s — the series of Figure 5.

@@ -16,6 +16,7 @@ import (
 // through its serial aggregation and merge steps.
 type Interner struct {
 	byKey map[string]internEnt
+	buf   []byte
 }
 
 type internEnt struct {
@@ -30,15 +31,16 @@ func NewInterner() *Interner {
 
 // Intern returns the canonical slice and Key for the given sorted last-hop
 // set. The first caller to present a set pays one copy; every later caller
-// with an equal set gets the same backing slice and the same key string.
+// with an equal set gets the same backing slice and the same key string,
+// and allocates nothing: the lookup encodes the key into a reused buffer.
 // The input slice is not retained.
 func (in *Interner) Intern(set []iputil.Addr) ([]iputil.Addr, string) {
-	k := Key(set)
-	if e, ok := in.byKey[k]; ok {
+	in.buf = AppendKey(in.buf[:0], set)
+	if e, ok := in.byKey[string(in.buf)]; ok {
 		return e.set, e.key
 	}
-	e := internEnt{set: append([]iputil.Addr(nil), set...), key: k}
-	in.byKey[k] = e
+	e := internEnt{set: append([]iputil.Addr(nil), set...), key: string(in.buf)}
+	in.byKey[e.key] = e
 	return e.set, e.key
 }
 

@@ -316,6 +316,13 @@ func (p *Pipeline) Run(ctx context.Context) (*Output, error) {
 // both the aggregation and the post-validation merge, so every block
 // that shares a last-hop set — before and after cluster merging — shares
 // one canonical slice.
+//
+// Run folds each result once with Add and seals the aggregation with
+// Finish. The monitor instead carries one Aggregation across epochs:
+// Replace files each /24 under its campaign position and re-files the
+// /24s whose result changed, at a cost proportional to the aggregates
+// they leave and join, and Snapshot returns each epoch's aggregates in
+// one pass over them.
 type Aggregation struct {
 	interner *aggregate.Interner
 	builder  *aggregate.Builder
@@ -346,6 +353,35 @@ func (a *Aggregation) Add(br *hobbit.BlockResult) {
 // counters.
 func (a *Aggregation) Finish(out *Output, reg *telemetry.Registry) {
 	out.Aggregates = a.builder.Finish()
+	a.count(out, reg)
+}
+
+// Replace re-files the /24 at campaign position pos under its new result
+// br, given the result it was last filed under (nil for none). A /24
+// whose verdict and last-hop set did not change costs a comparison.
+func (a *Aggregation) Replace(pos int, old, br *hobbit.BlockResult) {
+	var from, to []iputil.Addr
+	if old != nil && old.Class.Homogeneous() {
+		a.kept--
+		from = old.LastHops
+	}
+	if br.Class.Homogeneous() {
+		a.kept++
+		to = br.LastHops
+	}
+	a.builder.Move(pos, br.Block, from, to)
+}
+
+// Snapshot stores the aggregates Replace has filed in out, as blocks of
+// their own that later Replace calls leave untouched, and bumps the
+// "aggregate.…" counters as Finish does. Out then holds exactly what
+// Finish would give after Adding the same results in position order.
+func (a *Aggregation) Snapshot(out *Output, reg *telemetry.Registry) {
+	out.Aggregates = a.builder.Snapshot()
+	a.count(out, reg)
+}
+
+func (a *Aggregation) count(out *Output, reg *telemetry.Registry) {
 	reg.Counter("aggregate.homogeneous_in").Add(int64(a.kept))
 	reg.Counter("aggregate.blocks_out").Add(int64(len(out.Aggregates)))
 }

@@ -22,6 +22,13 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]Edge, n)}
 }
 
+// FromAdjacency returns the graph whose adjacency lists are adj, which it
+// adopts: adj[v] lists v's edges, and each undirected edge must appear in
+// both endpoints' lists with the same weight, as AddEdge puts it. A
+// builder that already knows every vertex's neighbors fills the lists in
+// one pass this way instead of growing them edge by edge.
+func FromAdjacency(adj [][]Edge) *Graph { return &Graph{adj: adj} }
+
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return len(g.adj) }
 

@@ -27,9 +27,9 @@ type FeedItem struct {
 // clean-100k-shaped Pipeline.Run (100,000 /24s, scale 0.05) on a 2-CPU
 // host, median of 5 rounds at seeds 7 and 11, read 1.76 at 4 per
 // worker, 1.91–1.92 at 32, 1.92–1.93 at 64, 1.93–1.94 at 128 and 1.95
-// at 256. Every slot costs about 17 bytes per RunFeed call, and 256 per
-// worker would take BenchmarkCampaign/workers-8 past its 20% B/op gate,
-// so 128 is the deepest window on the plateau that stays inside it.
+// at 256, so 128 is on the plateau. Every slot costs about 17 bytes,
+// allocated per RunFeed call, so a feed of known length gets no more
+// slots than it has blocks.
 const reorderDepth = 128
 
 // RunStream is RunFeed over a channel: it measures the blocks feed
@@ -53,10 +53,11 @@ func (c *Campaign) RunStream(ctx context.Context, feed <-chan FeedItem, sink fun
 // results incrementally (the pipeline's aggregation) sees them in
 // campaign order (TestRunStreamMatchesRun pins this). next runs on the
 // pool's workers, one call at a time. Workers may finish up to
-// reorderDepth×Workers blocks past the oldest unemitted one: deep enough
-// that one slow block does not park the other workers
-// (TestRunFeedWorkConserving), and bounded, so a stalled block or sink
-// stalls the feed rather than buffering the campaign.
+// reorderDepth×Workers blocks past the oldest unemitted one, or known
+// blocks when that is fewer: deep enough that one slow block does not
+// park the other workers (TestRunFeedWorkConserving), and bounded, so a
+// stalled block or sink stalls the feed rather than buffering the
+// campaign.
 //
 // known, when the caller knows it up front, is the progress events'
 // Total. With known 0 they carry Total 0 until next has run out and the
@@ -119,7 +120,11 @@ func (c *Campaign) RunFeed(ctx context.Context, next func() (FeedItem, bool), kn
 	if c.Progress != nil {
 		classes = make(map[string]int)
 	}
-	err := parallel.Ordered(ctx, workers, reorderDepth*workers, feed, measure, func(br *BlockResult) {
+	window := reorderDepth * workers
+	if known > 0 {
+		window = min(window, known)
+	}
+	err := parallel.Ordered(ctx, workers, window, feed, measure, func(br *BlockResult) {
 		res.Blocks[br.Block] = br
 		res.Order = append(res.Order, br.Block)
 		if sink != nil {

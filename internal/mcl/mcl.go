@@ -18,7 +18,7 @@ package mcl
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"github.com/hobbitscan/hobbit/internal/graph"
@@ -69,16 +69,21 @@ func (m *csr) reset() {
 }
 
 // engine holds one MCL run's state: the double-buffered flow matrix and
-// the expansion scratch, a dense accumulator plus the rows it touched.
-// Rounds run serially on the caller's goroutine: the similarity graph's
-// components stay small, and the clustering parallelizes across them
-// instead.
+// the expansion scratch, a dense accumulator plus a bitmap of the rows it
+// touched. Rounds run serially on the caller's goroutine: the similarity
+// graph's components stay small, and the clustering parallelizes across
+// them instead.
 type engine struct {
 	n        int
 	opts     Options
 	cur, nxt csr
 	scratch  []float64
-	touched  []int32
+	mark     []uint64
+	// fast reports whether pow may raise to the inflation by yi
+	// squarings times an exp-log of yf, math.Pow's own split of it.
+	fast bool
+	yi   int64
+	yf   float64
 }
 
 // newEngine builds the initial column-stochastic flow matrix with self
@@ -86,7 +91,20 @@ type engine struct {
 // plus neighbors sorted by row, duplicates merged, then normalized.
 func newEngine(g *graph.Graph, opts Options) *engine {
 	n := g.Len()
-	e := &engine{n: n, opts: opts, scratch: make([]float64, n), touched: make([]int32, 0, n)}
+	e := &engine{n: n, opts: opts, scratch: make([]float64, n), mark: make([]uint64, (n+63)/64)}
+	// math.Pow splits its exponent into an integer part, raised by
+	// repeated squaring, and a fraction in (-0.5, 0.5], raised through
+	// Exp and Log. For an inflation in (1, 5) the squarings of a flow
+	// value of at least 0x1p-200 stay in the normal range, where they
+	// round exactly as math.Pow's scaled mantissas do.
+	if r := opts.Inflation; 1 < r && r < 5 {
+		yi, yf := math.Modf(r)
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		e.fast, e.yi, e.yf = true, int64(yi), yf
+	}
 	e.cur.reset()
 	e.nxt.reset()
 
@@ -132,39 +150,48 @@ func newEngine(g *graph.Graph, opts Options) *engine {
 // entries is fixed by the CSR layout — identical to the original
 // expandColumn — and the inflation replays pow, sum, prune, and the two
 // normalizations in the original entry order, so the appended column is
-// bit-identical to the per-column implementation's.
+// bit-identical to the per-column implementation's. The expansion marks
+// the rows it touches in a bitmap, and the gather reads them back in
+// ascending order, bounded by the lowest and highest row touched.
 //
 //hobbit:hotpath
 func (e *engine) expandInflateColumn(j int) {
 	cur, dst := &e.cur, &e.nxt
-	touched := e.touched[:0]
-	scratch := e.scratch
+	scratch, mark := e.scratch, e.mark
+	lo, hi := int32(e.n), int32(-1)
 	for p := cur.ptr[j]; p < cur.ptr[j+1]; p++ {
 		i := cur.rows[p]
 		ev := cur.vals[p]
-		for q := cur.ptr[i]; q < cur.ptr[i+1]; q++ {
+		q0, q1 := cur.ptr[i], cur.ptr[i+1]
+		if q0 == q1 {
+			continue
+		}
+		lo, hi = min(lo, cur.rows[q0]), max(hi, cur.rows[q1-1])
+		for q := q0; q < q1; q++ {
 			r := cur.rows[q]
-			if scratch[r] == 0 {
-				touched = append(touched, r)
-			}
+			mark[r>>6] |= 1 << (r & 63)
 			scratch[r] += ev * cur.vals[q]
 		}
 	}
-	slices.Sort(touched)
-	e.touched = touched
 
 	// Gather the expanded column, then inflate in place: pow and sum in
 	// row order, prune against the normalized value, renormalize the
 	// survivors.
 	start := len(dst.vals)
-	for _, r := range touched {
-		dst.rows = append(dst.rows, r)
-		dst.vals = append(dst.vals, scratch[r])
-		scratch[r] = 0
+	for w := lo >> 6; w <= hi>>6; w++ {
+		word := mark[w]
+		mark[w] = 0
+		for word != 0 {
+			r := w<<6 | int32(bits.TrailingZeros64(word))
+			word &= word - 1
+			dst.rows = append(dst.rows, r)
+			dst.vals = append(dst.vals, scratch[r])
+			scratch[r] = 0
+		}
 	}
 	var sum float64
 	for i := start; i < len(dst.vals); i++ {
-		v := math.Pow(dst.vals[i], e.opts.Inflation)
+		v := e.pow(dst.vals[i])
 		dst.vals[i] = v
 		sum += v
 	}
@@ -189,6 +216,29 @@ func (e *engine) expandInflateColumn(j int) {
 		}
 	}
 	dst.ptr = append(dst.ptr, int32(len(dst.rows)))
+}
+
+// pow returns math.Pow(x, e.opts.Inflation), bit for bit. For a flow
+// value in [0x1p-200, 1] it skips math.Pow's general path: it takes the
+// exp-log fraction and multiplies in the squarings of x in math.Pow's
+// order, unscaled, which rounds the same while every product is normal.
+//
+//hobbit:hotpath
+func (e *engine) pow(x float64) float64 {
+	if !e.fast || x < 0x1p-200 || x > 1 {
+		return math.Pow(x, e.opts.Inflation)
+	}
+	a := 1.0
+	if e.yf != 0 {
+		a = math.Exp(e.yf * math.Log(x))
+	}
+	for i := e.yi; i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= x
+		}
+		x *= x
+	}
+	return a
 }
 
 // step computes one expansion + inflation round into the spare buffer and
@@ -247,14 +297,21 @@ func Cluster(g *graph.Graph, opts Options) [][]int {
 		return nil
 	}
 	e := newEngine(g, opts)
-	for iter := 0; iter < maxIter; iter++ {
+	e.converge()
+	return interpret(&e.cur, n)
+}
+
+// converge runs rounds until the largest entry change falls below
+// epsilon or maxIter rounds ran, and returns the rounds run.
+func (e *engine) converge() int {
+	for iter := 1; iter <= maxIter; iter++ {
 		e.step()
 		// After the swap, nxt holds the previous round's matrix.
 		if delta(&e.nxt, &e.cur) < epsilon {
-			break
+			return iter
 		}
 	}
-	return interpret(&e.cur, n)
+	return maxIter
 }
 
 // interpret reads clusters from the converged flow matrix: attractors are

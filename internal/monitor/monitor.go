@@ -19,6 +19,7 @@ package monitor
 import (
 	"context"
 	"errors"
+	"maps"
 
 	"github.com/hobbitscan/hobbit/internal/cluster"
 	"github.com/hobbitscan/hobbit/internal/core"
@@ -98,7 +99,11 @@ type Monitor struct {
 	ds       *zmap.Dataset
 	eligible []iputil.Block24
 	results  map[iputil.Block24]*hobbit.BlockResult
-	roll     *cluster.Rolling
+	// agg carries the Section 5 aggregation across epochs: each eligible
+	// /24 is filed under its campaign position, and only the /24s whose
+	// result changed are re-filed.
+	agg  *core.Aggregation
+	roll *cluster.Rolling
 	// cache carries validations and exhaustive reprobe answers across
 	// epochs, evicted by the change sets that pick the blocks to
 	// reprobe. Every recomputed cluster reprobes up to 2·ValidatePairs
@@ -107,9 +112,9 @@ type Monitor struct {
 }
 
 // Step advances to the next epoch: pins the source, reprobes the
-// changed eligible blocks, replays aggregation over the merged result
-// set, repairs the clustering, and revalidates only clusters touched by
-// the change set. The returned report's Output is byte-identical to a
+// changed eligible blocks, re-files those whose result changed in the
+// carried aggregation, repairs the clustering, and revalidates only
+// clusters touched by the change set. The returned report's Output is byte-identical to a
 // from-scratch run at the new epoch; on error the report carries
 // whatever completed.
 func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
@@ -138,6 +143,10 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 			return rep, err
 		}
 		m.ds, m.eligible, m.results = boot.Dataset, boot.Eligible, boot.Campaign.Blocks
+		m.agg = core.NewAggregation(nil)
+		for i, b := range m.eligible {
+			m.agg.Replace(i, nil, m.results[b])
+		}
 		rep.Reprobed = len(m.eligible)
 		if !p.SkipClustering {
 			m.roll = (&cluster.Pipeline{Workers: p.ClusterWorkers, Telemetry: reg}).Rolling()
@@ -146,22 +155,24 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 		changed, all := m.Source.Changed(e-1, e)
 		rep.All = all
 		rep.Changed = len(changed)
-		var reprobe []iputil.Block24
 		var changedSet map[iputil.Block24]bool
 		if all {
 			rep.Changed = len(p.Blocks)
-			reprobe = m.eligible
 		} else {
-			// Intersect with the eligible list in eligible order, so the
-			// sub-campaign is a strict subsequence of the from-scratch one.
 			changedSet = make(map[iputil.Block24]bool, len(changed))
 			for _, b := range changed {
 				changedSet[b] = true
 			}
-			for _, b := range m.eligible {
-				if changedSet[b] {
-					reprobe = append(reprobe, b)
-				}
+		}
+		// Intersect with the eligible list in eligible order, so the
+		// sub-campaign is a strict subsequence of the from-scratch one;
+		// pos[k] is reprobe[k]'s campaign position.
+		var reprobe []iputil.Block24
+		var pos []int
+		for i, b := range m.eligible {
+			if all || changedSet[b] {
+				reprobe = append(reprobe, b)
+				pos = append(pos, i)
 			}
 		}
 		m.cache.Evict(changedSet, all)
@@ -170,8 +181,13 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 		}
 		rep.Reprobed = len(reprobe)
 		res, err := p.Remeasure(ctx, StageReprobe, m.ds, reprobe)
-		for b, br := range res.Blocks {
-			m.results[b] = br
+		// Keep the measured results, a prefix on cancellation, and
+		// re-file each in the carried aggregation.
+		for k, b := range reprobe {
+			if br, ok := res.Blocks[b]; ok {
+				m.agg.Replace(pos[k], m.results[b], br)
+				m.results[b] = br
+			}
 		}
 		if err != nil {
 			return rep, err
@@ -195,27 +211,17 @@ func (m *Monitor) Step(ctx context.Context) (*EpochReport, error) {
 	return rep, nil
 }
 
-// assemble replays aggregation over the merged per-block results and
+// assemble takes the epoch's aggregates from the carried aggregation and
 // repairs clustering and validation through the steps Pipeline.Run
 // uses, producing the epoch's Output.
 func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output, error) {
 	p := m.Pipeline
 	reg := p.Telemetry
 	out := &core.Output{Dataset: m.ds, Eligible: m.eligible}
-	blocks := make(map[iputil.Block24]*hobbit.BlockResult, len(m.results))
-	for b, br := range m.results {
-		blocks[b] = br
-	}
-	out.Campaign = &hobbit.Result{Blocks: blocks, Order: m.eligible}
+	out.Campaign = &hobbit.Result{Blocks: maps.Clone(m.results), Order: m.eligible}
 
-	// Aggregation replay: cheap string grouping over cached results, in
-	// campaign order.
 	span := reg.StartSpan(core.StageAggregate)
-	agg := core.NewAggregation(nil)
-	for _, b := range m.eligible {
-		agg.Add(blocks[b])
-	}
-	agg.Finish(out, reg)
+	m.agg.Snapshot(out, reg)
 	span.End()
 	if p.SkipClustering {
 		out.Final = out.Aggregates
@@ -239,7 +245,7 @@ func (m *Monitor) assemble(ctx context.Context, rep *EpochReport) (*core.Output,
 	// Validation through the cross-epoch cache. Entries resting on a /24
 	// in any change set since they were computed were already evicted, so
 	// a hit is what a live revalidation would return.
-	reused, err := p.ValidateClusters(ctx, StageValidate, out, agg, &m.cache)
+	reused, err := p.ValidateClusters(ctx, StageValidate, out, m.agg, &m.cache)
 	rep.ValReused = reused
 	rep.ValRecomputed = len(out.Clustering.Clusters) - reused
 	reg.Counter("monitor.validations_reused").Add(int64(rep.ValReused))
@@ -267,8 +273,8 @@ func (m *Monitor) Run(ctx context.Context, n int) ([]*EpochReport, error) {
 	return reps, nil
 }
 
-// Close drops the rolling clusterer's state. The Monitor is dead
-// afterwards.
+// Close drops the carried aggregation and the rolling clusterer's
+// state. The Monitor is dead afterwards.
 func (m *Monitor) Close() {
-	m.roll = nil
+	m.agg, m.roll = nil, nil
 }
